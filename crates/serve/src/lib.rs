@@ -12,18 +12,20 @@
 //!   for a share of Tier-1 (plus an optional protected floor), and
 //!   admission fails up front when the asks are unsatisfiable under
 //!   the chosen [`PartitionPolicy`].
-//! * [`PartitionPolicy`] — how Tier-1 is split: strict per-tenant
-//!   quotas, weighted work-conserving shares, fully shared with
-//!   QoS-protected floors, or fully shared free-for-all.
+//! * [`PartitionPolicy`] (re-exported from `gmt-core`) — how Tier-1 is
+//!   split: strict per-tenant quotas, weighted work-conserving shares,
+//!   fully shared with QoS-protected floors, or fully shared
+//!   free-for-all.
 //! * [`ArrivalSchedule`] — deterministic seeded open-arrival load
 //!   generation (uniform, Poisson, bursty) per tenant; schedules are
 //!   merged into one interleaved stream and replayed through
 //!   [`gmt_gpu::Executor::run_arrivals`].
-//! * [`TieredService`] — the shared hierarchy itself: per-tenant
-//!   Tier-1 organization, one shared Tier-2, one shared SSD array and
-//!   PCIe links (contention is shared even when capacity is not), and
-//!   *per-tenant* reuse machinery so one tenant's access pattern never
-//!   poisons another's predictions.
+//! * [`TieredService`] — the registry on one tiering engine
+//!   ([`gmt_core::Gmt::with_tenants`]): per-tenant Tier-1 organization,
+//!   one shared Tier-2, one shared SSD array and PCIe links (contention
+//!   is shared even when capacity is not), and *per-tenant* reuse
+//!   machinery so one tenant's access pattern never poisons another's
+//!   predictions.
 //! * [`ServeReport`] — per-tenant hit rates, miss-service latency
 //!   percentiles and the Jain fairness index, straight from the
 //!   tenant-stamped trace stream.
@@ -38,14 +40,13 @@
 #![warn(missing_docs)]
 
 mod arrival;
-mod partition;
 mod report;
 mod runtime;
 mod tenant;
 
 pub use arrival::ArrivalSchedule;
+pub use gmt_core::{PartitionPolicy, TenantId};
 pub use gmt_sim::trace::SloClass;
-pub use partition::PartitionPolicy;
 pub use report::{ServeReport, TenantReport};
 pub use runtime::{ServeConfig, ServeOutcome, TieredService};
-pub use tenant::{AdmissionError, TenantId, TenantRegistry, TenantSpec};
+pub use tenant::{AdmissionError, TenantRegistry, TenantSpec};

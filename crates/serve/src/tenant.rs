@@ -1,28 +1,11 @@
-//! Tenant identity, specification and admission control.
+//! Tenant specification and admission control.
 
 use std::fmt;
 
 use gmt_sim::trace::SloClass;
 use gmt_workloads::Workload;
 
-use crate::{ArrivalSchedule, PartitionPolicy};
-
-/// Identifies an admitted tenant (dense, in admission order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TenantId(pub u32);
-
-impl TenantId {
-    /// The id as a vector index.
-    pub fn index(&self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for TenantId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "tenant{}", self.0)
-    }
-}
+use crate::{ArrivalSchedule, PartitionPolicy, TenantId};
 
 /// Everything a tenant brings to admission: its workload, its arrival
 /// process, and its resource asks.

@@ -128,6 +128,45 @@ fn structural_invariants_hold_after_a_full_run() {
 }
 
 #[test]
+fn placement_policies_and_prefetch_apply_to_every_partition() {
+    use gmt_core::PolicyKind;
+    use gmt_gpu::Executor;
+
+    for partition in PartitionPolicy::ALL {
+        for policy in PolicyKind::ALL {
+            let mut gmt = GmtConfig::new(TierGeometry::from_tier1(TIER1, 4.0, 2.0));
+            gmt.policy = policy;
+            gmt.prefetch_degree = 2;
+            let config = ServeConfig { gmt, partition };
+            let service = TieredService::new(&config, mix(partition)).expect("valid config");
+            let schedule = service.offered_load();
+            let out = Executor::new(ExecutorConfig::default()).run_arrivals(service, schedule);
+            let service = out.backend;
+            let case = format!("{partition} / {policy}");
+            // Prefetches stay inside the faulting tenant's range, or the
+            // per-tenant residency counters would drift from the clocks.
+            service.check_invariants().expect(&case);
+            let per_tenant: Vec<TieringMetrics> = (0..service.tenant_count())
+                .map(|t| service.metrics(gmt_serve::TenantId(t as u32)))
+                .collect();
+            assert!(
+                per_tenant[1].prefetches > 0,
+                "{case}: the sequential scan triggers the prefetcher"
+            );
+            if policy != PolicyKind::Reuse {
+                assert!(
+                    per_tenant.iter().all(|m| m.predictions == 0),
+                    "{case}: only GMT-Reuse predicts"
+                );
+            }
+            let mut summed = TieringMetrics::default();
+            per_tenant.iter().for_each(|m| summed.merge(m));
+            assert_eq!(summed, service.aggregate_metrics(), "{case}");
+        }
+    }
+}
+
+#[test]
 fn offered_load_is_sorted_and_covers_every_tenant() {
     let config = ServeConfig {
         gmt: GmtConfig::new(TierGeometry::from_tier1(TIER1, 4.0, 2.0)),
