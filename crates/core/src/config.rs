@@ -220,6 +220,8 @@ pub enum ConfigError {
     },
     /// The bypass window measures the Tier-3 fraction over zero evictions.
     ZeroBypassWindow,
+    /// The GMT-Reuse sampler refreshes its fit every zero training pairs.
+    ZeroSamplerBatch,
     /// Tier-3 is striped over zero SSD devices.
     ZeroSsdDevices,
     /// The SSD timing model rejected one of its knobs.
@@ -262,6 +264,9 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::ZeroBypassWindow => {
                 write!(f, "the bypass window must cover at least one eviction")
+            }
+            ConfigError::ZeroSamplerBatch => {
+                write!(f, "the reuse sampler batch must hold at least one pair")
             }
             ConfigError::ZeroSsdDevices => {
                 write!(f, "tier-3 must stripe over at least one SSD device")
@@ -358,7 +363,7 @@ impl GmtConfig {
     /// Rejects degenerate configurations before they can panic deep in
     /// the manager: zero-capacity tiers or pages, a prefetch degree that
     /// would churn all of Tier-1 per fetch, and out-of-range GMT-Reuse
-    /// bypass knobs.
+    /// bypass and sampler knobs.
     ///
     /// [`GmtBuilder::build`](crate::GmtBuilder::build) and
     /// [`Gmt::new`](crate::Gmt::new) call this and panic with the error's
@@ -409,6 +414,9 @@ impl GmtConfig {
         }
         if self.reuse.bypass_window == 0 {
             return Err(ConfigError::ZeroBypassWindow);
+        }
+        if self.reuse.sampler.batch_size == 0 {
+            return Err(ConfigError::ZeroSamplerBatch);
         }
         if self.ssd_devices == 0 {
             return Err(ConfigError::ZeroSsdDevices);
@@ -515,6 +523,10 @@ mod tests {
         let mut window = GmtConfig::default();
         window.reuse.bypass_window = 0;
         assert_eq!(window.validate(), Err(ConfigError::ZeroBypassWindow));
+
+        let mut batch = GmtConfig::default();
+        batch.reuse.sampler.batch_size = 0;
+        assert_eq!(batch.validate(), Err(ConfigError::ZeroSamplerBatch));
 
         let devices = GmtConfig {
             ssd_devices: 0,

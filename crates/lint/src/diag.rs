@@ -53,8 +53,9 @@ pub struct Finding {
     pub end_line: u32,
     /// 1-based column of the character just past the violation.
     pub end_col: u32,
-    /// Verbatim source text of the anchor token, so SARIF consumers can
-    /// cross-check the region against the file (`region.snippet.text`).
+    /// Verbatim source text of the anchor token: the file's text between
+    /// (`line`, `col`) and (`end_line`, `end_col`), or empty for findings
+    /// with no anchor token (S1).
     pub snippet: String,
     /// Human-readable description of what was found and what to do.
     pub message: String,
@@ -80,8 +81,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Findings silenced by `// gmt-lint: allow(...)` comments.
     pub suppressed: usize,
-    /// Findings silenced by a `--baseline` snapshot.
-    pub baselined: usize,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
@@ -113,9 +112,6 @@ impl Report {
             self.suppressed,
             self.files_scanned,
         );
-        if self.baselined > 0 {
-            let _ = write!(out, ", {} baselined", self.baselined);
-        }
         out
     }
 
@@ -146,9 +142,8 @@ impl Report {
         }
         let _ = write!(
             out,
-            "],\"suppressed\":{},\"baselined\":{},\"files_scanned\":{},\"ok\":{}}}",
+            "],\"suppressed\":{},\"files_scanned\":{},\"ok\":{}}}",
             self.suppressed,
-            self.baselined,
             self.files_scanned,
             !self.has_deny(),
         );

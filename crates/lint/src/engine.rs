@@ -22,9 +22,8 @@ use std::path::Path;
 use std::time::Duration;
 use std::time::Instant; // gmt-lint: allow(D1): host-side lint timing, not simulation.
 
-use crate::cache::CacheFile;
 use crate::diag::{Finding, Level, Report};
-use crate::flow::{check_flow_rules_cached, ShardReport};
+use crate::flow::{check_flow_rules, ShardReport};
 use crate::rules::{
     check_config_coverage, check_d1, check_d2, check_d3, check_m1, check_p1, check_trace_schema,
     check_unit_dimensions, has_forbid_unsafe, test_mask, Config, FileContext, Findings, TargetKind,
@@ -150,7 +149,7 @@ pub fn check_source(
         false,
         source,
     )];
-    let (report, _, _) = lint_files_timed(&files, config);
+    let report = lint_files(&files, config).report;
     (report.findings, report.suppressed)
 }
 
@@ -186,17 +185,12 @@ pub fn load_workspace(root: &Path, include_vendor: bool) -> io::Result<Vec<Analy
     Ok(files)
 }
 
-/// Lints a pre-loaded set of files as one workspace.
-pub fn lint_files(files: &[AnalyzedFile], config: &Config) -> Report {
-    lint_files_timed(files, config).0
-}
-
 /// Applies an in-memory [`Overlay`] to a pre-loaded workspace.
 ///
 /// Files named by the overlay are re-lexed and re-parsed from the
 /// replacement source; everything else is cloned as-is. This is the
 /// mutation harness's library-mode entry: nothing touches the on-disk
-/// tree, and the result feeds [`lint_files_cached`] directly.
+/// tree, and the result feeds [`lint_files`] directly.
 pub fn apply_overlay(base: &[AnalyzedFile], overlay: &Overlay) -> Vec<AnalyzedFile> {
     base.iter()
         .map(
@@ -215,8 +209,7 @@ pub fn apply_overlay(base: &[AnalyzedFile], overlay: &Overlay) -> Vec<AnalyzedFi
 }
 
 /// Everything one workspace run produces: the report, the per-rule
-/// timings, the shard-readiness inventory, and the fresh summary cache
-/// (plus how many summaries the incoming cache supplied).
+/// timings and the shard-readiness inventory.
 pub struct LintRun {
     /// The sorted findings and counters.
     pub report: Report,
@@ -224,29 +217,10 @@ pub struct LintRun {
     pub timings: Timings,
     /// The G1 sharding-readiness inventory (`--shard-report`).
     pub shard: ShardReport,
-    /// Cache built from this run's summaries, ready to persist.
-    pub fresh_cache: Option<CacheFile>,
-    /// Summaries reused from the incoming cache (0 on cold runs).
-    pub cache_reused: usize,
 }
 
-/// Lints a pre-loaded set of files, returning the report plus per-rule
-/// wall-time attribution (`--timings`) and the G1 sharding-readiness
-/// inventory (`--shard-report`).
-pub fn lint_files_timed(files: &[AnalyzedFile], config: &Config) -> (Report, Timings, ShardReport) {
-    let run = lint_files_cached(files, config, None);
-    (run.report, run.timings, run.shard)
-}
-
-/// Lints a pre-loaded set of files, seeding the N1 summary fixpoint
-/// from `cache` when one is supplied. Diagnostics are identical with or
-/// without a cache (reporting always runs in full); only summary
-/// computation is skipped.
-pub fn lint_files_cached(
-    files: &[AnalyzedFile],
-    config: &Config,
-    cache: Option<&CacheFile>,
-) -> LintRun {
+/// Lints a pre-loaded set of files as one workspace.
+pub fn lint_files(files: &[AnalyzedFile], config: &Config) -> LintRun {
     let mut timings = Timings::new();
     let t = Instant::now();
     let syms = build_symbols(files);
@@ -264,7 +238,7 @@ pub fn lint_files_cached(
     report.findings.extend(c1);
     report.findings.extend(t1);
     report.suppressed += c1_suppressed + t1_suppressed;
-    let flow = check_flow_rules_cached(files, &syms, config, cache);
+    let flow = check_flow_rules(files, &syms, config);
     report.findings.extend(flow.findings);
     report.suppressed += flow.suppressed;
     for (name, d) in flow.timings {
@@ -275,8 +249,6 @@ pub fn lint_files_cached(
         report,
         timings,
         shard: flow.shard,
-        fresh_cache: flow.fresh_cache,
-        cache_reused: flow.cache_reused,
     }
 }
 
@@ -288,7 +260,7 @@ pub fn lint_files_cached(
 /// file; individual findings never error.
 pub fn lint_workspace(root: &Path, config: &Config, include_vendor: bool) -> io::Result<Report> {
     let files = load_workspace(root, include_vendor)?;
-    Ok(lint_files(&files, config))
+    Ok(lint_files(&files, config).report)
 }
 
 /// Sorts findings into report order and collapses duplicates anchored
@@ -297,7 +269,7 @@ pub fn lint_workspace(root: &Path, config: &Config, include_vendor: bool) -> io:
 /// When several rules diagnose the same tokens (a float-unit
 /// accumulation under hash iteration trips both O1 and U1, a dead
 /// numeric config knob trips both C1 clauses), only the first finding
-/// in (rule id, message) order survives, so SARIF output, baselines and
+/// in (rule id, message) order survives, so the text and JSON output and
 /// the summary counters report one diagnostic per defect site.
 fn sort_findings(findings: &mut Vec<Finding>) {
     findings.sort_by(|a, b| {
@@ -376,7 +348,7 @@ mod tests {
             "pub fn access() { let v: Vec<u32> = Vec::new(); drop(v); }",
         )];
         let config = Config::default();
-        let (_, timings, _) = lint_files_timed(&files, &config);
+        let timings = lint_files(&files, &config).timings;
         let names: Vec<&str> = timings.iter().map(|(n, _)| *n).collect();
         for expected in [
             "D1", "D2", "D3", "P1", "M1", "U1", "S1", "C1", "T1", "N1", "A1", "G1", "R1", "R2",

@@ -739,11 +739,6 @@ pub struct FlowOutput {
     pub shard: ShardReport,
     /// Wall time per rule family, for `--timings`.
     pub timings: Vec<(&'static str, Duration)>,
-    /// A fresh summary cache built from this run (when N1 ran), ready to
-    /// persist for the next incremental invocation.
-    pub fresh_cache: Option<crate::cache::CacheFile>,
-    /// How many function summaries were reused from the incoming cache.
-    pub cache_reused: usize,
 }
 
 fn param_seeds(cg: &CallGraph<'_>, id: FnId) -> Vec<(String, Taint)> {
@@ -1091,29 +1086,13 @@ fn ty_sync_shared(ty: &[String]) -> bool {
 // The workspace entry point.
 // --------------------------------------------------------------------------
 
-/// Runs N1, A1, G1, R1, R2 and O1 over the analyzed workspace with no
-/// incremental cache (every summary recomputed).
+/// Runs N1, A1, G1, R1, R2 and O1 over the analyzed workspace.
 pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config) -> FlowOutput {
-    check_flow_rules_cached(files, syms, config, None)
-}
-
-/// Runs the flow-sensitive families, seeding the N1 summary fixpoint
-/// from `cache` when one is supplied (see [`crate::cache`]). Diagnostics
-/// are identical with or without a cache: only summary *computation* is
-/// skipped for clean functions, never reporting.
-pub fn check_flow_rules_cached(
-    files: &[AnalyzedFile],
-    syms: &Symbols,
-    config: &Config,
-    cache: Option<&crate::cache::CacheFile>,
-) -> FlowOutput {
     let mut out = FlowOutput {
         findings: Vec::new(),
         suppressed: 0,
         shard: ShardReport::default(),
         timings: Vec::new(),
-        fresh_cache: None,
-        cache_reused: 0,
     };
     let n1 = config.level("N1") != Level::Allow;
     let a1 = config.level("A1") != Level::Allow;
@@ -1167,32 +1146,11 @@ pub fn check_flow_rules_cached(
     if n1 {
         let t = Instant::now();
         let mut summaries = vec![Summary::default(); cg.fns.len()];
-        // Incremental seeding: clean functions (unchanged file, no dirty
-        // transitive callee) start at their cached fixpoint and are
-        // skipped by the solve loop. The reporting sweep below is always
-        // full, so diagnostics cannot depend on cache state.
-        let dirty: Vec<bool> = match cache.map(|c| crate::cache::plan_dirty(c, files, &cg)) {
-            Some(plan) if !plan.full => {
-                crate::cache::seed_summaries(
-                    cache.expect("plan came from a cache"),
-                    files,
-                    &cg,
-                    &plan,
-                    &mut summaries,
-                );
-                out.cache_reused = plan.reused;
-                plan.dirty
-            }
-            _ => vec![true; cg.fns.len()],
-        };
         // Finite lattice + monotone joins: the loop stabilizes; the
         // round cap is sheer paranoia against a non-monotone bug.
         for _round in 0..12 {
             let mut changed = false;
             for id in 0..cg.fns.len() {
-                if !dirty[id] {
-                    continue;
-                }
                 let (s, _) = analyze_fn(syms, &cg, &summaries, &cfgs, id, false);
                 let merged = Summary {
                     ret: summaries[id].ret.join(s.ret),
@@ -1239,7 +1197,6 @@ pub fn check_flow_rules_cached(
             out.findings.append(&mut acc.findings);
             out.suppressed += acc.suppressed;
         }
-        out.fresh_cache = Some(crate::cache::CacheFile::build(files, &cg, &summaries));
         out.timings.push(("N1", t.elapsed()));
     }
 

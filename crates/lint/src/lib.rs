@@ -26,11 +26,8 @@
 //! * **O1 order-sensitive-float-fold** — float accumulation over
 //!   `HashMap`/`HashSet` iteration order is flagged.
 //!
-//! The v4 shard-safety layer adds a field-level escape classification
-//! ([`escape`]) feeding the `gmt-shard-readiness/2` report, and an
-//! incremental per-file summary cache ([`cache`]) keyed by content hash
-//! and rule versions; `--no-cache` forces a full recompute, and warm and
-//! cold runs are byte-identical by construction.
+//! The shard-safety layer adds a field-level escape classification
+//! ([`escape`]) feeding the `gmt-shard-readiness/2` report.
 //!
 //! The analysis tokenizes with a hand-rolled lexer ([`lexer`]) rather
 //! than a parser dependency, keeping the workspace offline-buildable.
@@ -56,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod cache;
 pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
@@ -70,11 +66,9 @@ pub mod mutate;
 pub mod order;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 pub mod symbols;
 pub mod workspace;
 
-pub use cache::CacheFile;
 pub use diag::{Finding, Level, Report};
 pub use engine::{check_crate_root, check_source, lint_workspace};
 pub use flow::ShardReport;

@@ -3,7 +3,6 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeSet;
 use std::env;
 use std::fs;
 use std::path::PathBuf;
@@ -12,7 +11,7 @@ use std::time::Instant; // gmt-lint: allow(D1): the linter itself is host toolin
 
 use gmt_lint::rules::rule;
 use gmt_lint::symbols::build_symbols;
-use gmt_lint::{fix, sarif, Config, Level, Report, RULES};
+use gmt_lint::{fix, Config, Level, Report, RULES};
 
 const USAGE: &str = "\
 gmt-lint — determinism, tiering and export invariants for the GMT workspace
@@ -22,18 +21,14 @@ USAGE:
 
 OPTIONS:
     --root <PATH>           Workspace root (default: nearest [workspace] above cwd)
-    --format <FMT>          Output format: text (default), json or sarif
+    --format <FMT>          Output format: text (default) or json
     --fix                   Apply the safe D3 and U1 rewrites, then re-lint
     --allow <RULE>          Run RULE (or `all`) at allow level (repeatable)
     --warn <RULE>           Run RULE (or `all`) at warn level (repeatable)
     --deny <RULE>           Run RULE (or `all`) at deny level (repeatable)
-    --baseline <PATH>       Silence findings recorded in the snapshot at PATH
-    --write-baseline <PATH> Write the current findings as a snapshot and exit
     --max-millis <N>        Fail (exit 2) if the lint pass itself exceeds N ms
     --timings               Report per-rule wall time on stderr
     --shard-report <PATH>   Write the G1 sharding-readiness inventory (JSON) to PATH
-    --no-cache              Recompute every function summary (skip the incremental cache)
-    --cache <PATH>          Summary cache location (default: <root>/target/gmt-lint-cache.json)
     --include-vendor        Also lint vendor/* stub crates
     --list-rules            Print the rule table and exit
     -h, --help              Print this help
@@ -43,14 +38,7 @@ EXIT CODES:
     2  usage or I/O error, or the --max-millis budget was exceeded
 
 Suppress a single line with `// gmt-lint: allow(<RULE>): reason`, either
-trailing the offending line or on the line directly above it. A baseline
-snapshot silences pre-existing findings wholesale so new code can be held
-to a stricter bar than old code; regenerate it with --write-baseline.
-
-The incremental cache stores per-file content-hashed function summaries;
-a warm run re-solves only functions whose file (or a transitive callee's
-file) changed. Diagnostics are byte-identical warm or cold — the cache
-skips summary computation, never reporting.";
+trailing the offending line or on the line directly above it.";
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = env::args().collect();
@@ -89,14 +77,6 @@ fn main() -> ExitCode {
 enum Format {
     Text,
     Json,
-    Sarif,
-}
-
-/// One finding's identity in a baseline snapshot. Line/column are left
-/// out on purpose: unrelated edits move findings around a file, and a
-/// moved finding is not a new one.
-fn baseline_key(f: &gmt_lint::Finding) -> String {
-    format!("{}\t{}\t{}", f.rule, f.file.display(), f.message)
 }
 
 fn run() -> Result<bool, String> {
@@ -105,13 +85,9 @@ fn run() -> Result<bool, String> {
     let mut format = Format::Text;
     let mut apply_fix = false;
     let mut include_vendor = false;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut max_millis: Option<u64> = None;
     let mut show_timings = false;
     let mut shard_report: Option<PathBuf> = None;
-    let mut use_cache = true;
-    let mut cache_path: Option<PathBuf> = None;
 
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -123,8 +99,7 @@ fn run() -> Result<bool, String> {
                 format = match args.next().as_deref() {
                     Some("json") => Format::Json,
                     Some("text") => Format::Text,
-                    Some("sarif") => Format::Sarif,
-                    other => return Err(format!("unknown format {other:?} (text|json|sarif)")),
+                    other => return Err(format!("unknown format {other:?} (text|json)")),
                 };
             }
             "--fix" => apply_fix = true,
@@ -143,14 +118,6 @@ fn run() -> Result<bool, String> {
                     return Err(format!("unknown rule `{id}` (try --list-rules)"));
                 }
             }
-            "--baseline" => {
-                baseline = Some(PathBuf::from(args.next().ok_or("--baseline needs a path")?));
-            }
-            "--write-baseline" => {
-                write_baseline = Some(PathBuf::from(
-                    args.next().ok_or("--write-baseline needs a path")?,
-                ));
-            }
             "--max-millis" => {
                 let n = args.next().ok_or("--max-millis needs a number")?;
                 max_millis = Some(
@@ -163,10 +130,6 @@ fn run() -> Result<bool, String> {
                 shard_report = Some(PathBuf::from(
                     args.next().ok_or("--shard-report needs a path")?,
                 ));
-            }
-            "--no-cache" => use_cache = false,
-            "--cache" => {
-                cache_path = Some(PathBuf::from(args.next().ok_or("--cache needs a path")?));
             }
             "--include-vendor" => include_vendor = true,
             "--list-rules" => {
@@ -196,16 +159,9 @@ fn run() -> Result<bool, String> {
     };
 
     let started = Instant::now();
-    let cache_path = cache_path.unwrap_or_else(|| root.join("target/gmt-lint-cache.json"));
-    // A missing or stale cache silently degrades to a cold run.
-    let cache = if use_cache {
-        gmt_lint::CacheFile::load(&cache_path)
-    } else {
-        None
-    };
     let mut files =
         gmt_lint::engine::load_workspace(&root, include_vendor).map_err(|e| e.to_string())?;
-    let mut run = gmt_lint::engine::lint_files_cached(&files, &config, cache.as_ref());
+    let mut run = gmt_lint::engine::lint_files(&files, &config);
 
     if apply_fix {
         let fixed_files = apply_fixes(&root, &files, &run.report, &config)?;
@@ -216,19 +172,10 @@ fn run() -> Result<bool, String> {
             );
             files = gmt_lint::engine::load_workspace(&root, include_vendor)
                 .map_err(|e| e.to_string())?;
-            run = gmt_lint::engine::lint_files_cached(&files, &config, cache.as_ref());
+            run = gmt_lint::engine::lint_files(&files, &config);
         }
     }
-    let (mut report, timings, shard) = (run.report, run.timings, run.shard);
-
-    if use_cache {
-        if let Some(fresh) = &run.fresh_cache {
-            // Best-effort: target/ may not exist in exotic setups, and a
-            // lost cache only costs the next run a recompute.
-            let _ = fs::create_dir_all(cache_path.parent().unwrap_or(&root));
-            let _ = fs::write(&cache_path, fresh.render_json());
-        }
-    }
+    let (report, timings, shard) = (run.report, run.timings, run.shard);
 
     if let Some(path) = shard_report {
         fs::write(&path, shard.render_json()).map_err(|e| e.to_string())?;
@@ -241,42 +188,6 @@ fn run() -> Result<bool, String> {
         );
     }
 
-    if let Some(path) = write_baseline {
-        // Entries land in (file, line, rule) order so a regenerated
-        // baseline diffs minimally against the previous one; the keys
-        // themselves stay line-free (see `baseline_key`).
-        let mut ordered: Vec<&gmt_lint::Finding> = report.findings.iter().collect();
-        ordered.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        let mut out = String::new();
-        for f in ordered {
-            let key = baseline_key(f);
-            if seen.insert(key.clone()) {
-                out.push_str(&key);
-                out.push('\n');
-            }
-        }
-        fs::write(&path, out).map_err(|e| e.to_string())?;
-        eprintln!(
-            "gmt-lint: wrote {} baseline entr{} to {}",
-            seen.len(),
-            if seen.len() == 1 { "y" } else { "ies" },
-            path.display()
-        );
-        return Ok(true);
-    }
-
-    if let Some(path) = baseline {
-        let text =
-            fs::read_to_string(&path).map_err(|e| format!("baseline {}: {e}", path.display()))?;
-        let known: BTreeSet<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        let before = report.findings.len();
-        report
-            .findings
-            .retain(|f| !known.contains(baseline_key(f).as_str()));
-        report.baselined = before - report.findings.len();
-    }
-
     let elapsed = started.elapsed();
     if show_timings {
         let mut by_cost = timings.clone();
@@ -285,19 +196,9 @@ fn run() -> Result<bool, String> {
         for (name, d) in &by_cost {
             eprintln!("  {name:<10} {:>9.3}ms", d.as_secs_f64() * 1e3);
         }
-        eprintln!(
-            "gmt-lint: summary cache reused {} function summar{}",
-            run.cache_reused,
-            if run.cache_reused == 1 { "y" } else { "ies" }
-        );
     }
     match format {
         Format::Json => println!("{}", report.render_json()),
-        Format::Sarif => {
-            let log = sarif::render_sarif(&report);
-            sarif::validate_sarif(&log).map_err(|e| format!("emitted SARIF is invalid: {e}"))?;
-            println!("{log}");
-        }
         Format::Text => {
             println!("{}", report.render_text());
             eprintln!("gmt-lint: completed in {elapsed:?}");

@@ -26,10 +26,9 @@
 //!    actually diverge, or the rule is flagged *vacuous* — statically
 //!    detectable but behaviorally inert.
 //!
-//! Overlay runs never read or persist the on-disk summary cache; the
-//! baseline run's in-memory summaries seed each mutant run instead, so
-//! the harness doubles as a stress test of the reverse-closure
-//! invalidation in [`crate::cache`].
+//! Every mutant is linted cold: the whole workspace is re-analyzed with
+//! the overlay applied, so no summary computed for the pristine tree can
+//! hide a mutant.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -38,10 +37,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use crate::cache::CacheFile;
 use crate::callgraph::CallGraph;
 use crate::diag::{json_str, Level};
-use crate::engine::{apply_overlay, lint_files_cached};
+use crate::engine::{apply_overlay, lint_files};
 use crate::flow::{slash_path, PER_EVENT_ROOTS, R2_CRATES, ROOT_CRATES};
 use crate::order::O1_CRATES;
 use crate::rules::{
@@ -1029,17 +1027,15 @@ fn synth_o1(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
 // ------------------------------------------------------------------
 
 /// Runs the static stage: baseline-clean assertion, mutant synthesis,
-/// and one overlay lint run per mutant (seeded from the baseline's
-/// in-memory summary cache — the on-disk cache is never touched).
+/// and one cold overlay lint run per mutant.
 ///
 /// # Errors
 ///
 /// Returns a message when the pristine workspace is not deny-clean
-/// (recall over a dirty baseline would be meaningless) or when the
-/// baseline run produced no reusable cache.
+/// (recall over a dirty baseline would be meaningless).
 pub fn run_static(corpus: &Corpus, quick: bool) -> Result<RecallReport, String> {
     let config = Config::default();
-    let baseline = lint_files_cached(&corpus.files, &config, None);
+    let baseline = lint_files(&corpus.files, &config);
     if !baseline.report.findings.is_empty() {
         let mut msg = String::from("pristine workspace is not deny-clean; fix before measuring:");
         for f in baseline.report.findings.iter().take(5) {
@@ -1047,14 +1043,11 @@ pub fn run_static(corpus: &Corpus, quick: bool) -> Result<RecallReport, String> 
         }
         return Err(msg);
     }
-    let seed_cache: CacheFile = baseline
-        .fresh_cache
-        .ok_or("baseline run produced no summary cache")?;
     let mutants = synthesize(corpus, quick);
     let mut outcomes = Vec::with_capacity(mutants.len());
     for m in &mutants {
         let files = apply_overlay(&corpus.files, &m.overlay);
-        let run = lint_files_cached(&files, &config, Some(&seed_cache));
+        let run = lint_files(&files, &config);
         let fired: BTreeSet<&'static str> = run.report.findings.iter().map(|f| f.rule).collect();
         outcomes.push(MutantOutcome {
             rule: m.template.rule,

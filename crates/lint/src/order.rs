@@ -27,8 +27,8 @@
 //! fires R1 at the mutator.
 //!
 //! To keep the bare-name call graph from joining unrelated homonyms
-//! (every `builder.finish()` in the workspace must not count as a call
-//! to the pipelined sampler's `finish`), the *first* reverse step from
+//! (every `vec.drain(..)` in the workspace must not count as a call to
+//! the trace ring's `TraceSink::drain`), the *first* reverse step from
 //! a mutator is type-refined: a caller only counts if it names the
 //! owning struct, is a sibling method, or is a method of a struct that
 //! holds the owning struct in a field.

@@ -34,8 +34,7 @@ pub struct SourceFile {
 ///
 /// The mutation harness lints synthesized known-bad variants of real
 /// workspace files through this type — overlay runs never write to the
-/// source tree and never read or persist the on-disk summary cache, so
-/// a mutant can never leak into `src/` or poison a later warm run.
+/// source tree, so a mutant can never leak into `src/`.
 #[derive(Debug, Clone, Default)]
 pub struct Overlay {
     /// Replacement sources keyed by slash-separated workspace-relative

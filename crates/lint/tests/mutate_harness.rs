@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 
-use gmt_lint::engine::{apply_overlay, lint_files_cached};
+use gmt_lint::engine::{apply_overlay, lint_files};
 use gmt_lint::mutate::{load_corpus, synthesize};
 use gmt_lint::{Config, RULES};
 
@@ -62,13 +62,12 @@ fn full_matrix_covers_every_rule_with_behavioral_determinism_probes() {
 fn representative_mutants_are_caught_through_the_overlay() {
     let corpus = load_corpus(&repo_root()).expect("workspace loads");
     let config = Config::default();
-    let baseline = lint_files_cached(&corpus.files, &config, None);
+    let baseline = lint_files(&corpus.files, &config);
     assert!(
         baseline.report.findings.is_empty(),
         "recall over a dirty baseline is meaningless: {:#?}",
         baseline.report.findings
     );
-    let cache = baseline.fresh_cache.expect("baseline builds a cache");
     let mutants = synthesize(&corpus, true);
     // One of each synthesis mechanism: function-entry injection (D1),
     // end-of-file append with an interprocedural chain (N1), and a
@@ -79,7 +78,7 @@ fn representative_mutants_are_caught_through_the_overlay() {
             .find(|m| m.template.rule == id)
             .unwrap_or_else(|| panic!("no {id} mutant in the quick matrix"));
         let files = apply_overlay(&corpus.files, &m.overlay);
-        let run = lint_files_cached(&files, &config, Some(&cache));
+        let run = lint_files(&files, &config);
         assert!(
             run.report.findings.iter().any(|f| f.rule == id),
             "{} escaped: {} mutant at {} produced {:#?}",

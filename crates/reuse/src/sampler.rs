@@ -6,20 +6,13 @@
 //! of `RD = m·VTD + b`. The paper pipelines every 10 000 samples so the
 //! GPU gets useful coefficients long before sampling completes.
 //!
-//! Two implementations are provided:
-//!
-//! * [`SamplingRegression`] — synchronous and deterministic; the GMT
-//!   runtime uses this (the simulation clock is virtual, so "offloading"
-//!   is a timing annotation, not a real thread),
-//! * [`PipelinedRegression`] — a real host thread fed through a crossbeam
-//!   channel, demonstrating and testing the paper's pipelined design.
+//! [`SamplingRegression`] models that pipeline synchronously and
+//! deterministically: the simulation clock is virtual, so offloading to a
+//! host thread is a timing annotation rather than a real thread, and
+//! publishing intermediate fits at each batch boundary is
+//! [`SamplerConfig::pipelined`].
 
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use crossbeam::channel::{self, Sender};
 use gmt_mem::PageId;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::olken::ReuseTracker;
@@ -147,126 +140,6 @@ impl SamplingRegression {
     }
 }
 
-/// Message from the GPU side to the regression thread.
-enum Msg {
-    Batch(Vec<PageId>),
-    Done,
-}
-
-/// The pipelined variant: a real CPU thread consumes sample batches from a
-/// crossbeam channel (the paper's shared GPU→CPU queue) and publishes
-/// refined coefficients.
-///
-/// # Examples
-///
-/// ```
-/// use gmt_mem::PageId;
-/// use gmt_reuse::{PipelinedRegression, SamplerConfig};
-///
-/// let mut p = PipelinedRegression::spawn(SamplerConfig { sample_budget: 1_000, batch_size: 100, pipelined: true });
-/// for _ in 0..50 {
-///     for page in 0..20u64 {
-///         p.observe(PageId(page));
-///     }
-/// }
-/// let fit = p.finish();
-/// assert!(fit.slope > 0.0);
-/// ```
-#[derive(Debug)]
-pub struct PipelinedRegression {
-    sender: Option<Sender<Msg>>,
-    // gmt-lint: allow(R2): [R2/1] the paper's asynchronous GPU→CPU regression pipeline: the worker publishes refined coefficients behind this lock. Opt-in (`pipelined: true`) and off the deterministic replay path, which uses SamplingRegression.
-    shared: Arc<Mutex<LinearFit>>,
-    worker: Option<JoinHandle<()>>,
-    buffer: Vec<PageId>,
-    flush_every: usize,
-}
-
-impl PipelinedRegression {
-    /// Spawns the regression thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.batch_size` is zero.
-    pub fn spawn(config: SamplerConfig) -> PipelinedRegression {
-        let (sender, receiver) = channel::unbounded();
-        let shared = Arc::new(Mutex::new(LinearFit::identity()));
-        let published = Arc::clone(&shared);
-        let worker = std::thread::spawn(move || {
-            let mut sync = SamplingRegression::new(config);
-            while let Ok(msg) = receiver.recv() {
-                match msg {
-                    Msg::Batch(pages) => {
-                        for page in pages {
-                            sync.observe(page);
-                        }
-                        *published.lock() = sync.fit();
-                    }
-                    Msg::Done => break,
-                }
-            }
-        });
-        PipelinedRegression {
-            sender: Some(sender),
-            shared,
-            worker: Some(worker),
-            buffer: Vec::new(),
-            flush_every: config.batch_size.max(1),
-        }
-    }
-
-    /// Buffers one access; ships a batch to the CPU thread when full.
-    pub fn observe(&mut self, page: PageId) {
-        self.buffer.push(page);
-        if self.buffer.len() >= self.flush_every {
-            self.flush();
-        }
-    }
-
-    /// The most recently published fit (does not block on in-flight
-    /// batches).
-    pub fn current_fit(&self) -> LinearFit {
-        *self.shared.lock()
-    }
-
-    /// Flushes buffered samples, stops the thread, and returns the final
-    /// fit.
-    pub fn finish(mut self) -> LinearFit {
-        self.shutdown();
-        *self.shared.lock()
-    }
-
-    // gmt-lint: allow(R1): [R1/1] batch hand-off to the pipelined worker; sample order within a batch is preserved and the fit merges at finish(), the epoch boundary.
-    fn flush(&mut self) {
-        if self.buffer.is_empty() {
-            return;
-        }
-        if let Some(sender) = &self.sender {
-            let batch = std::mem::take(&mut self.buffer);
-            // A closed channel means the worker already exited; samples
-            // past that point can be dropped safely.
-            let _ = sender.send(Msg::Batch(batch));
-        }
-    }
-
-    // gmt-lint: allow(R1): [R1/1] the pipeline's collection point: drains the channel and joins the worker after the run, so no event-ordering decision observes the writes.
-    fn shutdown(&mut self) {
-        self.flush();
-        if let Some(sender) = self.sender.take() {
-            let _ = sender.send(Msg::Done);
-        }
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for PipelinedRegression {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,64 +222,5 @@ mod tests {
         }
         assert_eq!(s.pairs(), 10);
         assert!(s.is_complete());
-    }
-
-    #[test]
-    fn pipelined_matches_synchronous_final_fit() {
-        let config = SamplerConfig {
-            sample_budget: 5_000,
-            batch_size: 100,
-            pipelined: true,
-        };
-        let mut sync = SamplingRegression::new(config);
-        let mut piped = PipelinedRegression::spawn(config);
-        for _ in 0..30 {
-            for p in cyclic_trace(7, 1).chain(cyclic_trace(23, 1)) {
-                sync.observe(p);
-                piped.observe(p);
-            }
-        }
-        let a = sync.fit();
-        let b = piped.finish();
-        assert!((a.slope - b.slope).abs() < 1e-12);
-        assert!((a.intercept - b.intercept).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pipelined_publishes_intermediate_fits() {
-        let mut piped = PipelinedRegression::spawn(SamplerConfig {
-            sample_budget: 100_000,
-            batch_size: 10,
-            pipelined: true,
-        });
-        for _ in 0..200 {
-            for p in cyclic_trace(5, 1).chain(cyclic_trace(17, 1)) {
-                piped.observe(p);
-            }
-        }
-        // Give the worker a moment; then an intermediate fit should exist.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let fit = piped.current_fit();
-            if fit != LinearFit::identity() || std::time::Instant::now() > deadline {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        let final_fit = piped.finish();
-        assert!(final_fit.slope > 0.0);
-    }
-
-    #[test]
-    fn drop_without_finish_is_clean() {
-        let mut piped = PipelinedRegression::spawn(SamplerConfig {
-            sample_budget: 1_000,
-            batch_size: 10,
-            pipelined: true,
-        });
-        for p in cyclic_trace(5, 3) {
-            piped.observe(p);
-        }
-        drop(piped); // must join the worker without hanging or panicking
     }
 }
