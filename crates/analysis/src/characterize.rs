@@ -6,10 +6,9 @@ use gmt_mem::{ClockList, PageId, Tier, TierGeometry};
 use gmt_reuse::{ReuseTracker, TierClassifier};
 use gmt_sim::stats::Histogram;
 use gmt_workloads::Workload;
-use serde::{Deserialize, Serialize};
 
 /// The Table-2 / Fig.-7 profile of one workload on one geometry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Characterization {
     /// Workload name.
     pub name: String,

@@ -8,10 +8,9 @@ use gmt_mem::TierGeometry;
 use gmt_sim::Dur;
 use gmt_ssd::SsdStats;
 use gmt_workloads::Workload;
-use serde::{Deserialize, Serialize};
 
 /// The systems the evaluation compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// BaM (Qureshi et al.): GPU-orchestrated, 2 tiers.
     Bam,
@@ -39,7 +38,7 @@ impl std::fmt::Display for SystemKind {
 }
 
 /// One workload × system execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// The workload's name.
     pub workload: String,

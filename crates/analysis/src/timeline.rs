@@ -10,10 +10,9 @@ use gmt_core::{Gmt, GmtConfig, TieringMetrics};
 use gmt_gpu::{ExecutorConfig, MemoryBackend};
 use gmt_sim::{Dur, Time};
 use gmt_workloads::Workload;
-use serde::{Deserialize, Serialize};
 
 /// One snapshot along a run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TimelinePoint {
     /// Warp accesses completed when the snapshot was taken.
     pub accesses: u64,

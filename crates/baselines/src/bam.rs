@@ -9,14 +9,13 @@ use gmt_ssd::array::{ArrayConfig, SsdArray};
 use gmt_ssd::qpair::QueuePair;
 use gmt_ssd::queue::Opcode;
 use gmt_ssd::{SsdConfig, SsdDevice};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the BaM baseline.
 ///
 /// BaM has no Tier-2, so only the Tier-1 capacity and the SSD calibration
 /// matter; the [`TierGeometry`]'s Tier-2 field is ignored (kept so the same
 /// geometry drives paired GMT/BaM runs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BamConfig {
     /// Tier capacities (Tier-2 ignored).
     pub geometry: TierGeometry,

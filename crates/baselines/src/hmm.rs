@@ -6,7 +6,6 @@ use gmt_mem::{ClockList, FifoCache, PageId, PageTable, Tier, TierGeometry, WarpA
 use gmt_sim::trace::{TierTag, TraceEvent, TraceSink};
 use gmt_sim::{Dur, FifoServer, Link, ServerPool, Time};
 use gmt_ssd::{SsdConfig, SsdDevice};
-use serde::{Deserialize, Serialize};
 
 /// Calibration of the HMM baseline.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// `cudaMemcpy`-style DMA migrations over PCIe and a host page cache as
 /// Tier-2. The serialized drain is the throughput ceiling — the property
 /// the paper's §3.6 comparison hinges on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HmmConfig {
     /// Tier capacities (Tier-2 is the host page cache).
     pub geometry: TierGeometry,

@@ -4,10 +4,9 @@ use gmt_mem::TierGeometry;
 use gmt_pcie::{HostLinkConfig, TransferMethod};
 use gmt_reuse::SamplerConfig;
 use gmt_ssd::SsdConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which Tier-1 eviction placement policy runs (paper §2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// GMT-TierOrder: every victim goes to Tier-2; Tier-2's own FIFO
     /// spills to Tier-3 (§2.1.1).
@@ -40,7 +39,7 @@ impl std::fmt::Display for PolicyKind {
 }
 
 /// What happens when a victim should enter a full Tier-2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier2Insert {
     /// Evict the oldest Tier-2 page (FIFO, §2.2) to make room — used by
     /// GMT-TierOrder and GMT-Random.
@@ -62,7 +61,7 @@ pub enum Tier2Insert {
 /// is the default here, with a per-page variant for ablation (pages with
 /// idiosyncratic patterns predict better per-page; sparse histories train
 /// slower).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MarkovScope {
     /// One transition matrix shared by all pages (default).
     Global,
@@ -76,7 +75,7 @@ pub enum MarkovScope {
 /// evictions — a pattern a 1-level "same as last time" predictor gets
 /// wrong every single time, which is exactly why §2.1.3 builds the
 /// 2-level-history Markov chain. The alternatives are kept for ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredictorKind {
     /// The paper's 3-state Markov chain over 2-level history (Fig. 5).
     Markov,
@@ -87,7 +86,7 @@ pub enum PredictorKind {
 }
 
 /// Knobs specific to GMT-Reuse.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReuseConfig {
     /// VTD sampling / regression pipeline parameters.
     pub sampler: SamplerConfig,
@@ -127,7 +126,7 @@ impl Default for ReuseConfig {
 /// Lives here (rather than in the front-end crate) so a single
 /// [`GmtConfig::validate`] call covers the whole stack, mirroring the
 /// SSD and host-link sub-configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontendConfig {
     /// Modeled client connections feeding the front-end.
     pub connections: usize,
@@ -294,7 +293,7 @@ impl std::error::Error for ConfigError {}
 /// };
 /// assert_eq!(config.policy, PolicyKind::Reuse);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GmtConfig {
     /// Tier capacities.
     pub geometry: TierGeometry,

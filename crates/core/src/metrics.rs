@@ -1,7 +1,5 @@
 //! Runtime counters backing every evaluation figure.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters collected by the tiering runtimes (GMT, BaM, HMM share this
 /// shape so figures compare like for like).
 ///
@@ -27,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.t2_hit_rate(), 0.6);
 /// assert_eq!(m.wasteful_lookup_rate(), 0.4);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TieringMetrics {
     /// Coalesced warp accesses serviced.
     pub accesses: u64,

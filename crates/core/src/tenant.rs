@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a tenant of the engine (dense, in table order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u32);
@@ -57,7 +55,7 @@ pub struct TenantSlice {
 /// | [`WeightedShares`](PartitionPolicy::WeightedShares) | proportional under contention | yes |
 /// | [`SharedQos`](PartitionPolicy::SharedQos) | floor only | yes |
 /// | [`FullyShared`](PartitionPolicy::FullyShared) | none | yes |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionPolicy {
     /// Each tenant owns a fixed slice of Tier-1 proportional to its
     /// share and may never exceed it, even when the rest sits idle.

@@ -6,7 +6,6 @@ use std::collections::BinaryHeap;
 use gmt_mem::WarpAccess;
 use gmt_sim::trace::{TraceEvent, TraceSink};
 use gmt_sim::{Dur, Time};
-use serde::{Deserialize, Serialize};
 
 /// A tiering runtime as seen by the GPU: something that services one
 /// coalesced warp access and reports when the warp may resume.
@@ -37,7 +36,7 @@ impl<B: MemoryBackend + ?Sized> MemoryBackend for &mut B {
 }
 
 /// Executor parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
     /// Resident warp contexts issuing concurrently. An A100 sustains
     /// thousands (108 SMs × up to 64 warps); the default keeps the same
@@ -127,41 +126,16 @@ impl Executor {
 
     /// Replays `trace` through `backend`; returns elapsed time, access
     /// count and the backend.
-    pub fn run<B, I>(&self, mut backend: B, trace: I) -> RunOutcome<B>
+    ///
+    /// A closed loop: every access is available at time zero, so each
+    /// issues as soon as a warp slot frees up ([`Executor::run_arrivals`]
+    /// with every arrival at [`Time::ZERO`]).
+    pub fn run<B, I>(&self, backend: B, trace: I) -> RunOutcome<B>
     where
         B: MemoryBackend,
         I: IntoIterator<Item = WarpAccess>,
     {
-        let mut warps: BinaryHeap<Reverse<Time>> = (0..self.config.warp_slots)
-            .map(|_| Reverse(Time::ZERO))
-            .collect();
-        let mut accesses = 0u64;
-        let mut horizon = Time::ZERO;
-        for access in trace {
-            let Reverse(ready) = warps.pop().expect("warp heap is never empty");
-            if self.trace.is_enabled() {
-                if let Some(page) = access.pages.iter().next() {
-                    self.trace.emit(
-                        ready,
-                        TraceEvent::WarpAccess {
-                            page: page.0,
-                            write: access.write,
-                        },
-                    );
-                }
-            }
-            let data_ready = backend.access(ready, &access);
-            let next_issue = data_ready + self.config.compute_per_access;
-            horizon = horizon.max(next_issue);
-            warps.push(Reverse(next_issue));
-            accesses += 1;
-        }
-        let done = backend.finish(horizon);
-        RunOutcome {
-            elapsed: done.since(Time::ZERO),
-            accesses,
-            backend,
-        }
+        self.run_arrivals(backend, trace.into_iter().map(|a| (Time::ZERO, a)))
     }
 
     /// Replays an *open-arrival* trace: each access carries the wall

@@ -23,8 +23,6 @@
 pub mod coalesce;
 mod executor;
 mod partitioned;
-mod sm;
 
 pub use executor::{Executor, ExecutorConfig, MemoryBackend, RunOutcome};
 pub use partitioned::PartitionedExecutor;
-pub use sm::{SmConfig, SmExecutor};

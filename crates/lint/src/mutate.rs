@@ -110,7 +110,7 @@ pub struct Mutant {
     /// The replacement sources.
     pub overlay: Overlay,
     /// Whether the behavioral stage can replay this mutant (a
-    /// single-file rewrite of [`BEHAVIORAL_REL`] that still compiles).
+    /// single-file rewrite of `crates/sim/src/rng.rs` that still compiles).
     pub behavioral: bool,
 }
 
@@ -152,7 +152,7 @@ pub struct BehavioralReport {
     pub control_identical: bool,
     /// Every probe that ran.
     pub probes: Vec<ProbeOutcome>,
-    /// Rules in [`BEHAVIORAL_RULES`] with no diverging probe: their
+    /// Behavioral-stage rules (D1, D2, O1) with no diverging probe: their
     /// static findings were not backed by observable nondeterminism.
     pub vacuous_rules: Vec<&'static str>,
 }
@@ -492,7 +492,7 @@ fn template(name: &str) -> &'static MutationTemplate {
 ///
 /// Deterministic by construction: site lists are path-ordered, and the
 /// per-rule cap (`--quick`: 2, full: 6) takes a stable prefix, with the
-/// behavioral target [`BEHAVIORAL_REL`] force-included for the
+/// behavioral target `crates/sim/src/rng.rs` force-included for the
 /// determinism rules so static and behavioral stages probe the same
 /// mutants.
 pub fn synthesize(corpus: &Corpus, quick: bool) -> Vec<Mutant> {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::PageId;
 
 /// The set of distinct pages touched by one coalesced warp instruction.
@@ -22,7 +20,7 @@ use crate::PageId;
 /// let many = PageSet::from(vec![PageId(1), PageId(2)]);
 /// assert_eq!(many.iter().count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PageSet {
     /// A fully-coalesced access touching a single page (the common case).
     One(PageId),
@@ -110,7 +108,7 @@ impl From<Vec<PageId>> for PageSet {
 /// let w = WarpAccess::write(PageId(5));
 /// assert!(w.write);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarpAccess {
     /// Distinct pages touched by the coalesced instruction.
     pub pages: PageSet,

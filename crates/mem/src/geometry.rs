@@ -1,7 +1,5 @@
 //! Tier capacities and over-subscription arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 /// Capacities of the three tiers, in pages.
 ///
 /// The paper's evaluation is parameterized entirely by ratios: the
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(g.tier2_pages, 4 * g.tier1_pages);
 /// assert!((g.oversubscription() - 2.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierGeometry {
     /// Bytes per page (64 KB in the paper, §2 common parameter 1).
     pub page_bytes: u64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of one page in the application's address space.
 ///
 /// GMT manages data at 64 KB page granularity (the UVM default the paper
@@ -18,9 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let p = PageId(42);
 /// assert_eq!(p.index(), 42);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageId(pub u64);
 
 impl PageId {
@@ -56,7 +52,7 @@ impl fmt::Display for PageId {
 /// assert!(Tier::Gpu < Tier::Ssd);
 /// assert_eq!(Tier::Host.index(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Tier {
     /// Tier-1: GPU device memory (HBM).
     Gpu,

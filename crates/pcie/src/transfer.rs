@@ -2,10 +2,9 @@
 
 use gmt_sim::trace::{LinkDir, TraceEvent, TraceSink};
 use gmt_sim::{Dur, FifoServer, Link, Time};
-use serde::{Deserialize, Serialize};
 
 /// How a batch of pages is moved between GPU and host memory (paper §2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferMethod {
     /// Always use the `cudaMemcpyAsync` DMA engine.
     DmaAsync,
@@ -55,7 +54,7 @@ impl TransferMethod {
 }
 
 /// One batch of non-contiguous pages to move in one direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferBatch {
     /// Number of non-contiguous pages.
     pub pages: usize,
@@ -78,7 +77,7 @@ impl TransferBatch {
 /// call gap and zero-copy parameters chosen so the DMA/zero-copy crossover
 /// lands near the paper's 8-page figure and host-memory page retrieval
 /// costs ≈50 µs under load (paper §3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostLinkConfig {
     /// Link bandwidth, bytes/second (Gen3 x16 effective).
     pub link_bytes_per_sec: f64,
@@ -132,7 +131,7 @@ impl HostLinkConfig {
 }
 
 /// Transfer counters for one direction of the GPU ⇄ host path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransferStats {
     /// Batches moved by the DMA engine.
     pub dma_batches: u64,

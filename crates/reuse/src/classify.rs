@@ -10,7 +10,6 @@
 //! memory, long-reuse victims go to (or stay on) the SSD.
 
 use gmt_mem::{Tier, TierGeometry};
-use serde::{Deserialize, Serialize};
 
 use crate::LinearFit;
 
@@ -27,7 +26,7 @@ use crate::LinearFit;
 /// assert_eq!(c.classify(2048), Tier::Host);
 /// assert_eq!(c.classify(100_000), Tier::Ssd);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierClassifier {
     tier1_pages: u64,
     tier2_pages: u64,

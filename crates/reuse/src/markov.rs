@@ -14,7 +14,6 @@
 //! (an ablation configuration).
 
 use gmt_mem::Tier;
-use serde::{Deserialize, Serialize};
 
 /// A 3×3 transition-weight matrix over tiers.
 ///
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// m.reinforce(Tier::Host, Tier::Gpu);
 /// assert_eq!(m.predict(Tier::Host), Tier::Ssd);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MarkovPredictor {
     weights: [[u64; 3]; 3],
 }
@@ -98,7 +97,7 @@ impl MarkovPredictor {
 /// assert_eq!(history.last(), Some(Tier::Ssd));
 /// assert_eq!(predictor.weight(Tier::Host, Tier::Ssd), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PageHistory {
     prev: Option<Tier>,
     prev2: Option<Tier>,

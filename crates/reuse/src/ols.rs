@@ -6,10 +6,8 @@
 //! here is streaming — constant memory, samples can keep arriving — which
 //! is what lets the pipeline refine `m`/`b` every batch (§2.1.3 step 1).
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted linear relation `y = m·x + b`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Slope `m`.
     pub slope: f64,
@@ -56,7 +54,7 @@ impl LinearFit {
 /// assert!((fit.slope - 2.0).abs() < 1e-9);
 /// assert!((fit.intercept - 3.0).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Ols {
     n: u64,
     sum_x: f64,

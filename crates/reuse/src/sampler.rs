@@ -13,13 +13,12 @@
 //! [`SamplerConfig::pipelined`].
 
 use gmt_mem::PageId;
-use serde::{Deserialize, Serialize};
 
 use crate::olken::ReuseTracker;
 use crate::{LinearFit, Ols};
 
 /// Sampling-pipeline parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplerConfig {
     /// Stop refining after this many (VTD, RD) training pairs ("typically
     /// we collect hundreds of thousands", scaled down with capacity).

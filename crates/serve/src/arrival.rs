@@ -2,7 +2,6 @@
 
 use gmt_sim::{Dur, Time};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// When a tenant's successive warp accesses *arrive* at the hierarchy.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 ///     vec![0, 500, 1_000],
 /// );
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalSchedule {
     /// One access every `gap_ns` nanoseconds, starting at zero.
     Uniform {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A saturating event counter.
 ///
 /// # Examples
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// hits.incr();
 /// assert_eq!(hits.get(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -62,7 +60,7 @@ impl fmt::Display for Counter {
 /// assert_eq!(h.count(), 2);
 /// assert!(h.mean() > 400.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -188,7 +186,7 @@ impl Histogram {
 /// s.observe(3.0);
 /// assert_eq!(s.mean(), 2.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     count: u64,
     sum: f64,

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulated clock, in nanoseconds since simulation start.
 ///
 /// `Time` is a transparent `u64` newtype so it can be stored densely in page
@@ -19,9 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let t = Time::ZERO + Dur::from_micros(130);
 /// assert_eq!(t.as_nanos(), 130_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(u64);
 
 /// A span of simulated time, in nanoseconds.
@@ -34,9 +30,7 @@ pub struct Time(u64);
 /// let d = Dur::from_micros(50);
 /// assert_eq!(d * 2, Dur::from_micros(100));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Dur(u64);
 
 impl Time {

@@ -15,10 +15,10 @@
 //! globally ordered exactly as decisions were made.
 //!
 //! Records export to line-oriented JSON ([`to_jsonl`]) and CSV
-//! ([`to_csv`]). Both writers are hand-rolled over integers and fixed
-//! strings only, so identical configurations and seeds produce
-//! byte-identical files — the property the golden-trace regression tests
-//! rely on.
+//! ([`to_csv`]). Both writers render each event from one per-variant
+//! field list, over integers and fixed strings only, so identical
+//! configurations and seeds produce byte-identical files — the property
+//! the golden-trace regression tests rely on.
 //!
 //! # Examples
 //!
@@ -422,133 +422,174 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-impl TraceRecord {
-    /// Renders the record as one line of JSON (no trailing newline).
-    ///
-    /// Field order is fixed and all values are integers, booleans or
-    /// fixed strings, so the output is byte-stable across runs and
-    /// platforms.
-    pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"t\":");
-        s.push_str(&self.at.as_nanos().to_string());
-        s.push_str(",\"vt\":");
-        s.push_str(&self.vt.to_string());
-        if let Some(tenant) = self.tenant {
-            s.push_str(",\"tenant\":");
-            s.push_str(&tenant.to_string());
+/// An exported field's value.
+#[derive(Clone, Copy)]
+enum Value {
+    Int(u64),
+    Bool(bool),
+    /// A fixed label: quoted in JSON, bare in CSV.
+    Label(&'static str),
+    /// No value: `null` in JSON, an empty CSV cell.
+    Null,
+}
+
+impl Value {
+    /// Appends the value as a CSV cell.
+    fn push_csv(self, out: &mut String) {
+        match self {
+            Value::Int(n) => push_int(out, n),
+            Value::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+            Value::Label(l) => out.push_str(l),
+            Value::Null => {}
         }
-        s.push_str(",\"ev\":\"");
-        s.push_str(self.event.name());
-        s.push('"');
-        let mut field = |name: &str, value: &str| {
-            s.push_str(",\"");
-            s.push_str(name);
-            s.push_str("\":");
-            s.push_str(value);
-        };
-        fn quoted(v: &str) -> String {
-            format!("\"{v}\"")
+    }
+
+    /// Appends the value as JSON; integers and booleans read as in CSV.
+    fn push_json(self, out: &mut String) {
+        match self {
+            Value::Label(l) => {
+                out.push('"');
+                out.push_str(l);
+                out.push('"');
+            }
+            Value::Null => out.push_str("null"),
+            Value::Int(_) | Value::Bool(_) => self.push_csv(out),
         }
-        match &self.event {
+    }
+}
+
+/// Appends `n` in decimal.
+fn push_int(out: &mut String, n: u64) {
+    use std::fmt::Write;
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{n}");
+}
+
+/// The event-specific [`CSV_HEADER`] columns, in header order.
+#[derive(Clone, Copy)]
+enum Col {
+    Id,
+    Tier,
+    Tier2,
+    Flag,
+    Depth,
+    Bytes,
+    Latency,
+}
+
+/// One exported field: its JSON key, its CSV column and its value.
+#[derive(Clone, Copy)]
+struct Field(&'static str, Col, Value);
+
+impl TraceEvent {
+    /// Calls `render` with the event's exported fields, in JSON key
+    /// order. This is the only place a variant's export schema is
+    /// declared; [`to_jsonl`] and [`to_csv`] both render from it.
+    fn with_fields(&self, render: impl FnOnce(&[Field])) {
+        use Col::*;
+        use Value::{Bool, Int, Label};
+        match *self {
             TraceEvent::Tier1Hit { page }
             | TraceEvent::EvictDiscard { page }
             | TraceEvent::SsdWriteBack { page }
             | TraceEvent::Tier2Hit { page }
             | TraceEvent::WastefulLookup { page }
-            | TraceEvent::Prefetch { page } => field("page", &page.to_string()),
-            TraceEvent::Tier1Miss { page, resident } => {
-                field("page", &page.to_string());
-                field("resident", &quoted(resident.label()));
-            }
+            | TraceEvent::Prefetch { page } => render(&[Field("page", Id, Int(page))]),
+            TraceEvent::Tier1Miss { page, resident } => render(&[
+                Field("page", Id, Int(page)),
+                Field("resident", Tier, Label(resident.label())),
+            ]),
             TraceEvent::Tier1Fill {
                 page,
                 source,
                 ready_ns,
-            } => {
-                field("page", &page.to_string());
-                field("source", &quoted(source.label()));
-                field("ready", &ready_ns.to_string());
-            }
+            } => render(&[
+                Field("page", Id, Int(page)),
+                Field("source", Tier, Label(source.label())),
+                Field("ready", Latency, Int(ready_ns)),
+            ]),
             TraceEvent::Eviction {
                 page,
                 predicted,
                 target,
                 dirty,
-            } => {
-                field("page", &page.to_string());
-                match predicted {
-                    Some(p) => field("predicted", &quoted(p.label())),
-                    None => field("predicted", "null"),
-                }
-                field("target", &quoted(target.label()));
-                field("dirty", &dirty.to_string());
-            }
+            } => render(&[
+                Field("page", Id, Int(page)),
+                Field(
+                    "predicted",
+                    Tier2,
+                    predicted.map_or(Value::Null, |p| Label(p.label())),
+                ),
+                Field("target", Tier, Label(target.label())),
+                Field("dirty", Flag, Bool(dirty)),
+            ]),
             TraceEvent::Tier2Place { page, dirty } | TraceEvent::Tier2Spill { page, dirty } => {
-                field("page", &page.to_string());
-                field("dirty", &dirty.to_string());
+                render(&[
+                    Field("page", Id, Int(page)),
+                    Field("dirty", Flag, Bool(dirty)),
+                ])
             }
             TraceEvent::PredictionGraded {
                 page,
                 predicted,
                 actual,
                 correct,
-            } => {
-                field("page", &page.to_string());
-                field("predicted", &quoted(predicted.label()));
-                field("actual", &quoted(actual.label()));
-                field("correct", &correct.to_string());
-            }
+            } => render(&[
+                Field("page", Id, Int(page)),
+                Field("predicted", Tier2, Label(predicted.label())),
+                Field("actual", Tier, Label(actual.label())),
+                Field("correct", Flag, Bool(correct)),
+            ]),
             TraceEvent::SsdSubmit {
                 device,
                 write,
                 bytes,
                 queue_depth,
-            } => {
-                field("device", &device.to_string());
-                field("write", &write.to_string());
-                field("bytes", &bytes.to_string());
-                field("depth", &queue_depth.to_string());
-            }
+            } => render(&[
+                Field("device", Id, Int(device.into())),
+                Field("write", Flag, Bool(write)),
+                Field("bytes", Bytes, Int(bytes)),
+                Field("depth", Depth, Int(queue_depth.into())),
+            ]),
             TraceEvent::SsdComplete {
                 device,
                 write,
                 queue_depth,
-            } => {
-                field("device", &device.to_string());
-                field("write", &write.to_string());
-                field("depth", &queue_depth.to_string());
-            }
+            } => render(&[
+                Field("device", Id, Int(device.into())),
+                Field("write", Flag, Bool(write)),
+                Field("depth", Depth, Int(queue_depth.into())),
+            ]),
             TraceEvent::RingSubmit {
                 cid,
                 write,
                 queue_depth,
-            } => {
-                field("cid", &cid.to_string());
-                field("write", &write.to_string());
-                field("depth", &queue_depth.to_string());
-            }
-            TraceEvent::RingComplete { cid, queue_depth } => {
-                field("cid", &cid.to_string());
-                field("depth", &queue_depth.to_string());
-            }
+            } => render(&[
+                Field("cid", Id, Int(cid.into())),
+                Field("write", Flag, Bool(write)),
+                Field("depth", Depth, Int(queue_depth.into())),
+            ]),
+            TraceEvent::RingComplete { cid, queue_depth } => render(&[
+                Field("cid", Id, Int(cid.into())),
+                Field("depth", Depth, Int(queue_depth.into())),
+            ]),
             TraceEvent::PcieBatch {
                 direction,
                 pages,
                 bytes,
                 zero_copy,
                 latency_ns,
-            } => {
-                field("dir", &quoted(direction.label()));
-                field("pages", &pages.to_string());
-                field("bytes", &bytes.to_string());
-                field("zero_copy", &zero_copy.to_string());
-                field("latency", &latency_ns.to_string());
-            }
-            TraceEvent::WarpAccess { page, write } => {
-                field("page", &page.to_string());
-                field("write", &write.to_string());
-            }
+            } => render(&[
+                Field("dir", Tier, Label(direction.label())),
+                Field("pages", Id, Int(pages.into())),
+                Field("bytes", Bytes, Int(bytes)),
+                Field("zero_copy", Flag, Bool(zero_copy)),
+                Field("latency", Latency, Int(latency_ns)),
+            ]),
+            TraceEvent::WarpAccess { page, write } => render(&[
+                Field("page", Id, Int(page)),
+                Field("write", Flag, Bool(write)),
+            ]),
             TraceEvent::FrontAdmit {
                 conn,
                 class,
@@ -563,47 +604,99 @@ impl TraceRecord {
                 conn,
                 class,
                 queued,
-            } => {
-                field("conn", &conn.to_string());
-                field("class", &quoted(class.label()));
-                field("queued", &queued.to_string());
-            }
+            } => render(&[
+                Field("conn", Id, Int(conn.into())),
+                Field("class", Tier, Label(class.label())),
+                Field("queued", Depth, Int(queued.into())),
+            ]),
             TraceEvent::FrontFlush {
                 class,
                 reason,
                 pages,
                 bytes,
                 zero_copy,
-            } => {
-                field("class", &quoted(class.label()));
-                field("reason", &quoted(reason.label()));
-                field("pages", &pages.to_string());
-                field("bytes", &bytes.to_string());
-                field("zero_copy", &zero_copy.to_string());
-            }
+            } => render(&[
+                Field("class", Tier, Label(class.label())),
+                Field("reason", Tier2, Label(reason.label())),
+                Field("pages", Id, Int(pages.into())),
+                Field("bytes", Bytes, Int(bytes)),
+                Field("zero_copy", Flag, Bool(zero_copy)),
+            ]),
             TraceEvent::FrontComplete {
                 conn,
                 class,
                 latency_ns,
-            } => {
-                field("conn", &conn.to_string());
-                field("class", &quoted(class.label()));
-                field("latency", &latency_ns.to_string());
-            }
+            } => render(&[
+                Field("conn", Id, Int(conn.into())),
+                Field("class", Tier, Label(class.label())),
+                Field("latency", Latency, Int(latency_ns)),
+            ]),
         }
-        s.push('}');
-        s
+    }
+}
+
+impl TraceRecord {
+    /// Appends the record to `out` as one line of JSON, without the
+    /// trailing newline.
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"t\":");
+        push_int(out, self.at.as_nanos());
+        out.push_str(",\"vt\":");
+        push_int(out, self.vt);
+        if let Some(tenant) = self.tenant {
+            out.push_str(",\"tenant\":");
+            push_int(out, tenant.into());
+        }
+        out.push_str(",\"ev\":\"");
+        out.push_str(self.event.name());
+        out.push('"');
+        self.event.with_fields(|fields| {
+            for &Field(key, _, value) in fields {
+                out.push_str(",\"");
+                out.push_str(key);
+                out.push_str("\":");
+                value.push_json(out);
+            }
+        });
+        out.push('}');
+    }
+
+    /// Appends the record to `out` as one CSV row, newline included.
+    fn write_csv(&self, out: &mut String) {
+        push_int(out, self.at.as_nanos());
+        out.push(',');
+        push_int(out, self.vt);
+        out.push(',');
+        out.push_str(self.event.name());
+        // One cell per `Col`, in header order.
+        let mut cells = [Value::Null; 7];
+        self.event.with_fields(|fields| {
+            for &Field(_, col, value) in fields {
+                cells[col as usize] = value;
+            }
+        });
+        for cell in cells {
+            out.push(',');
+            cell.push_csv(out);
+        }
+        out.push(',');
+        if let Some(tenant) = self.tenant {
+            push_int(out, tenant.into());
+        }
+        out.push('\n');
     }
 }
 
 /// Renders records as line-delimited JSON, one record per line.
 ///
-/// The output ends with a newline when `records` is non-empty, and is
-/// byte-identical for identical record sequences.
+/// Field order is fixed and all values are integers, booleans or fixed
+/// strings, so the output is byte-identical for identical record
+/// sequences, across runs and platforms. It ends with a newline when
+/// `records` is non-empty.
 pub fn to_jsonl(records: &[TraceRecord]) -> String {
     let mut out = String::with_capacity(records.len() * 96);
     for r in records {
-        out.push_str(&r.to_json_line());
+        r.write_json(&mut out);
         out.push('\n');
     }
     out
@@ -612,15 +705,16 @@ pub fn to_jsonl(records: &[TraceRecord]) -> String {
 /// CSV column header matching [`to_csv`]'s rows.
 ///
 /// `id` is the event's primary identifier (page, device index, ring
-/// command id, connection id, or batch page count for `front_flush`);
-/// `tier`/`tier2` carry the event's tier labels (target and
-/// predicted, respectively, for evictions; actual and predicted for
-/// prediction grades; SLO class and flush reason for front-end events);
-/// `flag` is the event's boolean (dirty, write, zero-copy or correct);
-/// `depth`, `bytes` and `latency_ns` are filled where the event defines
-/// them (`depth` is the defer-queue occupancy for front-end admission
-/// events); `tenant` is the serving tenant id, empty for single-tenant
-/// runtimes.
+/// command id, connection id, or batch page count for `pcie_batch` and
+/// `front_flush`); `tier`/`tier2` carry the event's tier labels (target
+/// and predicted, respectively, for evictions; actual and predicted for
+/// prediction grades; link direction for PCIe batches; SLO class and
+/// flush reason for front-end events); `flag` is the event's boolean
+/// (dirty, write, zero-copy or correct); `depth`, `bytes` and
+/// `latency_ns` are filled where the event defines them (`depth` is the
+/// defer-queue occupancy for front-end admission events, `latency_ns`
+/// the ready instant for fills); `tenant` is the serving tenant id,
+/// empty for single-tenant runtimes.
 pub const CSV_HEADER: &str = "t_ns,vt,event,id,tier,tier2,flag,depth,bytes,latency_ns,tenant";
 
 /// Renders records as CSV with the [`CSV_HEADER`] columns.
@@ -632,166 +726,7 @@ pub fn to_csv(records: &[TraceRecord]) -> String {
     out.push_str(CSV_HEADER);
     out.push('\n');
     for r in records {
-        let id: String;
-        let mut tier = "";
-        let mut tier2 = "";
-        let mut flag = String::new();
-        let mut depth = String::new();
-        let mut bytes = String::new();
-        let mut latency = String::new();
-        match &r.event {
-            TraceEvent::Tier1Hit { page }
-            | TraceEvent::EvictDiscard { page }
-            | TraceEvent::SsdWriteBack { page }
-            | TraceEvent::Tier2Hit { page }
-            | TraceEvent::WastefulLookup { page }
-            | TraceEvent::Prefetch { page } => id = page.to_string(),
-            TraceEvent::Tier1Miss { page, resident } => {
-                id = page.to_string();
-                tier = resident.label();
-            }
-            TraceEvent::Tier1Fill {
-                page,
-                source,
-                ready_ns,
-            } => {
-                id = page.to_string();
-                tier = source.label();
-                latency = ready_ns.to_string();
-            }
-            TraceEvent::Eviction {
-                page,
-                predicted,
-                target,
-                dirty,
-            } => {
-                id = page.to_string();
-                tier = target.label();
-                tier2 = predicted.map_or("", TierTag::label);
-                flag = dirty.to_string();
-            }
-            TraceEvent::Tier2Place { page, dirty } | TraceEvent::Tier2Spill { page, dirty } => {
-                id = page.to_string();
-                flag = dirty.to_string();
-            }
-            TraceEvent::PredictionGraded {
-                page,
-                predicted,
-                actual,
-                correct,
-            } => {
-                id = page.to_string();
-                tier = actual.label();
-                tier2 = predicted.label();
-                flag = correct.to_string();
-            }
-            TraceEvent::SsdSubmit {
-                device,
-                write,
-                bytes: b,
-                queue_depth,
-            } => {
-                id = device.to_string();
-                flag = write.to_string();
-                depth = queue_depth.to_string();
-                bytes = b.to_string();
-            }
-            TraceEvent::SsdComplete {
-                device,
-                write,
-                queue_depth,
-            } => {
-                id = device.to_string();
-                flag = write.to_string();
-                depth = queue_depth.to_string();
-            }
-            TraceEvent::RingSubmit {
-                cid,
-                write,
-                queue_depth,
-            } => {
-                id = cid.to_string();
-                flag = write.to_string();
-                depth = queue_depth.to_string();
-            }
-            TraceEvent::RingComplete { cid, queue_depth } => {
-                id = cid.to_string();
-                depth = queue_depth.to_string();
-            }
-            TraceEvent::PcieBatch {
-                direction,
-                pages,
-                bytes: b,
-                zero_copy,
-                latency_ns,
-            } => {
-                tier = direction.label();
-                id = pages.to_string();
-                flag = zero_copy.to_string();
-                bytes = b.to_string();
-                latency = latency_ns.to_string();
-            }
-            TraceEvent::WarpAccess { page, write } => {
-                id = page.to_string();
-                flag = write.to_string();
-            }
-            TraceEvent::FrontAdmit {
-                conn,
-                class,
-                queued,
-            }
-            | TraceEvent::FrontDefer {
-                conn,
-                class,
-                queued,
-            }
-            | TraceEvent::FrontShed {
-                conn,
-                class,
-                queued,
-            } => {
-                id = conn.to_string();
-                tier = class.label();
-                depth = queued.to_string();
-            }
-            TraceEvent::FrontFlush {
-                class,
-                reason,
-                pages,
-                bytes: b,
-                zero_copy,
-            } => {
-                id = pages.to_string();
-                tier = class.label();
-                tier2 = reason.label();
-                flag = zero_copy.to_string();
-                bytes = b.to_string();
-            }
-            TraceEvent::FrontComplete {
-                conn,
-                class,
-                latency_ns,
-            } => {
-                id = conn.to_string();
-                tier = class.label();
-                latency = latency_ns.to_string();
-            }
-        }
-        let tenant = r.tenant.map_or(String::new(), |t| t.to_string());
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{}\n",
-            r.at.as_nanos(),
-            r.vt,
-            r.event.name(),
-            id,
-            tier,
-            tier2,
-            flag,
-            depth,
-            bytes,
-            latency,
-            tenant,
-        ));
+        r.write_csv(&mut out);
     }
     out
 }
@@ -1205,7 +1140,7 @@ mod tests {
 
     #[test]
     fn unpredicted_eviction_serialises_null() {
-        let line = rec(
+        let records = [rec(
             1,
             1,
             TraceEvent::Eviction {
@@ -1214,9 +1149,18 @@ mod tests {
                 target: TierTag::Host,
                 dirty: false,
             },
-        )
-        .to_json_line();
-        assert!(line.contains(r#""predicted":null"#), "{line}");
+        )];
+        assert_eq!(
+            to_jsonl(&records),
+            concat!(
+                r#"{"t":1,"vt":1,"ev":"evict","page":3,"predicted":null,"target":"t2","dirty":false}"#,
+                "\n"
+            )
+        );
+        assert_eq!(
+            to_csv(&records).lines().nth(1),
+            Some("1,1,evict,3,t2,,false,,,,")
+        );
     }
 
     #[test]
@@ -1277,10 +1221,11 @@ mod tests {
             .contains("clock went backwards"));
     }
 
-    #[test]
-    fn every_event_round_trips_through_both_exporters() {
+    /// One record of every `TraceEvent` variant, with multi-digit
+    /// stamps and the integer extremes the exporters must render.
+    fn every_variant(tenant: impl Fn(u32) -> Option<u32>) -> Vec<TraceRecord> {
         let all = vec![
-            TraceEvent::Tier1Hit { page: 1 },
+            TraceEvent::Tier1Hit { page: u64::MAX },
             TraceEvent::Tier1Miss {
                 page: 2,
                 resident: TierTag::Host,
@@ -1327,7 +1272,7 @@ mod tests {
                 queue_depth: 1,
             },
             TraceEvent::RingSubmit {
-                cid: 4,
+                cid: u16::MAX,
                 write: false,
                 queue_depth: 3,
             },
@@ -1374,22 +1319,130 @@ mod tests {
                 latency_ns: 123_456,
             },
         ];
-        let records: Vec<TraceRecord> = all
-            .into_iter()
+        all.into_iter()
             .enumerate()
-            .map(|(i, e)| rec(i as u64, i as u64, e))
-            .collect();
-        let jsonl = to_jsonl(&records);
-        assert_eq!(jsonl.lines().count(), records.len());
-        for (line, r) in jsonl.lines().zip(&records) {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-            assert!(
-                line.contains(&format!("\"ev\":\"{}\"", r.event.name())),
-                "{line}"
-            );
+            .map(|(i, event)| TraceRecord {
+                at: Time::from_nanos(i as u64 * 1_000_003),
+                vt: i as u64 * 17,
+                tenant: tenant(i as u32),
+                event,
+            })
+            .collect()
+    }
+
+    /// Both exporters' bytes for [`every_variant`] without tenant stamps.
+    const EVERY_VARIANT_JSONL: &str = r#"{"t":0,"vt":0,"ev":"t1_hit","page":18446744073709551615}
+{"t":1000003,"vt":17,"ev":"t1_miss","page":2,"resident":"t2"}
+{"t":2000006,"vt":34,"ev":"t1_fill","page":3,"source":"t3","ready":77}
+{"t":3000009,"vt":51,"ev":"evict","page":4,"predicted":"t1","target":"t2","dirty":false}
+{"t":4000012,"vt":68,"ev":"t2_place","page":5,"dirty":true}
+{"t":5000015,"vt":85,"ev":"t2_spill","page":6,"dirty":false}
+{"t":6000018,"vt":102,"ev":"evict_discard","page":7}
+{"t":7000021,"vt":119,"ev":"ssd_writeback","page":8}
+{"t":8000024,"vt":136,"ev":"t2_hit","page":9}
+{"t":9000027,"vt":153,"ev":"wasteful_lookup","page":10}
+{"t":10000030,"vt":170,"ev":"prediction","page":11,"predicted":"t2","actual":"t3","correct":false}
+{"t":11000033,"vt":187,"ev":"prefetch","page":12}
+{"t":12000036,"vt":204,"ev":"ssd_submit","device":0,"write":true,"bytes":4096,"depth":2}
+{"t":13000039,"vt":221,"ev":"ssd_complete","device":0,"write":true,"depth":1}
+{"t":14000042,"vt":238,"ev":"ring_submit","cid":65535,"write":false,"depth":3}
+{"t":15000045,"vt":255,"ev":"ring_complete","cid":4,"depth":2}
+{"t":16000048,"vt":272,"ev":"pcie_batch","dir":"to_host","pages":32,"bytes":131072,"zero_copy":true,"latency":999}
+{"t":17000051,"vt":289,"ev":"warp_access","page":13,"write":true}
+{"t":18000054,"vt":306,"ev":"front_admit","conn":1,"class":"interactive","queued":0}
+{"t":19000057,"vt":323,"ev":"front_defer","conn":2,"class":"batch","queued":5}
+{"t":20000060,"vt":340,"ev":"front_shed","conn":3,"class":"standard","queued":9}
+{"t":21000063,"vt":357,"ev":"front_flush","class":"interactive","reason":"timer","pages":4,"bytes":16384,"zero_copy":false}
+{"t":22000066,"vt":374,"ev":"front_complete","conn":1,"class":"interactive","latency":123456}
+"#;
+    const EVERY_VARIANT_CSV: &str = "t_ns,vt,event,id,tier,tier2,flag,depth,bytes,latency_ns,tenant
+0,0,t1_hit,18446744073709551615,,,,,,,
+1000003,17,t1_miss,2,t2,,,,,,
+2000006,34,t1_fill,3,t3,,,,,77,
+3000009,51,evict,4,t2,t1,false,,,,
+4000012,68,t2_place,5,,,true,,,,
+5000015,85,t2_spill,6,,,false,,,,
+6000018,102,evict_discard,7,,,,,,,
+7000021,119,ssd_writeback,8,,,,,,,
+8000024,136,t2_hit,9,,,,,,,
+9000027,153,wasteful_lookup,10,,,,,,,
+10000030,170,prediction,11,t3,t2,false,,,,
+11000033,187,prefetch,12,,,,,,,
+12000036,204,ssd_submit,0,,,true,2,4096,,
+13000039,221,ssd_complete,0,,,true,1,,,
+14000042,238,ring_submit,65535,,,false,3,,,
+15000045,255,ring_complete,4,,,,2,,,
+16000048,272,pcie_batch,32,to_host,,true,,131072,999,
+17000051,289,warp_access,13,,,true,,,,
+18000054,306,front_admit,1,interactive,,,0,,,
+19000057,323,front_defer,2,batch,,,5,,,
+20000060,340,front_shed,3,standard,,,9,,,
+21000063,357,front_flush,4,interactive,timer,false,,16384,,
+22000066,374,front_complete,1,interactive,,,,,123456,
+";
+    /// The same records stamped with tenant `1000 * index`.
+    const EVERY_VARIANT_TENANT_JSONL: &str = r#"{"t":0,"vt":0,"tenant":0,"ev":"t1_hit","page":18446744073709551615}
+{"t":1000003,"vt":17,"tenant":1000,"ev":"t1_miss","page":2,"resident":"t2"}
+{"t":2000006,"vt":34,"tenant":2000,"ev":"t1_fill","page":3,"source":"t3","ready":77}
+{"t":3000009,"vt":51,"tenant":3000,"ev":"evict","page":4,"predicted":"t1","target":"t2","dirty":false}
+{"t":4000012,"vt":68,"tenant":4000,"ev":"t2_place","page":5,"dirty":true}
+{"t":5000015,"vt":85,"tenant":5000,"ev":"t2_spill","page":6,"dirty":false}
+{"t":6000018,"vt":102,"tenant":6000,"ev":"evict_discard","page":7}
+{"t":7000021,"vt":119,"tenant":7000,"ev":"ssd_writeback","page":8}
+{"t":8000024,"vt":136,"tenant":8000,"ev":"t2_hit","page":9}
+{"t":9000027,"vt":153,"tenant":9000,"ev":"wasteful_lookup","page":10}
+{"t":10000030,"vt":170,"tenant":10000,"ev":"prediction","page":11,"predicted":"t2","actual":"t3","correct":false}
+{"t":11000033,"vt":187,"tenant":11000,"ev":"prefetch","page":12}
+{"t":12000036,"vt":204,"tenant":12000,"ev":"ssd_submit","device":0,"write":true,"bytes":4096,"depth":2}
+{"t":13000039,"vt":221,"tenant":13000,"ev":"ssd_complete","device":0,"write":true,"depth":1}
+{"t":14000042,"vt":238,"tenant":14000,"ev":"ring_submit","cid":65535,"write":false,"depth":3}
+{"t":15000045,"vt":255,"tenant":15000,"ev":"ring_complete","cid":4,"depth":2}
+{"t":16000048,"vt":272,"tenant":16000,"ev":"pcie_batch","dir":"to_host","pages":32,"bytes":131072,"zero_copy":true,"latency":999}
+{"t":17000051,"vt":289,"tenant":17000,"ev":"warp_access","page":13,"write":true}
+{"t":18000054,"vt":306,"tenant":18000,"ev":"front_admit","conn":1,"class":"interactive","queued":0}
+{"t":19000057,"vt":323,"tenant":19000,"ev":"front_defer","conn":2,"class":"batch","queued":5}
+{"t":20000060,"vt":340,"tenant":20000,"ev":"front_shed","conn":3,"class":"standard","queued":9}
+{"t":21000063,"vt":357,"tenant":21000,"ev":"front_flush","class":"interactive","reason":"timer","pages":4,"bytes":16384,"zero_copy":false}
+{"t":22000066,"vt":374,"tenant":22000,"ev":"front_complete","conn":1,"class":"interactive","latency":123456}
+"#;
+    const EVERY_VARIANT_TENANT_CSV: &str =
+        "t_ns,vt,event,id,tier,tier2,flag,depth,bytes,latency_ns,tenant
+0,0,t1_hit,18446744073709551615,,,,,,,0
+1000003,17,t1_miss,2,t2,,,,,,1000
+2000006,34,t1_fill,3,t3,,,,,77,2000
+3000009,51,evict,4,t2,t1,false,,,,3000
+4000012,68,t2_place,5,,,true,,,,4000
+5000015,85,t2_spill,6,,,false,,,,5000
+6000018,102,evict_discard,7,,,,,,,6000
+7000021,119,ssd_writeback,8,,,,,,,7000
+8000024,136,t2_hit,9,,,,,,,8000
+9000027,153,wasteful_lookup,10,,,,,,,9000
+10000030,170,prediction,11,t3,t2,false,,,,10000
+11000033,187,prefetch,12,,,,,,,11000
+12000036,204,ssd_submit,0,,,true,2,4096,,12000
+13000039,221,ssd_complete,0,,,true,1,,,13000
+14000042,238,ring_submit,65535,,,false,3,,,14000
+15000045,255,ring_complete,4,,,,2,,,15000
+16000048,272,pcie_batch,32,to_host,,true,,131072,999,16000
+17000051,289,warp_access,13,,,true,,,,17000
+18000054,306,front_admit,1,interactive,,,0,,,18000
+19000057,323,front_defer,2,batch,,,5,,,19000
+20000060,340,front_shed,3,standard,,,9,,,20000
+21000063,357,front_flush,4,interactive,timer,false,,16384,,21000
+22000066,374,front_complete,1,interactive,,,,,123456,22000
+";
+
+    #[test]
+    fn every_event_round_trips_through_both_exporters() {
+        let records = every_variant(|_| None);
+        assert_eq!(to_jsonl(&records), EVERY_VARIANT_JSONL);
+        assert_eq!(to_csv(&records), EVERY_VARIANT_CSV);
+        let stamped = every_variant(|i| Some(i * 1000));
+        assert_eq!(to_jsonl(&stamped), EVERY_VARIANT_TENANT_JSONL);
+        assert_eq!(to_csv(&stamped), EVERY_VARIANT_TENANT_CSV);
+        for line in EVERY_VARIANT_TENANT_CSV.lines() {
+            assert_eq!(line.matches(',').count(), CSV_HEADER.matches(',').count());
         }
-        let csv = to_csv(&records);
-        assert_eq!(csv.lines().count(), records.len() + 1);
     }
 
     #[test]

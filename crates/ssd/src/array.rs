@@ -8,12 +8,11 @@
 //! one device.
 
 use gmt_sim::Time;
-use serde::{Deserialize, Serialize};
 
 use crate::{SsdConfig, SsdDevice, SsdStats};
 
 /// Striping configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayConfig {
     /// Per-device calibration.
     pub device: SsdConfig,

@@ -2,7 +2,6 @@
 
 use gmt_sim::trace::{TraceEvent, TraceSink};
 use gmt_sim::{Dur, Link, ServerPool, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::queue::{Command, CompletionEntry, Opcode};
 
@@ -12,7 +11,7 @@ use crate::queue::{Command, CompletionEntry, Opcode};
 /// Gen3 x4 so that a 64 KB page read completes in ≈130 µs at low queue
 /// depth (the latency the paper reports in §3.4) and aggregate read
 /// bandwidth saturates around 3.2 GB/s.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SsdConfig {
     /// Logical block size in bytes.
     pub block_bytes: u32,
@@ -73,7 +72,7 @@ impl Default for SsdConfig {
 }
 
 /// Aggregate I/O statistics for one device.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SsdStats {
     /// Completed read commands.
     pub reads: u64,

@@ -8,12 +8,11 @@
 //! baseline exhibits, applied only to background traffic.
 
 use gmt_sim::{Dur, ServerPool, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::array::SsdArray;
 
 /// Host I/O front-end parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostIoConfig {
     /// Host threads dedicated to background I/O submission.
     pub io_threads: usize,

@@ -8,10 +8,8 @@
 //! fixed-size circular submission queues with head/tail doorbells, and
 //! completion queues with NVMe's phase-tag convention.
 
-use serde::{Deserialize, Serialize};
-
 /// An NVMe I/O opcode (the subset the tiering runtimes use).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// Read `blocks` logical blocks starting at `lba`.
     Read,
@@ -30,7 +28,7 @@ pub enum Opcode {
 /// let cmd = Command::io(7, Opcode::Read, 1024, 128);
 /// assert_eq!(cmd.bytes(512), 128 * 512);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Command {
     /// Command identifier, echoed in the completion entry.
     pub cid: u16,
@@ -60,7 +58,7 @@ impl Command {
 }
 
 /// One 16-byte NVMe completion-queue entry (abstracted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletionEntry {
     /// Identifier of the completed command.
     pub cid: u16,

@@ -8,10 +8,9 @@
 //! applications see them.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// RMAT generation parameters (defaults are GAP-Kron's).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KronConfig {
     /// log2 of the vertex count.
     pub scale: u32,
@@ -161,7 +160,7 @@ impl KronGraph {
 /// The CSR arrays laid out contiguously over 64 KB pages, the way the
 /// BaM-modified graph applications place them on the SSD:
 /// `[offsets | per-vertex values | edge targets]`, 8 bytes per entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CsrLayout {
     vertices: u64,
     edges: u64,

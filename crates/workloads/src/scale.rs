@@ -1,7 +1,6 @@
 //! Sizing workloads relative to the memory hierarchy.
 
 use gmt_mem::TierGeometry;
-use serde::{Deserialize, Serialize};
 
 /// How large a workload's data set is, in pages.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let scale = WorkloadScale::for_geometry(&geometry);
 /// assert_eq!(scale.total_pages, geometry.total_pages);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkloadScale {
     /// Pages the data set should span (the trace address-space extent).
     pub total_pages: usize,
