@@ -8,10 +8,12 @@
 //! distances, giving the paper's medium-reuse, Tier-2-biased profile
 //! (Table 2: 32.86 %).
 
+use std::cmp::Reverse;
+
 use gmt_mem::{PageId, WarpAccess};
 
 use crate::kron::{scale_bits_for_pages, CsrLayout, KronConfig, KronGraph};
-use crate::util::push_scattered;
+use crate::util::PageList;
 use crate::{Workload, WorkloadScale};
 
 /// The BFS workload (graph generated at construction).
@@ -62,49 +64,42 @@ impl Workload for Bfs {
     fn trace(&self, _seed: u64) -> Vec<WarpAccess> {
         let g = &self.graph;
         let layout = &self.layout;
+        let pages = layout.total_pages();
+        let mut offset_pages = PageList::new(pages);
+        let mut edge_pages = PageList::new(pages);
+        let mut dist_pages = PageList::new(pages);
         let mut out = Vec::new();
         let mut visited = vec![false; g.vertices as usize];
-        let source = 0u32; // RMAT's densest vertex
+        // The hub: highest out-degree, lowest id on ties.
+        let source = (0..g.vertices)
+            .max_by_key(|&v| (g.degree(v), Reverse(v)))
+            .expect("a Kronecker graph has at least one vertex");
         visited[source as usize] = true;
         let mut frontier = vec![source];
         while !frontier.is_empty() {
             let mut next = Vec::new();
             for chunk in frontier.chunks(32) {
                 // Read CSR offsets for the chunk.
-                let offset_pages: Vec<PageId> = chunk
-                    .iter()
-                    .map(|&v| PageId(layout.offset_page(v)))
-                    .collect();
-                push_scattered(&mut out, offset_pages, false);
-                // Read edge-target pages; discover neighbors.
-                let mut edge_pages = Vec::new();
-                let mut discovered = Vec::new();
                 for &v in chunk {
-                    let (start, end) = (
-                        g.offsets[v as usize] as u64,
-                        g.offsets[v as usize + 1] as u64,
-                    );
-                    let epp = layout.entries_per_page();
-                    let mut i = start;
-                    while i < end {
-                        edge_pages.push(PageId(layout.edge_page(i)));
-                        i = (i / epp + 1) * epp; // next page boundary
+                    offset_pages.push(PageId(layout.offset_page(v)));
+                }
+                offset_pages.emit(&mut out, false);
+                // Read edge-target pages; discover neighbors and write
+                // their distances.
+                for &v in chunk {
+                    for page in layout.edge_pages(g.edge_range(v)) {
+                        edge_pages.push(PageId(page));
                     }
                     for &u in g.neighbors(v) {
                         if !visited[u as usize] {
                             visited[u as usize] = true;
-                            discovered.push(u);
+                            dist_pages.push(PageId(layout.value_page(u)));
+                            next.push(u);
                         }
                     }
                 }
-                push_scattered(&mut out, edge_pages, false);
-                // Write distances for the newly discovered vertices.
-                let dist_pages: Vec<PageId> = discovered
-                    .iter()
-                    .map(|&u| PageId(layout.value_page(u)))
-                    .collect();
-                push_scattered(&mut out, dist_pages, true);
-                next.extend(discovered);
+                edge_pages.emit(&mut out, false);
+                dist_pages.emit(&mut out, true);
             }
             frontier = next;
         }
@@ -134,6 +129,39 @@ mod tests {
         assert!(discovered >= 1, "some vertices must be discovered");
         let reads = trace.iter().filter(|a| !a.write).count();
         assert!(reads > 0);
+    }
+
+    #[test]
+    fn bfs_starts_from_the_hub_of_a_permuted_graph() {
+        // Relabeling leaves vertex 0 with degree 0 on this graph, so a BFS
+        // from vertex 0 would be a single offset read.
+        let g = KronGraph::generate(KronConfig::gap_permuted(12), 3);
+        assert_eq!(g.degree(0), 0);
+        let hub = (0..g.vertices).max_by_key(|&v| g.degree(v)).unwrap();
+        let mut seen = vec![false; g.vertices as usize];
+        seen[hub as usize] = true;
+        let (mut stack, mut reached) = (vec![hub], 1);
+        while let Some(v) = stack.pop() {
+            for &u in g.neighbors(v) {
+                if !std::mem::replace(&mut seen[u as usize], true) {
+                    reached += 1;
+                    stack.push(u);
+                }
+            }
+        }
+        assert!(reached > g.vertices as usize / 2, "hub reaches {reached}");
+        // All 4096 offsets share one page, and every frontier chunk of at
+        // most 32 vertices reads it once.
+        let offsets_page = PageId(CsrLayout::for_graph(&g).offset_page(0));
+        let trace = Bfs::on_graph(g).trace(0);
+        let chunks = trace
+            .iter()
+            .filter(|a| !a.write && a.pages.iter().any(|p| p == offsets_page))
+            .count();
+        assert!(
+            chunks >= reached.div_ceil(32),
+            "{chunks} frontier chunks cannot cover {reached} vertices"
+        );
     }
 
     #[test]

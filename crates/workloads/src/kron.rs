@@ -7,6 +7,8 @@
 //! and edge accesses map to page accesses the way the BaM-modified
 //! applications see them.
 
+use std::ops::Range;
+
 use rand::Rng;
 
 /// RMAT generation parameters (defaults are GAP-Kron's).
@@ -67,17 +69,20 @@ impl KronGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `config.scale` exceeds 28 (the `u32` CSR would overflow)
-    /// or the probabilities are not a sub-distribution.
+    /// Panics if the edge count `2^scale × edge_factor` exceeds
+    /// `u32::MAX` (the CSR offsets are `u32`) or the probabilities are not
+    /// a sub-distribution. Both checks run before anything is allocated.
     pub fn generate(config: KronConfig, seed: u64) -> KronGraph {
-        assert!(config.scale <= 28, "scale too large for u32 CSR");
+        let edges = 1u32
+            .checked_shl(config.scale)
+            .and_then(|vertices| vertices.checked_mul(config.edge_factor))
+            .expect("edge count too large for u32 CSR offsets") as usize;
         let (a, b, c) = (config.a, config.b, config.c);
         assert!(
             a >= 0.0 && b >= 0.0 && c >= 0.0 && a + b + c <= 1.0,
             "invalid RMAT quadrants"
         );
         let vertices = 1u32 << config.scale;
-        let edges = vertices as usize * config.edge_factor as usize;
         let mut rng = gmt_sim::rng::seeded(seed);
         // Optional GAP-style relabeling (a seeded Fisher-Yates shuffle).
         let relabel: Option<Vec<u32>> = config.permute.then(|| {
@@ -87,23 +92,20 @@ impl KronGraph {
             }
             map
         });
+        // One draw per level picks a quadrant: [0, a) top-left, [a, ab)
+        // top-right, [ab, abc) bottom-left, the rest bottom-right. The
+        // draws are close to random, so the bits are computed without
+        // branches rather than through a mispredicted four-way chain.
+        let (ab, abc) = (a + b, a + b + c);
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(edges);
         for _ in 0..edges {
             let (mut src, mut dst) = (0u32, 0u32);
             for _ in 0..config.scale {
-                src <<= 1;
-                dst <<= 1;
                 let r: f64 = rng.gen();
-                if r < a {
-                    // top-left: neither bit set
-                } else if r < a + b {
-                    dst |= 1;
-                } else if r < a + b + c {
-                    src |= 1;
-                } else {
-                    src |= 1;
-                    dst |= 1;
-                }
+                let src_bit = r >= ab;
+                let dst_bit = (a <= r) & (r < ab) | (r >= abc);
+                src = (src << 1) | src_bit as u32;
+                dst = (dst << 1) | dst_bit as u32;
             }
             match &relabel {
                 Some(map) => pairs.push((map[src as usize], map[dst as usize])),
@@ -147,6 +149,15 @@ impl KronGraph {
         self.offsets[v as usize + 1] - self.offsets[v as usize]
     }
 
+    /// Positions of `v`'s edges in `targets`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn edge_range(&self, v: u32) -> Range<u64> {
+        u64::from(self.offsets[v as usize])..u64::from(self.offsets[v as usize + 1])
+    }
+
     /// The neighbors of `v`.
     ///
     /// # Panics
@@ -164,7 +175,9 @@ impl KronGraph {
 pub struct CsrLayout {
     vertices: u64,
     edges: u64,
-    entries_per_page: u64,
+    /// log2 of the entries per page: page lookups sit in the innermost
+    /// trace loops, where a shift is several times cheaper than a divide.
+    entries_shift: u32,
 }
 
 impl CsrLayout {
@@ -172,13 +185,17 @@ impl CsrLayout {
     ///
     /// # Panics
     ///
-    /// Panics if `page_bytes < 8`.
+    /// Panics if `page_bytes` is not a power of two of at least 8.
     pub fn new(vertices: u64, edges: u64, page_bytes: u64) -> CsrLayout {
         assert!(page_bytes >= 8, "pages must hold at least one entry");
+        assert!(
+            page_bytes.is_power_of_two(),
+            "page size must be a power of two"
+        );
         CsrLayout {
             vertices,
             edges,
-            entries_per_page: page_bytes / 8,
+            entries_shift: (page_bytes / 8).trailing_zeros(),
         }
     }
 
@@ -188,7 +205,7 @@ impl CsrLayout {
     }
 
     fn offsets_pages(&self) -> u64 {
-        self.vertices.div_ceil(self.entries_per_page).max(1)
+        self.vertices.div_ceil(self.entries_per_page()).max(1)
     }
 
     fn values_pages(&self) -> u64 {
@@ -196,7 +213,7 @@ impl CsrLayout {
     }
 
     fn targets_pages(&self) -> u64 {
-        self.edges.div_ceil(self.entries_per_page).max(1)
+        self.edges.div_ceil(self.entries_per_page()).max(1)
     }
 
     /// Total pages the three arrays span.
@@ -206,22 +223,30 @@ impl CsrLayout {
 
     /// Page holding vertex `v`'s CSR offset.
     pub fn offset_page(&self, v: u32) -> u64 {
-        v as u64 / self.entries_per_page
+        u64::from(v) >> self.entries_shift
     }
 
     /// Page holding vertex `v`'s per-vertex value (distance, rank, …).
     pub fn value_page(&self, v: u32) -> u64 {
-        self.offsets_pages() + v as u64 / self.entries_per_page
+        self.offsets_pages() + (u64::from(v) >> self.entries_shift)
     }
 
     /// Page holding the `i`-th edge target.
     pub fn edge_page(&self, i: u64) -> u64 {
-        self.offsets_pages() + self.values_pages() + i / self.entries_per_page
+        self.offsets_pages() + self.values_pages() + (i >> self.entries_shift)
+    }
+
+    /// Pages holding edge entries `edges`, each once and in order.
+    pub fn edge_pages(&self, edges: Range<u64>) -> Range<u64> {
+        if edges.is_empty() {
+            return 0..0;
+        }
+        self.edge_page(edges.start)..self.edge_page(edges.end - 1) + 1
     }
 
     /// CSR entries per page (8192 for 8-byte entries on 64 KB pages).
     pub fn entries_per_page(&self) -> u64 {
-        self.entries_per_page
+        1 << self.entries_shift
     }
 }
 
@@ -320,6 +345,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "edge count too large")]
+    fn gap_28_overflows_the_offsets() {
+        // Exactly 2^32 edges: one more than a u32 offset can hold.
+        KronGraph::generate(KronConfig::gap(28), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge count too large")]
+    fn huge_edge_factor_panics_before_allocating() {
+        // 2^22 × 1024 = 2^32 edges would need a 32 GB pair buffer.
+        let config = KronConfig {
+            edge_factor: 1024,
+            ..KronConfig::gap(22)
+        };
+        KronGraph::generate(config, 1);
+    }
+
+    #[test]
     fn layout_partitions_do_not_overlap() {
         let layout = CsrLayout::new(10_000, 160_000, 64 * 1024);
         let last_offset = layout.offset_page(9_999);
@@ -330,6 +373,22 @@ mod tests {
         assert!(last_value < first_edge);
         let last_edge = layout.edge_page(159_999);
         assert_eq!(layout.total_pages() as u64, last_edge + 1);
+    }
+
+    #[test]
+    fn edge_pages_name_each_spanned_page_once() {
+        let layout = CsrLayout::new(16, 64, 64); // 8 entries per page
+        let base = layout.edge_page(0);
+        assert!(layout.edge_pages(5..5).is_empty());
+        assert_eq!(layout.edge_pages(3..8), base..base + 1);
+        assert_eq!(layout.edge_pages(7..17), base..base + 3);
+        assert_eq!(layout.entries_per_page(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn layout_rejects_odd_page_sizes() {
+        CsrLayout::new(16, 64, 96);
     }
 
     #[test]

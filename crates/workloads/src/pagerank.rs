@@ -11,7 +11,7 @@
 use gmt_mem::{PageId, WarpAccess};
 
 use crate::kron::{scale_bits_for_pages, CsrLayout, KronConfig, KronGraph};
-use crate::util::push_scattered;
+use crate::util::PageList;
 use crate::{Workload, WorkloadScale};
 
 /// The PageRank workload.
@@ -70,39 +70,33 @@ impl Workload for PageRank {
     fn trace(&self, _seed: u64) -> Vec<WarpAccess> {
         let g = &self.graph;
         let layout = &self.layout;
-        let epp = layout.entries_per_page();
+        let pages = layout.total_pages();
+        let mut offset_pages = PageList::new(pages);
+        let mut edge_pages = PageList::new(pages);
+        let mut rank_reads = PageList::new(pages);
+        let mut own_ranks = PageList::new(pages);
         let mut out = Vec::new();
         for _ in 0..self.iterations {
-            let vertices: Vec<u32> = (0..g.vertices).collect();
-            for chunk in vertices.chunks(32) {
-                let offset_pages: Vec<PageId> = chunk
-                    .iter()
-                    .map(|&v| PageId(layout.offset_page(v)))
-                    .collect();
-                push_scattered(&mut out, offset_pages, false);
-                let mut edge_pages = Vec::new();
-                let mut rank_reads = Vec::new();
-                for &v in chunk {
-                    let (start, end) = (
-                        g.offsets[v as usize] as u64,
-                        g.offsets[v as usize + 1] as u64,
-                    );
-                    let mut i = start;
-                    while i < end {
-                        edge_pages.push(PageId(layout.edge_page(i)));
-                        i = (i / epp + 1) * epp;
+            for first in (0..g.vertices).step_by(32) {
+                let chunk = first..g.vertices.min(first + 32);
+                for v in chunk.clone() {
+                    offset_pages.push(PageId(layout.offset_page(v)));
+                }
+                offset_pages.emit(&mut out, false);
+                for v in chunk.clone() {
+                    for page in layout.edge_pages(g.edge_range(v)) {
+                        edge_pages.push(PageId(page));
                     }
                     for &u in g.neighbors(v) {
                         rank_reads.push(PageId(layout.value_page(u)));
                     }
                 }
-                push_scattered(&mut out, edge_pages, false);
-                push_scattered(&mut out, rank_reads, false);
-                let own_ranks: Vec<PageId> = chunk
-                    .iter()
-                    .map(|&v| PageId(layout.value_page(v)))
-                    .collect();
-                push_scattered(&mut out, own_ranks, true);
+                edge_pages.emit(&mut out, false);
+                rank_reads.emit(&mut out, false);
+                for v in chunk {
+                    own_ranks.push(PageId(layout.value_page(v)));
+                }
+                own_ranks.emit(&mut out, true);
             }
         }
         out

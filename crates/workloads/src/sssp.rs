@@ -11,7 +11,7 @@ use gmt_mem::{PageId, WarpAccess};
 use rand::Rng;
 
 use crate::kron::{scale_bits_for_pages, CsrLayout, KronConfig, KronGraph};
-use crate::util::push_scattered;
+use crate::util::PageList;
 use crate::{Workload, WorkloadScale};
 
 /// The SSSP workload.
@@ -76,7 +76,11 @@ impl Workload for Sssp {
     fn trace(&self, seed: u64) -> Vec<WarpAccess> {
         let g = &self.graph;
         let layout = &self.layout;
-        let epp = layout.entries_per_page();
+        let pages = layout.total_pages();
+        let mut offset_pages = PageList::new(pages);
+        let mut edge_pages = PageList::new(pages);
+        let mut dist_reads = PageList::new(pages);
+        let mut relaxations = PageList::new(pages);
         let mut rng = gmt_sim::rng::seeded(seed ^ 0x5550);
         let mut out = Vec::new();
         for &activity in &self.round_activity {
@@ -84,38 +88,31 @@ impl Workload for Sssp {
                 .filter(|_| rng.gen::<f64>() < activity)
                 .collect();
             for chunk in active.chunks(32) {
-                let offset_pages: Vec<PageId> = chunk
-                    .iter()
-                    .map(|&v| PageId(layout.offset_page(v)))
-                    .collect();
-                push_scattered(&mut out, offset_pages, false);
-                let mut edge_pages = Vec::new();
-                let mut dist_reads = Vec::new();
-                let mut relaxations = Vec::new();
                 for &v in chunk {
-                    let (start, end) = (
-                        g.offsets[v as usize] as u64,
-                        g.offsets[v as usize + 1] as u64,
-                    );
-                    let mut i = start;
-                    while i < end {
-                        edge_pages.push(PageId(layout.edge_page(i)));
-                        i = (i / epp + 1) * epp;
+                    offset_pages.push(PageId(layout.offset_page(v)));
+                }
+                offset_pages.emit(&mut out, false);
+                for &v in chunk {
+                    for page in layout.edge_pages(g.edge_range(v)) {
+                        edge_pages.push(PageId(page));
                     }
                     dist_reads.push(PageId(layout.value_page(v)));
                     for &u in g.neighbors(v) {
                         // A quarter of relaxations improve the neighbor's
-                        // distance (a write); the rest only read it.
-                        if rng.gen::<f64>() < 0.25 {
-                            relaxations.push(PageId(layout.value_page(u)));
+                        // distance (a write); the rest only read it. Picking
+                        // the list, not the push, keeps the coin flip off
+                        // the branch predictor.
+                        let list = if rng.gen::<f64>() < 0.25 {
+                            &mut relaxations
                         } else {
-                            dist_reads.push(PageId(layout.value_page(u)));
-                        }
+                            &mut dist_reads
+                        };
+                        list.push(PageId(layout.value_page(u)));
                     }
                 }
-                push_scattered(&mut out, edge_pages, false);
-                push_scattered(&mut out, dist_reads, false);
-                push_scattered(&mut out, relaxations, true);
+                edge_pages.emit(&mut out, false);
+                dist_reads.emit(&mut out, false);
+                relaxations.emit(&mut out, true);
             }
         }
         out

@@ -1,0 +1,109 @@
+//! Golden graph fingerprints: the Kronecker generator's CSR arrays and the
+//! three graph applications' traces must reproduce the committed FNV-1a
+//! values exactly. Fig. 14 replays these traces on every system, so any
+//! change to graph construction or to how the generators deduplicate and
+//! chunk pages shows up here before it moves a simulated statistic. An
+//! intentional model change re-records them:
+//!
+//! ```sh
+//! cargo test -p gmt-workloads --test graph_fingerprints -- --nocapture
+//! ```
+//!
+//! and copies the printed `actual` values over the constants.
+
+use gmt_mem::WarpAccess;
+use gmt_workloads::bfs::Bfs;
+use gmt_workloads::kron::{KronConfig, KronGraph};
+use gmt_workloads::pagerank::PageRank;
+use gmt_workloads::sssp::Sssp;
+use gmt_workloads::Workload;
+
+/// `(graph, offsets FNV-1a, targets FNV-1a)`.
+#[rustfmt::skip]
+const GRAPHS: [(&str, u64, u64); 2] = [
+    ("gap(12) seed 5", 0x7ef3f0bb855b7067, 0x46f734fedcd97c60),
+    ("gap_permuted(12) seed 3", 0xd6cd7848dd6fdfd0, 0x30ed0c8102046708),
+];
+
+/// `(trace, FNV-1a of every access's write flag, page count and page ids, accesses)`.
+#[rustfmt::skip]
+const TRACES: [(&str, u64, usize); 4] = [
+    ("bfs", 0x26226e5456f8f76f, 266),
+    ("pagerank", 0xb467624e104c19a9, 1536),
+    ("sssp seed 1", 0xbf905adc80dafcad, 1153),
+    ("sssp seed 2", 0x5fa4279a4f23d166, 1155),
+];
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+fn words(ws: &[u32]) -> u64 {
+    let mut h = Fnv::new();
+    ws.iter().for_each(|&w| h.word(u64::from(w)));
+    h.0
+}
+
+fn trace_fingerprint(trace: &[WarpAccess]) -> u64 {
+    let mut h = Fnv::new();
+    for a in trace {
+        h.word(u64::from(a.write));
+        h.word(a.pages.len() as u64);
+        a.pages.iter().for_each(|p| h.word(p.0));
+    }
+    h.0
+}
+
+fn graph(config: KronConfig, seed: u64) -> KronGraph {
+    KronGraph::generate(config, seed)
+}
+
+#[test]
+fn kron_graphs_match_golden() {
+    let actual = [
+        graph(KronConfig::gap(12), 5),
+        graph(KronConfig::gap_permuted(12), 3),
+    ];
+    let mut mismatched = false;
+    for ((name, offsets, targets), g) in GRAPHS.iter().zip(&actual) {
+        let got = (words(&g.offsets), words(&g.targets));
+        println!("actual: (\"{name}\", {:#018x}, {:#018x}),", got.0, got.1);
+        mismatched |= got != (*offsets, *targets);
+    }
+    assert!(
+        !mismatched,
+        "graph fingerprints moved; see the actual lines"
+    );
+}
+
+#[test]
+fn graph_traces_match_golden() {
+    let g = || graph(KronConfig::gap(12), 5);
+    let sssp = Sssp::on_graph(g(), vec![1.0, 0.6, 0.35, 0.2, 0.1]);
+    let actual = [
+        Bfs::on_graph(g()).trace(0),
+        PageRank::on_graph(g(), 3).trace(0),
+        sssp.trace(1),
+        sssp.trace(2),
+    ];
+    let mut mismatched = false;
+    for ((name, fingerprint, len), trace) in TRACES.iter().zip(&actual) {
+        let got = (trace_fingerprint(trace), trace.len());
+        println!("actual: (\"{name}\", {:#018x}, {}),", got.0, got.1);
+        mismatched |= got != (*fingerprint, *len);
+    }
+    assert!(
+        !mismatched,
+        "trace fingerprints moved; see the actual lines"
+    );
+}
