@@ -7,8 +7,12 @@ use gmt_sim::trace::{TierTag, TraceEvent, TraceSink};
 use gmt_sim::Time;
 use gmt_ssd::array::{ArrayConfig, SsdArray};
 use gmt_ssd::qpair::QueuePair;
-use gmt_ssd::queue::Opcode;
-use gmt_ssd::{SsdConfig, SsdDevice};
+use gmt_ssd::SsdConfig;
+
+/// Slots in each of BaM's GPU-resident NVMe rings. One is reserved to
+/// tell a full ring from an empty one, so up to 1,023 commands are in
+/// flight before submitting threads spin.
+pub const BAM_QUEUE_SLOTS: usize = 1024;
 
 /// Configuration of the BaM baseline.
 ///
@@ -24,10 +28,6 @@ pub struct BamConfig {
     /// Number of identical SSDs striped at page granularity (BaM scales
     /// to arrays of ten in its own evaluation).
     pub ssd_devices: usize,
-    /// NVMe queue depth per queue pair. BaM's GPU-resident rings throttle
-    /// submission when full (threads spin); 0 disables the ring model and
-    /// issues directly against the device array.
-    pub queue_depth: usize,
 }
 
 impl BamConfig {
@@ -37,7 +37,6 @@ impl BamConfig {
             geometry,
             ssd: SsdConfig::default(),
             ssd_devices: 1,
-            queue_depth: 1024,
         }
     }
 
@@ -56,7 +55,6 @@ impl From<GmtConfig> for BamConfig {
             geometry: config.geometry,
             ssd: config.ssd,
             ssd_devices: config.ssd_devices,
-            queue_depth: 1024,
         }
     }
 }
@@ -102,44 +100,16 @@ pub struct Bam {
     config: BamConfig,
     clock: ClockList,
     table: PageTable<BamMeta>,
-    ssd: BamStorage,
+    ssd: SsdArray,
+    /// The queue-depth window of BaM's NVMe rings. Rings belong to one
+    /// controller, so only a single-device BaM has one; a striped array
+    /// issues without back-pressure.
+    ring: Option<QueuePair>,
     metrics: TieringMetrics,
     /// BaM has no coalesced-transaction counter of its own; for tracing,
     /// one tick per distinct page touch mirrors GMT's convention.
     vt: u64,
     trace: TraceSink,
-}
-
-/// BaM's storage back-end: NVMe rings when a queue depth is configured
-/// (single-device only — rings belong to one controller), a striped array
-/// otherwise.
-#[derive(Debug)]
-enum BamStorage {
-    Rings(Box<QueuePair>),
-    Array(SsdArray),
-}
-
-impl BamStorage {
-    fn read(&mut self, now: gmt_sim::Time, offset: u64, bytes: u64) -> gmt_sim::Time {
-        match self {
-            BamStorage::Rings(qp) => qp.submit_blocking(now, Opcode::Read, offset, bytes),
-            BamStorage::Array(array) => array.read(now, offset, bytes),
-        }
-    }
-
-    fn write(&mut self, now: gmt_sim::Time, offset: u64, bytes: u64) -> gmt_sim::Time {
-        match self {
-            BamStorage::Rings(qp) => qp.submit_blocking(now, Opcode::Write, offset, bytes),
-            BamStorage::Array(array) => array.write(now, offset, bytes),
-        }
-    }
-
-    fn stats(&self) -> gmt_ssd::SsdStats {
-        match self {
-            BamStorage::Rings(qp) => qp.device().stats(),
-            BamStorage::Array(array) => array.stats(),
-        }
-    }
 }
 
 impl Bam {
@@ -152,18 +122,12 @@ impl Bam {
         Bam {
             clock: ClockList::new(config.geometry.tier1_pages),
             table: PageTable::new(config.geometry.total_pages),
-            ssd: if config.queue_depth >= 2 && config.ssd_devices <= 1 {
-                BamStorage::Rings(Box::new(QueuePair::new(
-                    SsdDevice::new(config.ssd),
-                    config.queue_depth,
-                )))
-            } else {
-                BamStorage::Array(SsdArray::new(ArrayConfig {
-                    device: config.ssd,
-                    devices: config.ssd_devices.max(1),
-                    stripe_bytes: config.geometry.page_bytes,
-                }))
-            },
+            ssd: SsdArray::new(ArrayConfig {
+                device: config.ssd,
+                devices: config.ssd_devices.max(1),
+                stripe_bytes: config.geometry.page_bytes,
+            }),
+            ring: (config.ssd_devices <= 1).then(|| QueuePair::new(BAM_QUEUE_SLOTS)),
             metrics: TieringMetrics::default(),
             vt: 0,
             trace: TraceSink::disabled(),
@@ -172,8 +136,8 @@ impl Bam {
     }
 
     /// Turns on decision tracing into a fresh ring of `capacity` records,
-    /// wiring the storage back-end (rings or array) into it. Returns a
-    /// handle to the shared sink.
+    /// wiring the SSDs and the NVMe ring window into it. Returns a handle
+    /// to the shared sink.
     ///
     /// # Panics
     ///
@@ -181,9 +145,9 @@ impl Bam {
     pub fn enable_tracing(&mut self, capacity: usize) -> TraceSink {
         let sink = TraceSink::bounded(capacity);
         self.trace = sink.clone();
-        match &mut self.ssd {
-            BamStorage::Rings(qp) => qp.attach_trace(&sink),
-            BamStorage::Array(array) => array.attach_trace(&sink),
+        self.ssd.attach_trace(&sink);
+        if let Some(ring) = &mut self.ring {
+            ring.attach_trace(&sink);
         }
         sink
     }
@@ -204,7 +168,7 @@ impl Bam {
         self.metrics
     }
 
-    /// The SSD device's own statistics.
+    /// The SSDs' own statistics, summed over the array.
     pub fn ssd_stats(&self) -> gmt_ssd::SsdStats {
         self.ssd.stats()
     }
@@ -213,11 +177,28 @@ impl Bam {
         self.config.geometry.page_bytes
     }
 
+    /// Issues one SSD command for `page`, through the ring window when
+    /// there is one; returns its completion time.
+    fn issue(&mut self, now: Time, write: bool, page: u64) -> Time {
+        let bytes = self.page_bytes();
+        let offset = page * bytes;
+        let ssd = &mut self.ssd;
+        let mut io = |at| {
+            if write {
+                ssd.write(at, offset, bytes)
+            } else {
+                ssd.read(at, offset, bytes)
+            }
+        };
+        match &mut self.ring {
+            Some(ring) => ring.submit(now, write, io),
+            None => io(now),
+        }
+    }
+
     fn evict_one(&mut self, now: Time) -> Time {
         let victim = self.clock.evict_candidate();
         self.metrics.t1_evictions += 1;
-        let bytes = self.page_bytes();
-        let offset = victim.0 * bytes;
         let meta = self.table.get_mut(victim);
         meta.resident = false;
         let dirty = std::mem::take(&mut meta.dirty);
@@ -234,7 +215,7 @@ impl Bam {
             self.metrics.ssd_writes += 1;
             self.trace
                 .emit(now, TraceEvent::SsdWriteBack { page: victim.0 });
-            self.ssd.write(now, offset, bytes)
+            self.issue(now, true, victim.0)
         } else {
             self.metrics.discards += 1;
             self.trace
@@ -275,8 +256,7 @@ impl MemoryBackend for Bam {
                     ready = ready.max(done);
                 }
                 self.metrics.ssd_reads += 1;
-                let bytes = self.page_bytes();
-                let done = self.ssd.read(now, page.0 * bytes, bytes);
+                let done = self.issue(now, false, page.0);
                 if self.trace.is_enabled() {
                     self.trace.emit(
                         now,
@@ -301,10 +281,7 @@ impl MemoryBackend for Bam {
     }
 
     fn finish(&mut self, now: Time) -> Time {
-        match &mut self.ssd {
-            BamStorage::Rings(qp) => qp.flush_trace(now),
-            BamStorage::Array(array) => array.flush_trace(now),
-        }
+        self.ssd.flush_trace(now);
         now
     }
 }

@@ -22,5 +22,5 @@
 mod bam;
 mod hmm;
 
-pub use bam::{Bam, BamConfig};
+pub use bam::{Bam, BamConfig, BAM_QUEUE_SLOTS};
 pub use hmm::{Hmm, HmmConfig};

@@ -22,8 +22,8 @@
 //!
 //! The lattice is ordered shard-local < ambiguous < shared-resource and
 //! classification is a monotone fixpoint over the struct graph, so it
-//! terminates and is deterministic. The v2 sharding-readiness report
-//! (`gmt-shard-readiness/2`) carries the full field table; the item-2
+//! terminates and is deterministic. The sharding-readiness report
+//! (`gmt-shard-readiness/3`) carries the full field table; the
 //! sharded-DES builder reads it to decide what to replicate per shard
 //! and what to route through a merge point (see [`crate::order`]).
 //!
@@ -65,8 +65,6 @@ impl Class {
 pub struct FieldClassEntry {
     /// Workspace-relative file path (with `/` separators).
     pub file: String,
-    /// 1-based line of the field name.
-    pub line: u32,
     /// The owning struct.
     pub struct_name: String,
     /// The field's name.
@@ -86,7 +84,7 @@ pub struct FieldClassEntry {
 /// The analysis result: per-field entries plus the per-struct join.
 #[derive(Debug, Default)]
 pub struct EscapeOutput {
-    /// Classified fields, sorted by (file, line, field).
+    /// Classified fields, sorted by (file, struct, field).
     pub fields: Vec<FieldClassEntry>,
     /// Aggregated class per struct in scope (the join of its fields).
     pub struct_class: BTreeMap<String, Class>,
@@ -251,10 +249,8 @@ pub fn classify_fields(
         let hot = hot_types.contains(sname);
         for field in &info.fields {
             let (class, via, direct) = classify_ty(&field.ty, syms, &struct_class);
-            let line = file.lexed.tokens.get(field.name_tok).map_or(0, |t| t.line);
             out.fields.push(FieldClassEntry {
                 file: crate::flow::slash_path(&file.rel),
-                line,
                 struct_name: sname.to_string(),
                 field: field.name.clone(),
                 class,
@@ -264,8 +260,9 @@ pub fn classify_fields(
             });
         }
     }
-    out.fields
-        .sort_by(|a, b| (&a.file, a.line, &a.field).cmp(&(&b.file, b.line, &b.field)));
+    out.fields.sort_by(|a, b| {
+        (&a.file, &a.struct_name, &a.field).cmp(&(&b.file, &b.struct_name, &b.field))
+    });
     out.struct_class = struct_class
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))

@@ -22,7 +22,7 @@
 //! # A1 — allocation on the hot path
 //!
 //! The hot set is the call-graph closure of the DES roots: the
-//! per-event entry points (`access`, `poll`, `poll_until`, `step` —
+//! per-event entry points (`access`, `poll`, `step` —
 //! their whole body runs once per simulated event, so the body itself
 //! counts as loop depth 1) and the replay drivers (`run`,
 //! `run_arrivals` — only their internal loops are hot). Inside hot
@@ -35,7 +35,7 @@
 //! Every `static`, every `Rc`/`RefCell`/`Cell`/`UnsafeCell` field and
 //! every `&mut self` method on a type touched by the hot path is
 //! catalogued into a machine-readable sharding-readiness report (the
-//! worklist for the ROADMAP item-2 sharded DES). `static mut`,
+//! worklist for the deferred sharded DES). `static mut`,
 //! `thread_local!` and interior-mutability fields on hot types are
 //! deny findings; `Arc`/`Mutex`-style sync state and `&mut self`
 //! methods are report-only inventory.
@@ -258,7 +258,7 @@ const NO_SUMMARY_NAMES: &[&str] = &[
 ];
 
 /// Per-event DES roots: their whole body runs once per simulated event.
-pub(crate) const PER_EVENT_ROOTS: &[&str] = &["access", "poll", "poll_until", "step"];
+pub(crate) const PER_EVENT_ROOTS: &[&str] = &["access", "poll", "step"];
 /// Replay drivers: hot only inside their own loops.
 const DRIVER_ROOTS: &[&str] = &["run", "run_arrivals"];
 /// Crates whose root-named fns anchor the hot path.
@@ -943,8 +943,6 @@ fn a1_walk_block(b: &Block, toks: &[Token], depth: u32, out: &mut Vec<AllocHit>)
 pub struct ShardEntry {
     /// Workspace-relative file path (with `/` separators).
     pub file: String,
-    /// 1-based line.
-    pub line: u32,
     /// `static-mut` | `thread-local` | `static` | `interior-mut-field`
     /// | `sync-field` | `mut-self-method`.
     pub kind: &'static str,
@@ -958,16 +956,17 @@ pub struct ShardEntry {
     pub hot: bool,
 }
 
-/// The machine-readable G1 report the item-2 sharded-DES PR consumes.
-/// Schema v2 adds the field-level escape classification and the R1
-/// merge-point proof obligations.
+/// The machine-readable G1 report for the deferred sharded DES. Schema
+/// v2 added the field-level escape classification and the R1 merge-point
+/// proof obligations; v3 drops line numbers, so the report changes only
+/// when an escape class or a proof obligation does.
 #[derive(Debug, Default)]
 pub struct ShardReport {
     /// Hot-root function labels (`crate::fn`), deduplicated.
     pub roots: Vec<String>,
     /// Number of functions in the hot call-graph closure.
     pub hot_fns: usize,
-    /// Inventory entries, sorted by (file, line, member).
+    /// Inventory entries, sorted by (file, type, member, kind).
     pub entries: Vec<ShardEntry>,
     /// Field-level escape classification of the hot-type closure.
     pub fields: Vec<crate::escape::FieldClassEntry>,
@@ -978,7 +977,7 @@ pub struct ShardReport {
 impl ShardReport {
     /// Renders the report as a deterministic JSON document.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"gmt-shard-readiness/2\",\"roots\":[");
+        let mut out = String::from("{\"schema\":\"gmt-shard-readiness/3\",\"roots\":[");
         for (i, r) in self.roots.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -992,10 +991,9 @@ impl ShardReport {
             }
             let _ = write!(
                 out,
-                "{{\"file\":{},\"line\":{},\"kind\":{},\"type\":{},\"member\":{},\
+                "{{\"file\":{},\"kind\":{},\"type\":{},\"member\":{},\
                  \"classification\":{},\"hot\":{}}}",
                 json_str(&e.file),
-                e.line,
                 json_str(e.kind),
                 json_str(&e.type_name),
                 json_str(&e.member),
@@ -1010,10 +1008,9 @@ impl ShardReport {
             }
             let _ = write!(
                 out,
-                "{{\"file\":{},\"line\":{},\"struct\":{},\"field\":{},\"class\":{},\
+                "{{\"file\":{},\"struct\":{},\"field\":{},\"class\":{},\
                  \"via\":{},\"direct\":{},\"hot\":{}}}",
                 json_str(&f.file),
-                f.line,
                 json_str(&f.struct_name),
                 json_str(&f.field),
                 json_str(f.class.label()),
@@ -1424,7 +1421,6 @@ pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config)
                     let classification = if is_mut { "deny" } else { "report" };
                     out.shard.entries.push(ShardEntry {
                         file: slash_path(&file.rel),
-                        line: name_tok.line,
                         kind,
                         type_name: "-".into(),
                         member: name_tok.text.clone(),
@@ -1438,7 +1434,7 @@ pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config)
                             "G1",
                             name_tok,
                             format!(
-                                "`static mut {}` is unshardable global state; the item-2 \
+                                "`static mut {}` is unshardable global state; the \
                                  sharded DES needs per-shard ownership",
                                 name_tok.text
                             ),
@@ -1449,7 +1445,6 @@ pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config)
                 {
                     out.shard.entries.push(ShardEntry {
                         file: slash_path(&file.rel),
-                        line: tok.line,
                         kind: "thread-local",
                         type_name: "-".into(),
                         member: "thread_local!".into(),
@@ -1497,7 +1492,6 @@ pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config)
                 let deny = interior && is_hot;
                 out.shard.entries.push(ShardEntry {
                     file: slash_path(&file.rel),
-                    line: name_tok.line,
                     kind,
                     type_name: sname.clone(),
                     member: field.name.clone(),
@@ -1512,7 +1506,7 @@ pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config)
                         name_tok,
                         format!(
                             "`{sname}.{}` holds `{}` on the event-loop path; \
-                             single-threaded shared mutability blocks the item-2 \
+                             single-threaded shared mutability blocks the \
                              sharded DES — give each shard its own copy or channel",
                             field.name,
                             field.ty.join("")
@@ -1530,13 +1524,8 @@ pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config)
                 continue;
             }
             let info = &cg.fns[id];
-            let file = &files[info.file];
-            let Some(name_tok) = file.lexed.tokens.get(info.item.name_tok) else {
-                continue;
-            };
             out.shard.entries.push(ShardEntry {
-                file: slash_path(&file.rel),
-                line: name_tok.line,
+                file: slash_path(&files[info.file].rel),
                 kind: "mut-self-method",
                 type_name: info.self_ty.clone().unwrap_or_else(|| "-".into()),
                 member: info.item.name.clone(),
@@ -1545,9 +1534,14 @@ pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config)
             });
         }
 
-        out.shard
-            .entries
-            .sort_by(|a, b| (&a.file, a.line, &a.member).cmp(&(&b.file, b.line, &b.member)));
+        out.shard.entries.sort_by(|a, b| {
+            (&a.file, &a.type_name, &a.member, a.kind).cmp(&(
+                &b.file,
+                &b.type_name,
+                &b.member,
+                b.kind,
+            ))
+        });
         out.timings.push(("G1", t.elapsed()));
     }
 

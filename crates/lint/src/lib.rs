@@ -27,7 +27,7 @@
 //!   `HashMap`/`HashSet` iteration order is flagged.
 //!
 //! The shard-safety layer adds a field-level escape classification
-//! ([`escape`]) feeding the `gmt-shard-readiness/2` report.
+//! ([`escape`]) feeding the `gmt-shard-readiness/3` report.
 //!
 //! The analysis tokenizes with a hand-rolled lexer ([`lexer`]) rather
 //! than a parser dependency, keeping the workspace offline-buildable.

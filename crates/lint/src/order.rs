@@ -4,11 +4,11 @@
 //!
 //! # R1 — mutation outside the merge point
 //!
-//! The deterministic-parallelism plan (ROADMAP item 2) only works if
+//! The deterministic-parallelism plan (the deferred sharded DES) only works if
 //! every write to shared-resource state happens inside the event-loop
 //! discipline: the `EventQueue` pop/handler paths rooted at the DES
 //! drivers (`run`, `run_arrivals`) and per-event entry points
-//! (`access`, `poll`, `poll_until`, `step`). Those roots are the
+//! (`access`, `poll`, `step`). Those roots are the
 //! *sanctioned merge points* — within them, event order (and therefore
 //! write order) is totally determined by the queue's deterministic
 //! tie-breaking.
@@ -34,7 +34,7 @@
 //! holds the owning struct in a field.
 //!
 //! Every (struct, field, mutators) triple is exported as a proof
-//! obligation in the `gmt-shard-readiness/2` report, `proven` when no
+//! obligation in the `gmt-shard-readiness/3` report, `proven` when no
 //! unsanctioned path exists.
 //!
 //! # O1 — order-sensitive float accumulation

@@ -575,10 +575,21 @@ fn ambiguous_escape_fixture_is_pinned_in_the_shard_report() {
     assert_eq!(by("hits").class, gmt_lint::escape::Class::ShardLocal);
     let json = run.shard.render_json();
     assert!(
-        json.contains("\"schema\":\"gmt-shard-readiness/2\""),
+        json.contains("\"schema\":\"gmt-shard-readiness/3\""),
         "{json}"
     );
     assert!(json.contains("\"class\":\"ambiguous\""), "{json}");
+    // Keyed without line numbers: shifting every line leaves it identical.
+    assert!(!json.contains("\"line\""), "{json}");
+    let shifted = [gmt_lint::symbols::AnalyzedFile::analyze(
+        PathBuf::from("crates/core/src/host.rs"),
+        "core".to_string(),
+        TargetKind::Lib,
+        false,
+        &format!("\n\n\n{source}"),
+    )];
+    let moved = gmt_lint::engine::lint_files(&shifted, &Config::default());
+    assert_eq!(moved.shard.render_json(), json);
 }
 
 /// Extracts the text between 1-based (line, column) positions; the end

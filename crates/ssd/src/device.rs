@@ -3,8 +3,6 @@
 use gmt_sim::trace::{TraceEvent, TraceSink};
 use gmt_sim::{Dur, Link, ServerPool, Time};
 
-use crate::queue::{Command, CompletionEntry, Opcode};
-
 /// Timing/topology parameters of the simulated SSD.
 ///
 /// Defaults are calibrated to the paper's Samsung 970 EVO Plus on PCIe
@@ -109,12 +107,9 @@ impl SsdStats {
 /// ```
 /// use gmt_sim::Time;
 /// use gmt_ssd::{SsdConfig, SsdDevice};
-/// use gmt_ssd::queue::{Command, Opcode};
 ///
 /// let mut ssd = SsdDevice::new(SsdConfig::default());
-/// let cmd = Command::io(0, Opcode::Read, 0, 128); // one 64 KB page
-/// let (done, completion) = ssd.submit(Time::ZERO, cmd);
-/// assert_eq!(completion.cid, 0);
+/// let done = ssd.read(Time::ZERO, 0, 64 * 1024); // one 64 KB page
 /// // Low-load page read lands near the paper's ~130 us figure.
 /// let us = done.since(Time::ZERO).as_nanos() / 1_000;
 /// assert!((100..170).contains(&us), "latency {us} us");
@@ -125,7 +120,6 @@ pub struct SsdDevice {
     flash: ServerPool,
     link: Link,
     stats: SsdStats,
-    next_sq_head: u16,
     trace: TraceSink,
     trace_index: u32,
     pending: Vec<PendingIo>,
@@ -150,7 +144,6 @@ impl SsdDevice {
             flash: ServerPool::new(config.channels),
             link: Link::new(config.link_bytes_per_sec, config.link_latency),
             stats: SsdStats::default(),
-            next_sq_head: 0,
             trace: TraceSink::disabled(),
             trace_index: 0,
             pending: Vec::new(),
@@ -199,30 +192,38 @@ impl SsdDevice {
         self.pending.drain(..ready);
     }
 
-    /// Submits `cmd` at time `now`; returns its completion time and entry.
-    pub fn submit(&mut self, now: Time, cmd: Command) -> (Time, CompletionEntry) {
-        let bytes = cmd.bytes(self.config.block_bytes);
-        let (media_latency, media_bytes) = match cmd.opcode {
-            Opcode::Read => {
-                self.stats.reads += 1;
-                self.stats.bytes_read += bytes;
-                (self.config.read_latency, bytes)
-            }
-            Opcode::Write => {
-                self.stats.writes += 1;
-                self.stats.bytes_written += bytes;
-                (self.config.write_latency, bytes)
-            }
-            Opcode::Flush => (self.config.write_latency, 0),
+    /// Reads `bytes` starting at byte `offset`; returns the completion
+    /// time. Only the size matters: the flash model has no address map.
+    pub fn read(&mut self, now: Time, _offset: u64, bytes: u64) -> Time {
+        self.submit(now, false, bytes)
+    }
+
+    /// Writes `bytes` starting at byte `offset`; returns the completion
+    /// time. Only the size matters: the flash model has no address map.
+    pub fn write(&mut self, now: Time, _offset: u64, bytes: u64) -> Time {
+        self.submit(now, true, bytes)
+    }
+
+    /// Runs one command of `bytes` (rounded up to whole blocks) submitted
+    /// at `now`; returns its completion time.
+    fn submit(&mut self, now: Time, write: bool, bytes: u64) -> Time {
+        let block = self.config.block_bytes as u64;
+        let bytes = bytes.div_ceil(block) * block;
+        let media_latency = if write {
+            self.stats.writes += 1;
+            self.stats.bytes_written += bytes;
+            self.config.write_latency
+        } else {
+            self.stats.reads += 1;
+            self.stats.bytes_read += bytes;
+            self.config.read_latency
         };
         let submitted = now + self.config.submit_overhead;
-        let service =
-            media_latency + Dur::for_bytes(media_bytes, self.config.channel_bytes_per_sec);
+        let service = media_latency + Dur::for_bytes(bytes, self.config.channel_bytes_per_sec);
         let flash_done = self.flash.submit(submitted, service);
         let done = self.link.transfer(flash_done, bytes.max(16));
         if self.trace.is_enabled() {
             self.flush_trace(now);
-            let write = !matches!(cmd.opcode, Opcode::Read);
             // Sorted insert (ties keep submission order). Completions
             // mostly finish in submission order, so the insertion point
             // is usually the tail and the shift is empty.
@@ -238,30 +239,7 @@ impl SsdDevice {
                 },
             );
         }
-        self.next_sq_head = self.next_sq_head.wrapping_add(1);
-        let entry = CompletionEntry {
-            cid: cmd.cid,
-            status: 0,
-            phase: true,
-            sq_head: self.next_sq_head,
-        };
-        (done, entry)
-    }
-
-    /// Convenience: read `bytes` starting at byte `offset`.
-    ///
-    /// Returns the completion time.
-    pub fn read(&mut self, now: Time, offset: u64, bytes: u64) -> Time {
-        let cmd = self.command(Opcode::Read, offset, bytes);
-        self.submit(now, cmd).0
-    }
-
-    /// Convenience: write `bytes` starting at byte `offset`.
-    ///
-    /// Returns the completion time.
-    pub fn write(&mut self, now: Time, offset: u64, bytes: u64) -> Time {
-        let cmd = self.command(Opcode::Write, offset, bytes);
-        self.submit(now, cmd).0
+        done
     }
 
     /// Aggregate statistics so far.
@@ -272,13 +250,6 @@ impl SsdDevice {
     /// Total time the host-interface link has been occupied.
     pub fn link_busy(&self) -> Dur {
         self.link.busy_time()
-    }
-
-    fn command(&mut self, opcode: Opcode, offset: u64, bytes: u64) -> Command {
-        let block = self.config.block_bytes as u64;
-        let lba = offset / block;
-        let blocks = bytes.div_ceil(block) as u32;
-        Command::io(self.next_sq_head, opcode, lba, blocks)
     }
 }
 

@@ -11,8 +11,9 @@
 //!
 //! Both paths drive the same device model:
 //!
-//! * [`queue`] — submission/completion queue rings with NVMe phase-bit
-//!   semantics (the data structure BaM places in GPU memory),
+//! * [`qpair`] — a queue pair's depth limit: the in-flight window that
+//!   throttles BaM's GPU threads when its rings fill (no doorbells or
+//!   completion entries; only the timing that shapes results),
 //! * [`SsdDevice`] — a multi-channel flash timing model behind a Gen3 x4
 //!   link, calibrated so a 64 KB page read costs ≈130 µs at low load and
 //!   aggregate read bandwidth saturates ≈3.2 GB/s — the numbers the paper
@@ -25,6 +26,5 @@ pub mod array;
 mod device;
 pub mod host_io;
 pub mod qpair;
-pub mod queue;
 
 pub use device::{SsdConfig, SsdDevice, SsdStats};

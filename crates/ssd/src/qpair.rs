@@ -1,79 +1,67 @@
-//! A queue-pair front-end binding the NVMe rings to the device model.
+//! BaM's NVMe queue pair, reduced to its queue-depth window.
 //!
-//! BaM's mechanism is literally this object placed in GPU memory: GPU
-//! threads build commands into the submission ring, ring the doorbell,
-//! and poll the completion ring. [`QueuePair`] drives the ring protocol
-//! end-to-end against an [`SsdDevice`], enforcing the queue-depth limit
-//! that throttles thousands of simultaneously-faulting threads (the
-//! back-pressure BaM's design section highlights).
+//! BaM places NVMe submission/completion rings in GPU memory so GPU
+//! threads enqueue I/O and poll completions with no host involvement.
+//! What shapes its results is the rings' depth: once a queue pair holds
+//! a full queue of un-reaped commands, a submitting thread spins until
+//! the earliest one completes — the back-pressure that throttles
+//! thousands of simultaneously-faulting threads. [`QueuePair`] models
+//! exactly that. It keeps only the completion times of in-flight
+//! commands and does no I/O itself: the caller issues each admitted
+//! command on its device.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use gmt_sim::trace::{TraceEvent, TraceSink};
 use gmt_sim::Time;
 
-use crate::queue::{Command, CompletionQueue, Opcode, QueueFull, SubmissionQueue};
-use crate::SsdDevice;
-
-/// An in-flight command awaiting completion delivery.
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    done_at: Time,
-    cid: u16,
-}
-
-/// A submission/completion ring pair bound to a device.
+/// The in-flight window of one NVMe queue pair.
 ///
 /// # Examples
 ///
 /// ```
 /// use gmt_sim::Time;
 /// use gmt_ssd::qpair::QueuePair;
-/// use gmt_ssd::queue::Opcode;
 /// use gmt_ssd::{SsdConfig, SsdDevice};
 ///
-/// let mut qp = QueuePair::new(SsdDevice::new(SsdConfig::default()), 32);
-/// let cid = qp.submit(Time::ZERO, Opcode::Read, 0, 65_536)?;
-/// let done = qp.poll_until(cid);
+/// let mut ssd = SsdDevice::new(SsdConfig::default());
+/// let mut qp = QueuePair::new(32);
+/// let done = qp.submit(Time::ZERO, false, |at| ssd.read(at, 0, 65_536));
 /// assert!(done > Time::ZERO);
-/// # Ok::<(), gmt_ssd::queue::QueueFull>(())
+/// assert_eq!(qp.in_flight(), 1);
 /// ```
 #[derive(Debug)]
 pub struct QueuePair {
-    device: SsdDevice,
-    sq: SubmissionQueue,
-    cq: CompletionQueue,
-    in_flight: Vec<InFlight>,
-    next_cid: u16,
+    /// Completion time and submission sequence number of every command
+    /// not yet reaped, earliest completion first (ties in submission
+    /// order).
+    in_flight: BinaryHeap<Reverse<(Time, u64)>>,
+    capacity: usize,
+    submitted: u64,
     trace: TraceSink,
 }
 
 impl QueuePair {
-    /// Binds fresh rings of `depth` slots to `device`.
+    /// A window for rings of `slots` entries. One slot is reserved to
+    /// tell a full ring from an empty one, so `slots - 1` commands fit.
     ///
     /// # Panics
     ///
-    /// Panics if `depth < 2` (the NVMe minimum).
-    pub fn new(device: SsdDevice, depth: usize) -> QueuePair {
+    /// Panics if `slots < 2` (the NVMe minimum).
+    pub fn new(slots: usize) -> QueuePair {
+        assert!(slots >= 2, "nvme queues need at least 2 slots");
         QueuePair {
-            device,
-            sq: SubmissionQueue::new(depth),
-            cq: CompletionQueue::new(depth),
-            in_flight: Vec::with_capacity(depth),
-            next_cid: 0,
+            in_flight: BinaryHeap::with_capacity(slots),
+            capacity: slots - 1,
+            submitted: 0,
             trace: TraceSink::disabled(),
         }
     }
 
-    /// Routes ring submissions/completions and the bound device's I/O
-    /// into `trace` (the device is identified as device 0).
+    /// Routes ring submissions and completions into `trace`.
     pub fn attach_trace(&mut self, trace: &TraceSink) {
         self.trace = trace.clone();
-        self.device.attach_trace(trace, 0);
-    }
-
-    /// Flushes pending device completion events into the trace (see
-    /// [`SsdDevice::flush_trace`]).
-    pub fn flush_trace(&mut self, now: Time) {
-        self.device.flush_trace(now);
     }
 
     /// Commands submitted but not yet reaped.
@@ -81,244 +69,130 @@ impl QueuePair {
         self.in_flight.len()
     }
 
-    /// Builds, enqueues, doorbells and dispatches one I/O command;
-    /// returns its command id.
+    /// Submits one command with back-pressure and returns its completion
+    /// time.
     ///
-    /// # Errors
-    ///
-    /// Returns [`QueueFull`] when the ring already holds a full queue
-    /// depth of un-reaped commands — the caller must poll completions
-    /// first, exactly as a BaM thread would spin.
-    pub fn submit(
-        &mut self,
-        now: Time,
-        opcode: Opcode,
-        offset: u64,
-        bytes: u64,
-    ) -> Result<u16, QueueFull> {
-        if self.in_flight.len() >= self.sq.capacity() {
-            return Err(QueueFull);
-        }
-        let block = self.device.config().block_bytes as u64;
-        let cid = self.next_cid;
-        self.next_cid = self.next_cid.wrapping_add(1);
-        let cmd = Command::io(cid, opcode, offset / block, bytes.div_ceil(block) as u32);
-        self.sq.push(cmd)?;
-        self.sq.ring_doorbell();
-        // Controller side: consume the doorbelled command and start it.
-        let fetched = self.sq.pop().expect("doorbelled command is visible");
-        debug_assert_eq!(fetched.cid, cid);
-        let (done_at, _entry) = self.device.submit(now, fetched);
-        self.in_flight.push(InFlight { done_at, cid });
+    /// When the window is full, the submitter spins until the earliest
+    /// in-flight command completes and reaps every command done by then.
+    /// `issue` then runs the command on the device at the (possibly
+    /// later) submission time and returns its completion time. Command
+    /// ids wrap at `u16`, as NVMe's do; they appear only in the trace.
+    pub fn submit(&mut self, now: Time, write: bool, issue: impl FnOnce(Time) -> Time) -> Time {
+        let now = if self.in_flight.len() >= self.capacity {
+            self.poll(now)
+        } else {
+            now
+        };
+        let done = issue(now);
+        let seq = self.submitted;
+        self.submitted += 1;
+        self.in_flight.push(Reverse((done, seq)));
         self.trace.emit(
             now,
             TraceEvent::RingSubmit {
-                cid,
-                write: !matches!(opcode, Opcode::Read),
+                cid: seq as u16,
+                write,
                 queue_depth: self.in_flight.len() as u32,
             },
         );
-        Ok(cid)
+        done
     }
 
-    /// Delivers every completion with `done_at <= now` into the
-    /// completion ring; returns how many were posted.
-    pub fn deliver_completions(&mut self, now: Time) -> usize {
-        let sq_head = self.sq.head();
-        let mut posted = 0;
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].done_at <= now {
-                let f = self.in_flight.swap_remove(i);
-                self.cq.post(f.cid, 0, sq_head);
-                self.trace.emit(
-                    now,
-                    TraceEvent::RingComplete {
-                        cid: f.cid,
-                        queue_depth: self.in_flight.len() as u32,
-                    },
-                );
-                posted += 1;
-            } else {
-                i += 1;
-            }
-        }
-        posted
-    }
-
-    /// Reaps the next visible completion entry, if any.
-    pub fn poll(&mut self) -> Option<u16> {
-        self.cq.poll().map(|e| e.cid)
-    }
-
-    /// Spins (in virtual time) until command `cid` completes; returns its
-    /// completion time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cid` is not in flight.
-    pub fn poll_until(&mut self, cid: u16) -> Time {
-        let target = self
+    /// Spins until the earliest in-flight command has completed (no wait
+    /// if it already has), reaps every command done by then and returns
+    /// that instant.
+    fn poll(&mut self, now: Time) -> Time {
+        let now = self
             .in_flight
-            .iter()
-            .find(|f| f.cid == cid)
-            .unwrap_or_else(|| panic!("command {cid} is not in flight"))
-            .done_at;
-        self.deliver_completions(target);
-        // Drain the CQ; the requested cid is now visible among them.
-        let mut found = false;
-        while let Some(done_cid) = self.poll() {
-            if done_cid == cid {
-                found = true;
+            .peek()
+            .map_or(now, |&Reverse((earliest, _))| now.max(earliest));
+        while let Some(&Reverse((done_at, seq))) = self.in_flight.peek() {
+            if done_at > now {
+                break;
             }
+            self.in_flight.pop();
+            self.trace.emit(
+                now,
+                TraceEvent::RingComplete {
+                    cid: seq as u16,
+                    queue_depth: self.in_flight.len() as u32,
+                },
+            );
         }
-        assert!(found, "completion for {cid} must have been posted");
-        target
-    }
-
-    /// Submits with back-pressure: when the ring is full, the caller
-    /// (a GPU thread in BaM) spins until the earliest in-flight command
-    /// completes, reaps it, and retries. Returns the command's completion
-    /// time; the effective submission time reflects any spinning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ring has fewer than 2 usable slots.
-    pub fn submit_blocking(&mut self, now: Time, opcode: Opcode, offset: u64, bytes: u64) -> Time {
-        let mut now = now;
-        loop {
-            match self.submit(now, opcode, offset, bytes) {
-                Ok(cid) => {
-                    let done = self
-                        .in_flight
-                        .iter()
-                        .find(|f| f.cid == cid)
-                        .expect("just submitted")
-                        .done_at;
-                    return done;
-                }
-                Err(QueueFull) => {
-                    // Spin until the earliest in-flight command finishes.
-                    let earliest = self
-                        .in_flight
-                        .iter()
-                        .map(|f| f.done_at)
-                        .min()
-                        .expect("full ring has in-flight commands");
-                    now = now.max(earliest);
-                    self.deliver_completions(now);
-                    while self.poll().is_some() {}
-                }
-            }
-        }
-    }
-
-    /// Access to the underlying device (e.g. for statistics).
-    pub fn device(&self) -> &SsdDevice {
-        &self.device
+        now
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SsdConfig;
+    use crate::{SsdConfig, SsdDevice};
 
-    fn qp(depth: usize) -> QueuePair {
-        QueuePair::new(SsdDevice::new(SsdConfig::default()), depth)
-    }
+    const PAGE: u64 = 64 * 1024;
 
-    #[test]
-    fn submit_poll_roundtrip() {
-        let mut q = qp(8);
-        let cid = q.submit(Time::ZERO, Opcode::Read, 0, 65_536).unwrap();
-        assert_eq!(q.in_flight(), 1);
-        let done = q.poll_until(cid);
-        assert!(done > Time::ZERO);
-        assert_eq!(q.in_flight(), 0);
-        assert_eq!(q.device().stats().reads, 1);
-    }
-
-    #[test]
-    fn queue_depth_back_pressure() {
-        let mut q = qp(4); // 3 usable slots
-        let mut cids = Vec::new();
-        for i in 0..3u64 {
-            cids.push(
-                q.submit(Time::ZERO, Opcode::Read, i * 65_536, 65_536)
-                    .unwrap(),
-            );
-        }
-        assert_eq!(
-            q.submit(Time::ZERO, Opcode::Read, 0, 65_536),
-            Err(QueueFull)
-        );
-        // Reaping frees a slot.
-        q.poll_until(cids[0]);
-        assert!(q
-            .submit(Time::ZERO, Opcode::Read, 3 * 65_536, 65_536)
-            .is_ok());
-    }
-
-    #[test]
-    fn completions_deliver_in_time_order_batches() {
-        let mut q = qp(16);
-        let mut dones = Vec::new();
-        for i in 0..8u64 {
-            let cid = q
-                .submit(Time::ZERO, Opcode::Read, i * 65_536, 65_536)
-                .unwrap();
-            dones.push((cid, i));
-        }
-        // Nothing is visible before any completion time.
-        assert_eq!(q.deliver_completions(Time::ZERO), 0);
-        assert!(q.poll().is_none());
-        // Everything is visible at the horizon.
-        let horizon = Time::from_nanos(u64::MAX / 2);
-        assert_eq!(q.deliver_completions(horizon), 8);
-        let mut reaped = 0;
-        while q.poll().is_some() {
-            reaped += 1;
-        }
-        assert_eq!(reaped, 8);
-    }
-
-    #[test]
-    fn writes_flow_through_the_same_rings() {
-        let mut q = qp(8);
-        let cid = q.submit(Time::ZERO, Opcode::Write, 65_536, 65_536).unwrap();
-        q.poll_until(cid);
-        assert_eq!(q.device().stats().writes, 1);
-    }
-
-    #[test]
-    fn submit_blocking_spins_through_back_pressure() {
-        let mut q = qp(4); // 3 usable slots
+    /// Issues `reads` page reads at t = 0 through a `slots`-entry window;
+    /// returns the submission times the device saw and the last
+    /// completion.
+    fn burst(slots: usize, reads: u64) -> (Vec<Time>, Time) {
+        let mut ssd = SsdDevice::new(SsdConfig::default());
+        let mut qp = QueuePair::new(slots);
+        let mut issued = Vec::new();
         let mut last = Time::ZERO;
-        for i in 0..32u64 {
-            last = last.max(q.submit_blocking(Time::ZERO, Opcode::Read, i * 65_536, 65_536));
+        for i in 0..reads {
+            let done = qp.submit(Time::ZERO, false, |at| {
+                issued.push(at);
+                ssd.read(at, i * PAGE, PAGE)
+            });
+            last = last.max(done);
+            assert!(qp.in_flight() < slots, "window overran its ring");
         }
-        assert_eq!(q.device().stats().reads, 32);
-        // Back-pressure forces serialization beyond the ring depth: the
-        // run must take longer than 3 fully-parallel reads.
-        let mut free = qp(64);
-        let mut free_last = Time::ZERO;
-        for i in 0..32u64 {
-            free_last =
-                free_last.max(free.submit_blocking(Time::ZERO, Opcode::Read, i * 65_536, 65_536));
-        }
-        assert!(last >= free_last, "a deeper ring can only help");
+        assert_eq!(ssd.stats().reads, reads);
+        (issued, last)
+    }
+
+    #[test]
+    fn back_pressure_delays_submission() {
+        // 3 usable slots: the first three issue at once, the fourth waits
+        // for the earliest completion.
+        let (issued, _) = burst(4, 4);
+        assert_eq!(&issued[..3], &[Time::ZERO; 3]);
+        assert!(issued[3] > Time::ZERO, "a full window must stall");
+        let (free, _) = burst(64, 4);
+        assert_eq!(free, vec![Time::ZERO; 4]);
+    }
+
+    #[test]
+    fn a_deeper_window_is_never_slower() {
+        let (_, shallow) = burst(4, 32);
+        let (_, deep) = burst(64, 32);
+        assert!(shallow >= deep, "a deeper ring can only help");
     }
 
     #[test]
     fn cids_wrap_without_collision_in_flight() {
-        let mut q = qp(4);
-        for i in 0..1_000u64 {
-            let cid = q
-                .submit(Time::ZERO, Opcode::Read, (i % 64) * 65_536, 65_536)
-                .unwrap();
-            q.poll_until(cid);
+        let trace = TraceSink::bounded(1 << 18);
+        let mut ssd = SsdDevice::new(SsdConfig::default());
+        let mut qp = QueuePair::new(4);
+        qp.attach_trace(&trace);
+        let mut now = Time::ZERO;
+        for i in 0..70_000u64 {
+            now = qp.submit(now, false, |at| ssd.read(at, (i % 64) * PAGE, PAGE));
         }
-        assert_eq!(q.device().stats().reads, 1_000);
+        let mut outstanding = std::collections::HashSet::new();
+        let mut submits = 0;
+        for r in trace.snapshot() {
+            match r.event {
+                TraceEvent::RingSubmit { cid, .. } => {
+                    submits += 1;
+                    assert!(outstanding.insert(cid), "cid {cid} doubly in flight");
+                }
+                TraceEvent::RingComplete { cid, .. } => {
+                    assert!(outstanding.remove(&cid), "cid {cid} completed unsubmitted");
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(submits, 70_000);
+        assert!(outstanding.len() <= 3);
     }
 }

@@ -3,7 +3,7 @@
 //! causally consistent (no eviction without a prior install, no
 //! completion without a prior submission), and bounded by its ring.
 
-use gmt::baselines::{Bam, BamConfig};
+use gmt::baselines::{Bam, BamConfig, BAM_QUEUE_SLOTS};
 use gmt::core::{Gmt, GmtConfig, PolicyKind};
 use gmt::gpu::MemoryBackend;
 use gmt::mem::{PageId, TierGeometry, WarpAccess};
@@ -121,23 +121,42 @@ proptest! {
         let mut rng = gmt::sim::rng::seeded(seed);
         let mut now = Time::ZERO;
         use rand::Rng;
-        for _ in 0..300 {
-            let page = PageId(rng.gen_range(0..geometry.total_pages as u64));
-            now = bam.access(now, &WarpAccess::read(page));
+        // Twice the ring's depth in misses, four accesses per instant, so
+        // the ring fills and reaps batches of completions.
+        while bam.metrics().t1_misses < 2 * BAM_QUEUE_SLOTS as u64 {
+            let mut ready = now;
+            for _ in 0..4 {
+                let page = PageId(rng.gen_range(0..geometry.total_pages as u64));
+                let access = if rng.gen_bool(0.3) {
+                    WarpAccess::write(page)
+                } else {
+                    WarpAccess::read(page)
+                };
+                ready = ready.max(bam.access(now, &access));
+            }
+            now = ready;
         }
         bam.finish(now);
+        prop_assert_eq!(sink.dropped(), 0);
         let mut outstanding: HashSet<u16> = HashSet::new();
+        let mut completions = 0;
         for r in &sink.snapshot() {
-            match r.event {
-                TraceEvent::RingSubmit { cid, .. } => {
+            let depth = match r.event {
+                TraceEvent::RingSubmit { cid, queue_depth, .. } => {
                     prop_assert!(outstanding.insert(cid), "cid {cid} doubly in flight");
+                    queue_depth
                 }
-                TraceEvent::RingComplete { cid, .. } => {
+                TraceEvent::RingComplete { cid, queue_depth } => {
+                    completions += 1;
                     prop_assert!(outstanding.remove(&cid), "cid {cid} completed unsubmitted");
+                    queue_depth
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            prop_assert_eq!(depth as usize, outstanding.len(), "ring depth drifted");
+            prop_assert!(outstanding.len() < BAM_QUEUE_SLOTS, "ring overran its depth");
         }
+        prop_assert!(completions > 0, "the ring never filled");
     }
 
     #[test]
