@@ -24,7 +24,6 @@
 
 mod characterize;
 pub mod runner;
-pub mod sweep;
 pub mod table;
 pub mod timeline;
 pub mod tracesum;

@@ -38,7 +38,6 @@ use gmt_mem::TierGeometry;
 use gmt_pcie::{HostLink, HostLinkConfig, TransferBatch, TransferMethod};
 use gmt_sim::{Time, Zipf};
 use gmt_workloads::{suite, Workload, WorkloadScale};
-use rand::Rng;
 
 /// Tier-1 pages used by the figure binaries (env `GMT_T1_PAGES`,
 /// default 1024).
@@ -173,15 +172,6 @@ pub fn batch_transfer_bandwidth(method: TransferMethod, n: usize) -> f64 {
     };
     let done = link.transfer(Time::ZERO, batch, method);
     batch.bytes() as f64 / done.since(Time::ZERO).as_secs_f64().max(1e-12)
-}
-
-/// Convenience used by several binaries: draws a uniformly random page
-/// trace (for sanity baselines).
-pub fn random_trace(total_pages: u64, accesses: usize, seed: u64) -> Vec<gmt_mem::WarpAccess> {
-    let mut rng = gmt_sim::rng::seeded(seed);
-    (0..accesses)
-        .map(|_| gmt_mem::WarpAccess::read(gmt_mem::PageId(rng.gen_range(0..total_pages))))
-        .collect()
 }
 
 #[cfg(test)]

@@ -364,10 +364,9 @@ impl GmtConfig {
     /// would churn all of Tier-1 per fetch, and out-of-range GMT-Reuse
     /// bypass and sampler knobs.
     ///
-    /// [`GmtBuilder::build`](crate::GmtBuilder::build) and
-    /// [`Gmt::new`](crate::Gmt::new) call this and panic with the error's
-    /// message; fallible callers (CLIs parsing `GMT_T1_PAGES`, services
-    /// admitting tenant configs) should call it directly.
+    /// [`Gmt::new`](crate::Gmt::new) calls this and panics with the
+    /// error's message; fallible callers (CLIs parsing `GMT_T1_PAGES`,
+    /// services admitting tenant configs) should call it directly.
     ///
     /// # Errors
     ///

@@ -27,14 +27,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod builder;
 mod config;
 mod manager;
 mod metrics;
 mod tenant;
 mod tier2;
 
-pub use builder::GmtBuilder;
 pub use config::{
     ConfigError, FrontendConfig, GmtConfig, MarkovScope, PolicyKind, PredictorKind, ReuseConfig,
     Tier2Insert,

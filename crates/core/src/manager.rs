@@ -313,11 +313,11 @@ impl Gmt {
     /// Panics with the [`crate::ConfigError`]'s message if
     /// [`GmtConfig::validate`] rejects `config` (zero-capacity tiers,
     /// prefetch degree overflowing Tier-1, out-of-range bypass
-    /// threshold, ...). Use [`crate::GmtBuilder::try_build`] to handle
+    /// threshold, ...). Call [`GmtConfig::validate`] first to handle
     /// the error instead.
     pub fn new(config: GmtConfig) -> Gmt {
         if let Err(err) = config.validate() {
-            // gmt-lint: allow(P1): documented panic; GmtBuilder::try_build is the typed-error path.
+            // gmt-lint: allow(P1): documented panic; GmtConfig::validate is the typed-error path.
             panic!("invalid GMT configuration: {err}");
         }
         let whole = TenantSlice {

@@ -2,11 +2,10 @@
 //!
 //! GMT's decisions are driven entirely by the stream of *coalesced warp
 //! accesses* a kernel issues and by how long each miss stalls the issuing
-//! warp. This crate models exactly that:
+//! warp. Traces arrive already coalesced: each [`gmt_mem::WarpAccess`]
+//! lists the distinct pages one warp instruction touches. This crate
+//! models the rest:
 //!
-//! * [`coalesce`] — collapses 32 per-lane addresses into the distinct
-//!   pages of one [`gmt_mem::WarpAccess`], the way the hardware coalescer
-//!   does,
 //! * [`MemoryBackend`] — the interface every tiering runtime (GMT, BaM,
 //!   HMM) implements: given a warp access at a time, return when the warp
 //!   may proceed,
@@ -20,7 +19,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coalesce;
 mod executor;
 mod partitioned;
 

@@ -197,6 +197,7 @@ mod tests {
         many.relocate(10);
         let v: Vec<_> = many.pages.iter().collect();
         assert_eq!(v, vec![PageId(11), PageId(12)]);
+        assert!(many.write, "relocation keeps the access kind");
     }
 
     #[test]

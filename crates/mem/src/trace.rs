@@ -18,8 +18,6 @@
 //!   pages  count x u64 LE
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::{PageId, WarpAccess};
 
 const MAGIC: &[u8; 8] = b"GMTTRACE";
@@ -69,21 +67,20 @@ impl std::error::Error for DecodeTraceError {}
 ///
 /// Panics if an access touches more than 127 distinct pages (a warp can
 /// touch at most 32).
-pub fn encode(accesses: &[WarpAccess]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(18 + accesses.len() * 9);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u64_le(accesses.len() as u64);
+pub fn encode(accesses: &[WarpAccess]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(18 + accesses.len() * 9);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(accesses.len() as u64).to_le_bytes());
     for access in accesses {
         let n = access.pages.len();
         assert!(n > 0 && n <= 127, "access page count {n} out of range");
-        let header = (n as u8) | if access.write { 0x80 } else { 0 };
-        buf.put_u8(header);
+        buf.push((n as u8) | if access.write { 0x80 } else { 0 });
         for page in access.pages.iter() {
-            buf.put_u64_le(page.0);
+            buf.extend_from_slice(&page.0.to_le_bytes());
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Deserializes a trace produced by [`encode`].
@@ -92,41 +89,42 @@ pub fn encode(accesses: &[WarpAccess]) -> Bytes {
 ///
 /// Returns a [`DecodeTraceError`] if the buffer is not a well-formed
 /// version-1 trace.
-pub fn decode(mut buf: &[u8]) -> Result<Vec<WarpAccess>, DecodeTraceError> {
-    if buf.remaining() < 18 {
-        return Err(DecodeTraceError::BadMagic);
+pub fn decode(buf: &[u8]) -> Result<Vec<WarpAccess>, DecodeTraceError> {
+    use DecodeTraceError::{BadMagic, EmptyAccess, Truncated, UnsupportedVersion};
+    if buf.len() < 18 || !buf.starts_with(MAGIC) {
+        return Err(BadMagic);
     }
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(DecodeTraceError::BadMagic);
-    }
-    let version = buf.get_u16_le();
+    let mut body = &buf[MAGIC.len()..];
+    let version = take(&mut body).map(u16::from_le_bytes).ok_or(BadMagic)?;
     if version != VERSION {
-        return Err(DecodeTraceError::UnsupportedVersion(version));
+        return Err(UnsupportedVersion(version));
     }
-    let count = buf.get_u64_le() as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 24));
+    let count = take(&mut body).map(u64::from_le_bytes).ok_or(BadMagic)?;
+    // Every access takes at least 9 bytes, so the body bounds the
+    // reservation whatever count the header claims.
+    let mut out = Vec::with_capacity(count.min(body.len() as u64 / 9) as usize);
     for _ in 0..count {
-        if buf.remaining() < 1 {
-            return Err(DecodeTraceError::Truncated);
-        }
-        let header = buf.get_u8();
-        let write = header & 0x80 != 0;
+        let [header] = take(&mut body).ok_or(Truncated)?;
         let n = (header & 0x7F) as usize;
         if n == 0 {
-            return Err(DecodeTraceError::EmptyAccess);
-        }
-        if buf.remaining() < n * 8 {
-            return Err(DecodeTraceError::Truncated);
+            return Err(EmptyAccess);
         }
         let mut pages = Vec::with_capacity(n);
         for _ in 0..n {
-            pages.push(PageId(buf.get_u64_le()));
+            let page = take(&mut body).map(u64::from_le_bytes).ok_or(Truncated)?;
+            pages.push(PageId(page));
         }
-        out.push(WarpAccess::scattered(pages, write));
+        out.push(WarpAccess::scattered(pages, header & 0x80 != 0));
     }
     Ok(out)
+}
+
+/// Consumes the first `N` bytes of `buf`, or returns `None` if fewer
+/// remain.
+fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>()?;
+    *buf = rest;
+    Some(*head)
 }
 
 #[cfg(test)]
@@ -142,9 +140,27 @@ mod tests {
         ]
     }
 
+    /// `encode(&sample())`, byte for byte: the format is a contract with
+    /// traces recorded earlier.
+    const SAMPLE_BYTES: [u8; 318] = [
+        71, 77, 84, 84, 82, 65, 67, 69, 1, 0, 4, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0,
+        129, 255, 255, 255, 255, 255, 255, 255, 255, 3, 5, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0,
+        0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 160, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0,
+        0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 6,
+        0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0,
+        0, 10, 0, 0, 0, 0, 0, 0, 0, 11, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0, 13, 0, 0, 0,
+        0, 0, 0, 0, 14, 0, 0, 0, 0, 0, 0, 0, 15, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0, 17,
+        0, 0, 0, 0, 0, 0, 0, 18, 0, 0, 0, 0, 0, 0, 0, 19, 0, 0, 0, 0, 0, 0, 0, 20, 0, 0, 0, 0, 0,
+        0, 0, 21, 0, 0, 0, 0, 0, 0, 0, 22, 0, 0, 0, 0, 0, 0, 0, 23, 0, 0, 0, 0, 0, 0, 0, 24, 0, 0,
+        0, 0, 0, 0, 0, 25, 0, 0, 0, 0, 0, 0, 0, 26, 0, 0, 0, 0, 0, 0, 0, 27, 0, 0, 0, 0, 0, 0, 0,
+        28, 0, 0, 0, 0, 0, 0, 0, 29, 0, 0, 0, 0, 0, 0, 0, 30, 0, 0, 0, 0, 0, 0, 0, 31, 0, 0, 0, 0,
+        0, 0, 0,
+    ];
+
     #[test]
     fn roundtrip_preserves_everything() {
         let t = sample();
+        assert_eq!(encode(&t), SAMPLE_BYTES);
         assert_eq!(decode(&encode(&t)).unwrap(), t);
     }
 
@@ -156,7 +172,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut b = encode(&sample()).to_vec();
+        let mut b = encode(&sample());
         b[0] = b'X';
         assert_eq!(decode(&b), Err(DecodeTraceError::BadMagic));
         assert_eq!(decode(&[]), Err(DecodeTraceError::BadMagic));
@@ -164,7 +180,7 @@ mod tests {
 
     #[test]
     fn unsupported_version_rejected() {
-        let mut b = encode(&sample()).to_vec();
+        let mut b = encode(&sample());
         b[8] = 9;
         assert_eq!(decode(&b), Err(DecodeTraceError::UnsupportedVersion(9)));
     }
@@ -179,11 +195,15 @@ mod tests {
                 "cut {cut}"
             );
         }
+        // A header that declares more accesses than any body could hold.
+        let mut huge = b[..10].to_vec();
+        huge.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(decode(&huge), Err(DecodeTraceError::Truncated));
     }
 
     #[test]
     fn zero_page_access_rejected() {
-        let mut b = encode(&[WarpAccess::read(PageId(1))]).to_vec();
+        let mut b = encode(&[WarpAccess::read(PageId(1))]);
         b[18] &= 0x80; // clear the page count
         assert_eq!(decode(&b), Err(DecodeTraceError::EmptyAccess));
     }

@@ -43,7 +43,7 @@ proptest! {
         index in any::<prop::sample::Index>(),
         byte in any::<u8>(),
     ) {
-        let mut bytes = trace::encode(&accesses).to_vec();
+        let mut bytes = trace::encode(&accesses);
         let i = index.index(bytes.len());
         bytes[i] = byte;
         let _ = trace::decode(&bytes);

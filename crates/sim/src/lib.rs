@@ -8,7 +8,7 @@
 //!   model DMA engines, SSD channels and PCIe links,
 //! * [`Zipf`] — the skewed access generator used by the paper's transfer
 //!   micro-benchmark (Fig. 6b),
-//! * [`stats`] — counters and log-bucketed histograms for experiment output,
+//! * [`stats`] — log-bucketed histograms for experiment output,
 //! * [`rng`] — deterministic, seedable random number helpers.
 //!
 //! # Examples

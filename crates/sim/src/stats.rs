@@ -1,48 +1,4 @@
-//! Counters and histograms for collecting experiment metrics.
-
-use std::fmt;
-
-/// A saturating event counter.
-///
-/// # Examples
-///
-/// ```
-/// use gmt_sim::stats::Counter;
-/// let mut hits = Counter::default();
-/// hits.add(3);
-/// hits.incr();
-/// assert_eq!(hits.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Adds `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Adds one event.
-    pub fn incr(&mut self) {
-        self.add(1);
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
+//! Log-bucketed histograms for collecting experiment metrics.
 
 /// A log2-bucketed histogram of `u64` values.
 ///
@@ -175,80 +131,9 @@ impl Histogram {
     }
 }
 
-/// Streaming mean/min/max summary of `f64` observations.
-///
-/// # Examples
-///
-/// ```
-/// use gmt_sim::stats::Summary;
-/// let mut s = Summary::new();
-/// s.observe(1.0);
-/// s.observe(3.0);
-/// assert_eq!(s.mean(), 2.0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Summary {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest observation, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter::new();
-        c.add(u64::MAX);
-        c.incr();
-        assert_eq!(c.get(), u64::MAX);
-    }
 
     #[test]
     fn histogram_bucketing() {
@@ -296,17 +181,5 @@ mod tests {
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
         assert_eq!(h.fraction_below(100), 0.0);
-    }
-
-    #[test]
-    fn summary_tracks_extremes() {
-        let mut s = Summary::new();
-        for v in [3.0, -1.0, 10.0] {
-            s.observe(v);
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.mean(), 4.0);
-        assert_eq!(s.min(), Some(-1.0));
-        assert_eq!(s.max(), Some(10.0));
     }
 }

@@ -31,7 +31,6 @@
 
 pub mod backprop;
 pub mod bfs;
-pub mod compose;
 pub mod hotspot;
 pub mod kron;
 pub mod lavamd;
@@ -45,7 +44,6 @@ pub mod synthetic;
 mod scale;
 mod util;
 
-pub use compose::Shifted;
 pub use scale::WorkloadScale;
 
 use gmt_mem::WarpAccess;

@@ -13,7 +13,7 @@
 use gmt::analysis::runner::geometry_for;
 use gmt::analysis::table::{fmt_ratio, Table};
 use gmt::baselines::{Bam, BamConfig};
-use gmt::core::GmtBuilder;
+use gmt::core::{Gmt, GmtConfig};
 use gmt::gpu::{Executor, ExecutorConfig};
 use gmt::workloads::{srad::Srad, Workload, WorkloadScale};
 
@@ -36,7 +36,10 @@ fn main() {
             trace.iter().cloned(),
         );
         let gmt = exec.run(
-            GmtBuilder::new(geometry).ssd_devices(devices).build(),
+            Gmt::new(GmtConfig {
+                ssd_devices: devices,
+                ..GmtConfig::new(geometry)
+            }),
             trace.iter().cloned(),
         );
         let bam_speed = baseline.elapsed.as_secs_f64() / bam.elapsed.as_secs_f64();

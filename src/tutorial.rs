@@ -32,21 +32,25 @@
 //!
 //! # 2. Configuring the runtime
 //!
-//! [`crate::core::GmtBuilder`] exposes every knob; the defaults are the
-//! paper's published configuration (GMT-Reuse, Hybrid-32T transfers,
-//! 80 % bypass threshold, demand-only movement):
+//! [`crate::core::GmtConfig`] holds every knob as a public field;
+//! [`GmtConfig::new`](crate::core::GmtConfig::new) fills in the paper's
+//! published configuration (GMT-Reuse, Hybrid-32T transfers, 80 % bypass
+//! threshold, demand-only movement), and
+//! [`GmtConfig::validate`](crate::core::GmtConfig::validate) reports a
+//! degenerate setting as a typed error before [`crate::core::Gmt::new`]
+//! would panic on it:
 //!
 //! ```
-//! use gmt::core::{GmtBuilder, MarkovScope, PolicyKind};
+//! use gmt::core::{Gmt, GmtConfig, MarkovScope, PolicyKind};
 //! use gmt::mem::TierGeometry;
 //!
-//! let mut builder = GmtBuilder::new(TierGeometry::from_tier1(64, 4.0, 2.0));
-//! builder
-//!     .policy(PolicyKind::Reuse)
-//!     .markov_scope(MarkovScope::PerPage) // ablation variant
-//!     .prefetch_degree(4)                 // extension, default off
-//!     .ssd_devices(2);                    // striped Tier-3
-//! let gmt = builder.build();
+//! let mut config = GmtConfig::new(TierGeometry::from_tier1(64, 4.0, 2.0));
+//! config.policy = PolicyKind::Reuse;
+//! config.reuse.markov_scope = MarkovScope::PerPage; // ablation variant
+//! config.prefetch_degree = 4; // extension, default off
+//! config.ssd_devices = 2; // striped Tier-3
+//! config.validate().expect("a well-formed configuration");
+//! let gmt = Gmt::new(config);
 //! assert_eq!(gmt.config().ssd_devices, 2);
 //! ```
 //!
