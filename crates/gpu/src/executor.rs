@@ -180,8 +180,11 @@ impl Executor {
         let mut accesses = 0u64;
         let mut horizon = Time::ZERO;
         for (arrival, access) in trace {
-            let Reverse(ready) = warps.pop().expect("warp heap is never empty");
-            let issue = ready.max(arrival);
+            // The earliest-free warp issues the access and is then busy
+            // until `next_issue`. Warps carry no identity, so its heap
+            // entry is rewritten in place rather than popped and pushed.
+            let mut warp = warps.peek_mut().expect("warp heap is never empty");
+            let issue = warp.0.max(arrival);
             if self.trace.is_enabled() {
                 if let Some(page) = access.pages.iter().next() {
                     self.trace.emit(
@@ -196,7 +199,7 @@ impl Executor {
             let data_ready = backend.access(issue, &access);
             let next_issue = data_ready + self.config.compute_per_access;
             horizon = horizon.max(next_issue);
-            warps.push(Reverse(next_issue));
+            *warp = Reverse(next_issue);
             accesses += 1;
         }
         let done = backend.finish(horizon);

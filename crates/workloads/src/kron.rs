@@ -7,9 +7,17 @@
 //! and edge accesses map to page accesses the way the BaM-modified
 //! applications see them.
 
+use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::thread;
 
-use rand::Rng;
+use rand::{Rng, RngCore};
+
+/// Fewest edges worth a thread of their own when building a graph. A
+/// build uses one part per core, but never so many that a part draws
+/// fewer edges than this, so graphs below scale 16 (at edge factor 16)
+/// are built by one thread.
+const MIN_PART_EDGES: usize = 1 << 20;
 
 /// RMAT generation parameters (defaults are GAP-Kron's).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,6 +61,17 @@ impl KronConfig {
     }
 }
 
+/// `2^scale × edge_factor`.
+///
+/// # Panics
+///
+/// Panics if the count does not fit the `u32` CSR offsets.
+fn edge_count(config: &KronConfig) -> usize {
+    1u32.checked_shl(config.scale)
+        .and_then(|vertices| vertices.checked_mul(config.edge_factor))
+        .expect("edge count too large for u32 CSR offsets") as usize
+}
+
 /// A directed graph in CSR form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KronGraph {
@@ -67,16 +86,26 @@ pub struct KronGraph {
 impl KronGraph {
     /// Generates an RMAT graph.
     ///
+    /// The build is split over the cores the process may run on, in
+    /// parts of at least 2^20 edges, and yields the same graph on any
+    /// core count.
+    ///
     /// # Panics
     ///
     /// Panics if the edge count `2^scale × edge_factor` exceeds
     /// `u32::MAX` (the CSR offsets are `u32`) or the probabilities are not
     /// a sub-distribution. Both checks run before anything is allocated.
     pub fn generate(config: KronConfig, seed: u64) -> KronGraph {
-        let edges = 1u32
-            .checked_shl(config.scale)
-            .and_then(|vertices| vertices.checked_mul(config.edge_factor))
-            .expect("edge count too large for u32 CSR offsets") as usize;
+        let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let parts = cores.min(edge_count(&config) / MIN_PART_EDGES).max(1);
+        KronGraph::generate_in_parts(config, seed, parts)
+    }
+
+    /// [`KronGraph::generate`] split into `parts` threads, each drawing a
+    /// contiguous run of edges and then placing the edges of a contiguous
+    /// vertex range. The part count never changes the graph.
+    pub(crate) fn generate_in_parts(config: KronConfig, seed: u64, parts: usize) -> KronGraph {
+        let edges = edge_count(&config);
         let (a, b, c) = (config.a, config.b, config.c);
         assert!(
             a >= 0.0 && b >= 0.0 && c >= 0.0 && a + b + c <= 1.0,
@@ -93,41 +122,84 @@ impl KronGraph {
             map
         });
         // One draw per level picks a quadrant: [0, a) top-left, [a, ab)
-        // top-right, [ab, abc) bottom-left, the rest bottom-right. The
-        // draws are close to random, so the bits are computed without
+        // top-right, [ab, abc) bottom-left, the rest bottom-right. A draw
+        // is r = m / 2^53 for the top 53 bits m of one output, so r < t
+        // exactly when m < ceil(t · 2^53): the comparisons run on integers.
+        // The draws are close to random, so the bits are computed without
         // branches rather than through a mispredicted four-way chain.
-        let (ab, abc) = (a + b, a + b + c);
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(edges);
-        for _ in 0..edges {
-            let (mut src, mut dst) = (0u32, 0u32);
-            for _ in 0..config.scale {
-                let r: f64 = rng.gen();
-                let src_bit = r >= ab;
-                let dst_bit = (a <= r) & (r < ab) | (r >= abc);
-                src = (src << 1) | src_bit as u32;
-                dst = (dst << 1) | dst_bit as u32;
+        let threshold = |t: f64| (t * (1u64 << 53) as f64).ceil() as u64;
+        let (ta, tab, tabc) = (threshold(a), threshold(a + b), threshold(a + b + c));
+        let per_part = edges.div_ceil(parts).max(1);
+        let mut pairs = vec![(0u32, 0u32); edges];
+        thread::scope(|s| {
+            for (k, part) in pairs.chunks_mut(per_part).enumerate() {
+                // Each part starts where the serial stream would reach its
+                // first edge: `scale` draws per edge after the shuffle.
+                let mut rng = rng.clone();
+                let relabel = relabel.as_deref();
+                s.spawn(move || {
+                    rng.advance((k * per_part) as u64 * u64::from(config.scale));
+                    for pair in part {
+                        let (mut src, mut dst) = (0u32, 0u32);
+                        for _ in 0..config.scale {
+                            let m = rng.next_u64() >> 11;
+                            let dst_bit = (m >= ta) ^ (m >= tab) ^ (m >= tabc);
+                            src = (src << 1) | u32::from(m >= tab);
+                            dst = (dst << 1) | u32::from(dst_bit);
+                        }
+                        *pair = match relabel {
+                            Some(map) => (map[src as usize], map[dst as usize]),
+                            None => (src, dst),
+                        };
+                    }
+                });
             }
-            match &relabel {
-                Some(map) => pairs.push((map[src as usize], map[dst as usize])),
-                None => pairs.push((src, dst)),
-            }
-        }
-        // Counting-sort into CSR.
-        let mut degree = vec![0u32; vertices as usize + 1];
+        });
+        // Counting-sort into CSR. The count is one pass over the pairs;
+        // placement, the costlier pass, is split into contiguous vertex
+        // ranges of about `edges / parts` edges each (RMAT degree is
+        // skewed). Each part owns its vertices' slots, scans every pair in
+        // order and places only its own, so per-vertex order is
+        // generation order whatever the part count. Placing an edge
+        // advances its source's offset, which leaves `offsets[v]` where
+        // `v + 1` starts; one shift then restores the row starts.
+        let mut offsets = vec![0u32; vertices as usize + 1];
         for &(src, _) in &pairs {
-            degree[src as usize + 1] += 1;
+            offsets[src as usize + 1] += 1;
         }
-        let mut offsets = degree;
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
-        let mut cursor = offsets.clone();
         let mut targets = vec![0u32; edges];
-        for &(src, dst) in &pairs {
-            let slot = cursor[src as usize] as usize;
-            targets[slot] = dst;
-            cursor[src as usize] += 1;
-        }
+        thread::scope(|s| {
+            let mut cursors = &mut offsets[..vertices as usize];
+            let mut slots = targets.as_mut_slice();
+            let (mut first, mut placed) = (0, 0);
+            for k in 1..=parts {
+                let len = if k == parts {
+                    cursors.len()
+                } else {
+                    cursors.partition_point(|&o| (o as usize) < k * edges / parts)
+                };
+                let (cursor, rest) = cursors.split_at_mut(len);
+                cursors = rest;
+                let end = cursors.first().map_or(edges, |&o| o as usize);
+                let (mine, rest) = slots.split_at_mut(end - placed);
+                slots = rest;
+                let (pairs, base) = (&pairs, placed);
+                s.spawn(move || {
+                    for &(src, dst) in pairs {
+                        if let Some(c) = cursor.get_mut((src as usize).wrapping_sub(first)) {
+                            mine[*c as usize - base] = dst;
+                            *c += 1;
+                        }
+                    }
+                });
+                (first, placed) = (first + len, end);
+            }
+        });
+        offsets.copy_within(..vertices as usize, 1);
+        offsets[0] = 0;
         KronGraph {
             vertices,
             offsets,
@@ -319,6 +391,20 @@ mod tests {
             KronGraph::generate(KronConfig::gap(10), 1).targets,
             KronGraph::generate(KronConfig::gap(10), 2).targets
         );
+    }
+
+    #[test]
+    fn part_count_never_changes_the_graph() {
+        for (config, seed) in [(KronConfig::gap(12), 5), (KronConfig::gap_permuted(12), 3)] {
+            let whole = KronGraph::generate(config, seed);
+            for parts in [1, 2, 3, 7] {
+                assert_eq!(
+                    KronGraph::generate_in_parts(config, seed, parts),
+                    whole,
+                    "{config:?} seed {seed} in {parts} parts"
+                );
+            }
+        }
     }
 
     #[test]

@@ -67,6 +67,8 @@ impl Workload for PageRank {
         self.layout.total_pages()
     }
 
+    /// Every iteration touches the same pages in the same order, so one
+    /// is built and then repeated; the seed plays no part.
     fn trace(&self, _seed: u64) -> Vec<WarpAccess> {
         let g = &self.graph;
         let layout = &self.layout;
@@ -76,28 +78,30 @@ impl Workload for PageRank {
         let mut rank_reads = PageList::new(pages);
         let mut own_ranks = PageList::new(pages);
         let mut out = Vec::new();
-        for _ in 0..self.iterations {
-            for first in (0..g.vertices).step_by(32) {
-                let chunk = first..g.vertices.min(first + 32);
-                for v in chunk.clone() {
-                    offset_pages.push(PageId(layout.offset_page(v)));
-                }
-                offset_pages.emit(&mut out, false);
-                for v in chunk.clone() {
-                    for page in layout.edge_pages(g.edge_range(v)) {
-                        edge_pages.push(PageId(page));
-                    }
-                    for &u in g.neighbors(v) {
-                        rank_reads.push(PageId(layout.value_page(u)));
-                    }
-                }
-                edge_pages.emit(&mut out, false);
-                rank_reads.emit(&mut out, false);
-                for v in chunk {
-                    own_ranks.push(PageId(layout.value_page(v)));
-                }
-                own_ranks.emit(&mut out, true);
+        for first in (0..g.vertices).step_by(32) {
+            let chunk = first..g.vertices.min(first + 32);
+            for v in chunk.clone() {
+                offset_pages.push(PageId(layout.offset_page(v)));
             }
+            offset_pages.emit(&mut out, false);
+            // The chunk's edges are one contiguous run of `targets`.
+            let edges = g.edge_range(chunk.start).start..g.edge_range(chunk.end - 1).end;
+            for page in layout.edge_pages(edges.clone()) {
+                edge_pages.push(PageId(page));
+            }
+            edge_pages.emit(&mut out, false);
+            for &u in &g.targets[edges.start as usize..edges.end as usize] {
+                rank_reads.push(PageId(layout.value_page(u)));
+            }
+            rank_reads.emit(&mut out, false);
+            for v in chunk {
+                own_ranks.push(PageId(layout.value_page(v)));
+            }
+            own_ranks.emit(&mut out, true);
+        }
+        let iteration = out.len();
+        for _ in 1..self.iterations {
+            out.extend_from_within(..iteration);
         }
         out
     }

@@ -18,11 +18,15 @@ use gmt_workloads::pagerank::PageRank;
 use gmt_workloads::sssp::Sssp;
 use gmt_workloads::Workload;
 
-/// `(graph, offsets FNV-1a, targets FNV-1a)`.
+/// `(graph, offsets FNV-1a, targets FNV-1a)`. The scale-18 graphs have
+/// 2^22 edges, enough to be built in parallel parts on a multi-core host;
+/// run under `taskset -c 0` this test pins the one-part build as well.
 #[rustfmt::skip]
-const GRAPHS: [(&str, u64, u64); 2] = [
+const GRAPHS: [(&str, u64, u64); 4] = [
     ("gap(12) seed 5", 0x7ef3f0bb855b7067, 0x46f734fedcd97c60),
     ("gap_permuted(12) seed 3", 0xd6cd7848dd6fdfd0, 0x30ed0c8102046708),
+    ("gap(18) seed 7", 0x2b2e5efc57c66410, 0xb38966e35b3d4980),
+    ("gap_permuted(18) seed 11", 0x82e505a6e94e9430, 0xa22c4c3d56dbb2a8),
 ];
 
 /// `(trace, FNV-1a of every access's write flag, page count and page ids, accesses)`.
@@ -73,6 +77,8 @@ fn kron_graphs_match_golden() {
     let actual = [
         graph(KronConfig::gap(12), 5),
         graph(KronConfig::gap_permuted(12), 3),
+        graph(KronConfig::gap(18), 7),
+        graph(KronConfig::gap_permuted(18), 11),
     ];
     let mut mismatched = false;
     for ((name, offsets, targets), g) in GRAPHS.iter().zip(&actual) {
