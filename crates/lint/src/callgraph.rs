@@ -31,8 +31,6 @@ pub struct FnInfo<'a> {
     pub self_ty: Option<String>,
     /// Whether the fn sits inside `#[cfg(test)]`/`#[test]` code.
     pub in_test: bool,
-    /// Whether the receiver is `&mut self` or `mut self`.
-    pub receiver_mut: bool,
 }
 
 /// Names that never form call edges: constructors and std-prelude
@@ -67,7 +65,7 @@ impl<'a> CallGraph<'a> {
             }
             let mask = test_mask(&file.lexed.tokens);
             for item in &file.ast.items {
-                collect_fns(&mut cg, fi, file, item, None, &mask);
+                collect_fns(&mut cg, fi, item, None, &mask);
             }
         }
         for id in 0..cg.fns.len() {
@@ -129,7 +127,6 @@ impl<'a> CallGraph<'a> {
 fn collect_fns<'a>(
     cg: &mut CallGraph<'a>,
     file_idx: usize,
-    file: &'a AnalyzedFile,
     item: &'a Item,
     self_ty: Option<&str>,
     mask: &[bool],
@@ -141,7 +138,6 @@ fn collect_fns<'a>(
                 item: f,
                 self_ty: self_ty.map(str::to_string),
                 in_test: mask.get(f.name_tok).copied().unwrap_or(false),
-                receiver_mut: f.has_receiver && receiver_is_mut(file, item, f),
             });
         }
         ItemKind::Impl(imp) => {
@@ -151,43 +147,16 @@ fn collect_fns<'a>(
                 Some(imp.self_ty.as_str())
             };
             for inner in &imp.items {
-                collect_fns(cg, file_idx, file, inner, ty, mask);
+                collect_fns(cg, file_idx, inner, ty, mask);
             }
         }
         ItemKind::Mod(m) => {
             for inner in &m.items {
-                collect_fns(cg, file_idx, file, inner, self_ty, mask);
+                collect_fns(cg, file_idx, inner, self_ty, mask);
             }
         }
         _ => {}
     }
-}
-
-/// Whether a method's receiver is `&mut self` or `mut self`: scans the
-/// parameter list tokens (from the name to the body/`;`) for a `self`
-/// directly preceded by `mut`.
-fn receiver_is_mut(file: &AnalyzedFile, item: &Item, f: &FnItem) -> bool {
-    let toks = &file.lexed.tokens;
-    let end = f
-        .body
-        .as_ref()
-        .map_or(item.span.hi, |b| b.span.lo)
-        .min(toks.len());
-    let mut depth = 0usize;
-    for i in f.name_tok..end {
-        let t = &toks[i];
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            if depth == 1 {
-                break;
-            }
-            depth = depth.saturating_sub(1);
-        } else if depth == 1 && t.is_ident("self") {
-            return i > 0 && toks[i - 1].is_ident("mut");
-        }
-    }
-    false
 }
 
 /// Every bare call name in `f`'s body: `Call` path last segments and
@@ -296,19 +265,5 @@ mod tests {
             !hot[only_tests],
             "the test-module access must not make only_tests hot"
         );
-    }
-
-    #[test]
-    fn receiver_mutability_is_detected() {
-        let f = analyze(
-            "struct S;\nimpl S {\n  fn a(&mut self) {}\n  fn b(&self) {}\n  fn c(mut self) {}\n  fn d(x: u32) -> u32 { x }\n}",
-        );
-        let files = [f];
-        let cg = CallGraph::build(&files);
-        let by = |n: &str| &cg.fns[cg.named(n)[0]];
-        assert!(by("a").receiver_mut);
-        assert!(!by("b").receiver_mut);
-        assert!(by("c").receiver_mut);
-        assert!(!by("d").receiver_mut);
     }
 }

@@ -9,7 +9,7 @@
 //! 3. per file: token rules (D1/D2/D3/P1/M1), S1 on crate roots, and
 //!    the U1 unit-dimension walker (which needs the global fn table),
 //! 4. workspace-wide C1 config-coverage and T1 trace-schema checks,
-//! 5. the flow-sensitive families (N1/A1/G1) over the call graph and
+//! 5. the call-graph families (N1/A1/G1/R2/O1) over the call graph and
 //!    per-function CFGs ([`crate::flow`]).
 //!
 //! Every rule pass is individually timed; `--timings` surfaces the
@@ -23,7 +23,7 @@ use std::time::Duration;
 use std::time::Instant; // gmt-lint: allow(D1): host-side lint timing, not simulation.
 
 use crate::diag::{Finding, Level, Report};
-use crate::flow::{check_flow_rules, ShardReport};
+use crate::flow::check_flow_rules;
 use crate::rules::{
     check_config_coverage, check_d1, check_d2, check_d3, check_m1, check_p1, check_trace_schema,
     check_unit_dimensions, has_forbid_unsafe, test_mask, Config, FileContext, Findings, TargetKind,
@@ -208,15 +208,13 @@ pub fn apply_overlay(base: &[AnalyzedFile], overlay: &Overlay) -> Vec<AnalyzedFi
         .collect()
 }
 
-/// Everything one workspace run produces: the report, the per-rule
-/// timings and the shard-readiness inventory.
+/// Everything one workspace run produces: the report and the per-rule
+/// timings.
 pub struct LintRun {
     /// The sorted findings and counters.
     pub report: Report,
     /// Per-rule wall-time attribution (`--timings`).
     pub timings: Timings,
-    /// The G1 sharding-readiness inventory (`--shard-report`).
-    pub shard: ShardReport,
 }
 
 /// Lints a pre-loaded set of files as one workspace.
@@ -245,11 +243,7 @@ pub fn lint_files(files: &[AnalyzedFile], config: &Config) -> LintRun {
         bump(&mut timings, name, d);
     }
     sort_findings(&mut report.findings);
-    LintRun {
-        report,
-        timings,
-        shard: flow.shard,
-    }
+    LintRun { report, timings }
 }
 
 /// Lints the whole workspace rooted at `root`.
@@ -351,8 +345,7 @@ mod tests {
         let timings = lint_files(&files, &config).timings;
         let names: Vec<&str> = timings.iter().map(|(n, _)| *n).collect();
         for expected in [
-            "D1", "D2", "D3", "P1", "M1", "U1", "S1", "C1", "T1", "N1", "A1", "G1", "R1", "R2",
-            "O1",
+            "D1", "D2", "D3", "P1", "M1", "U1", "S1", "C1", "T1", "N1", "A1", "G1", "R2", "O1",
         ] {
             assert!(names.contains(&expected), "missing {expected}: {names:?}");
         }

@@ -1,6 +1,7 @@
 //! The flow-sensitive rule families: N1 nondeterminism-taint, A1
-//! alloc-in-hot-loop, and G1 shard-safety, built on [`crate::cfg`],
-//! [`crate::dataflow`] and [`crate::callgraph`].
+//! alloc-in-hot-loop, G1 shard-safety and R2 interior-mutability-in-
+//! model, built on [`crate::cfg`], [`crate::dataflow`] and
+//! [`crate::callgraph`]. O1 lives in [`crate::order`].
 //!
 //! # N1 — nondeterminism taint
 //!
@@ -28,17 +29,15 @@
 //! `run_arrivals` — only their internal loops are hot). Inside hot
 //! loops, `Vec::new`, `Box::new`, `with_capacity`, `clone()`,
 //! `collect()`, `format!` and `vec!` are flagged: this is allocation
-//! churn the ROADMAP item-1 arena refactor exists to remove.
+//! churn a reused scratch buffer or arena removes.
 //!
-//! # G1 — shard-safety inventory
+//! # G1 — shard-safety
 //!
-//! Every `static`, every `Rc`/`RefCell`/`Cell`/`UnsafeCell` field and
-//! every `&mut self` method on a type touched by the hot path is
-//! catalogued into a machine-readable sharding-readiness report (the
-//! worklist for the deferred sharded DES). `static mut`,
-//! `thread_local!` and interior-mutability fields on hot types are
-//! deny findings; `Arc`/`Mutex`-style sync state and `&mut self`
-//! methods are report-only inventory.
+//! Denies mutable state that no component explicitly owns: `static mut`
+//! and `thread_local!` in runtime code, and `Rc`/`RefCell`/`Cell`/
+//! `UnsafeCell` fields on the *hot types* (types touched by the hot
+//! path). Interior cells on cold types, and `Arc`/`Mutex`-style sync
+//! fields anywhere, are R2's domain.
 //!
 //! Known approximations, all conservative for their consumers: macro
 //! bodies are opaque to N1 (D2/D3 still cover them syntactically),
@@ -46,7 +45,6 @@
 //! resolve by bare name (joining all candidates).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Duration;
 use std::time::Instant; // gmt-lint: allow(D1): host-side lint timing, not simulation.
 
@@ -54,7 +52,7 @@ use crate::ast::{Block, Expr, ExprKind, StmtKind};
 use crate::callgraph::{CallGraph, FnId};
 use crate::cfg::{build_cfg, Cfg, Node};
 use crate::dataflow::{replay, solve, Analysis};
-use crate::diag::{json_str, Finding, Level};
+use crate::diag::{Finding, Level};
 use crate::lexer::{TokKind, Token};
 use crate::rules::{test_mask, Config, FileContext, Findings, TargetKind};
 use crate::symbols::{AnalyzedFile, Symbols};
@@ -731,12 +729,10 @@ impl<'a> Analysis<'a> for TaintAnalysis<'a> {
 
 /// Everything the flow rules compute in one pass.
 pub struct FlowOutput {
-    /// Surviving N1/A1/G1/R1/R2/O1 findings.
+    /// Surviving N1/A1/G1/R2/O1 findings.
     pub findings: Vec<Finding>,
     /// Findings silenced by suppressions.
     pub suppressed: usize,
-    /// The G1 sharding-readiness inventory.
-    pub shard: ShardReport,
     /// Wall time per rule family, for `--timings`.
     pub timings: Vec<(&'static str, Duration)>,
 }
@@ -935,121 +931,8 @@ fn a1_walk_block(b: &Block, toks: &[Token], depth: u32, out: &mut Vec<AllocHit>)
 }
 
 // --------------------------------------------------------------------------
-// G1 — shard-safety inventory.
+// G1 and R2 — shared mutable state.
 // --------------------------------------------------------------------------
-
-/// One entry in the sharding-readiness report.
-#[derive(Debug, Clone)]
-pub struct ShardEntry {
-    /// Workspace-relative file path (with `/` separators).
-    pub file: String,
-    /// `static-mut` | `thread-local` | `static` | `interior-mut-field`
-    /// | `sync-field` | `mut-self-method`.
-    pub kind: &'static str,
-    /// Owning type (`-` for free statics).
-    pub type_name: String,
-    /// Field, fn or static name.
-    pub member: String,
-    /// `deny` (blocks sharding) or `report` (inventory only).
-    pub classification: &'static str,
-    /// Whether the member is on the hot (event-loop-reachable) path.
-    pub hot: bool,
-}
-
-/// The machine-readable G1 report for the deferred sharded DES. Schema
-/// v2 added the field-level escape classification and the R1 merge-point
-/// proof obligations; v3 drops line numbers, so the report changes only
-/// when an escape class or a proof obligation does.
-#[derive(Debug, Default)]
-pub struct ShardReport {
-    /// Hot-root function labels (`crate::fn`), deduplicated.
-    pub roots: Vec<String>,
-    /// Number of functions in the hot call-graph closure.
-    pub hot_fns: usize,
-    /// Inventory entries, sorted by (file, type, member, kind).
-    pub entries: Vec<ShardEntry>,
-    /// Field-level escape classification of the hot-type closure.
-    pub fields: Vec<crate::escape::FieldClassEntry>,
-    /// Merge-point proof obligations for every shared cell.
-    pub obligations: Vec<crate::order::Obligation>,
-}
-
-impl ShardReport {
-    /// Renders the report as a deterministic JSON document.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"gmt-shard-readiness/3\",\"roots\":[");
-        for (i, r) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(r));
-        }
-        let _ = write!(out, "],\"hot_fns\":{},\"entries\":[", self.hot_fns);
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"file\":{},\"kind\":{},\"type\":{},\"member\":{},\
-                 \"classification\":{},\"hot\":{}}}",
-                json_str(&e.file),
-                json_str(e.kind),
-                json_str(&e.type_name),
-                json_str(&e.member),
-                json_str(e.classification),
-                e.hot,
-            );
-        }
-        out.push_str("],\"fields\":[");
-        for (i, f) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"file\":{},\"struct\":{},\"field\":{},\"class\":{},\
-                 \"via\":{},\"direct\":{},\"hot\":{}}}",
-                json_str(&f.file),
-                json_str(&f.struct_name),
-                json_str(&f.field),
-                json_str(f.class.label()),
-                json_str(&f.via),
-                f.direct,
-                f.hot,
-            );
-        }
-        out.push_str("],\"obligations\":[");
-        for (i, o) in self.obligations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"struct\":{},\"field\":{},\"proven\":{},\"mutators\":[",
-                json_str(&o.struct_name),
-                json_str(&o.field),
-                o.proven,
-            );
-            for (j, m) in o.mutators.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_str(m));
-            }
-            out.push_str("],\"unsanctioned\":[");
-            for (j, u) in o.unsanctioned.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_str(u));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
-}
 
 /// Crates R2 polices: the simulation model plus its summarizers —
 /// everything whose state the sharded DES will have to partition.
@@ -1083,21 +966,19 @@ fn ty_sync_shared(ty: &[String]) -> bool {
 // The workspace entry point.
 // --------------------------------------------------------------------------
 
-/// Runs N1, A1, G1, R1, R2 and O1 over the analyzed workspace.
+/// Runs N1, A1, G1, R2 and O1 over the analyzed workspace.
 pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config) -> FlowOutput {
     let mut out = FlowOutput {
         findings: Vec::new(),
         suppressed: 0,
-        shard: ShardReport::default(),
         timings: Vec::new(),
     };
     let n1 = config.level("N1") != Level::Allow;
     let a1 = config.level("A1") != Level::Allow;
     let g1 = config.level("G1") != Level::Allow;
-    let r1 = config.level("R1") != Level::Allow;
     let r2 = config.level("R2") != Level::Allow;
     let o1 = config.level("O1") != Level::Allow;
-    if !n1 && !a1 && !g1 && !r1 && !r2 && !o1 {
+    if !n1 && !a1 && !g1 && !r2 && !o1 {
         return out;
     }
 
@@ -1244,8 +1125,7 @@ pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config)
                     tok,
                     format!(
                         "allocation `{}` in the {where_} of `{}` (call-graph-reachable \
-                         from the DES roots); hoist into a reused scratch buffer or arena \
-                         (ROADMAP item 1)",
+                         from the DES roots); hoist into a reused scratch buffer or arena",
                         hit.what, info.item.name
                     ),
                 );
@@ -1257,10 +1137,10 @@ pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config)
     }
 
     // Hot types: receivers of hot methods, plus type names mentioned by
-    // hot functions' signatures and bodies. Shared by G1's deny logic,
-    // the escape classification scope, and R2's hot-exclusion.
+    // hot functions' signatures and bodies. Shared by G1's deny logic
+    // and R2's hot-exclusion.
     let mut hot_types: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-    if g1 || r1 || r2 || o1 {
+    if g1 || r2 {
         for (id, &is_hot) in hot.iter().enumerate() {
             if !is_hot {
                 continue;
@@ -1294,39 +1174,12 @@ pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config)
         }
     }
 
-    // Field-level escape classification of the hot-type closure: feeds
-    // the v2 report and seeds R1's shared-cell set.
-    let esc = if g1 || r1 || o1 {
-        let t = Instant::now();
-        let e = crate::escape::classify_fields(files, syms, &hot_types);
-        out.timings.push(("escape", t.elapsed()));
-        e
-    } else {
-        crate::escape::EscapeOutput::default()
-    };
-
-    // ---- R1: merge-point dominance for shared-cell writes. ----
-    // The obligations are computed whenever the shard report is wanted
-    // (g1), findings only when R1 itself is enabled.
-    if r1 || g1 {
-        let t = Instant::now();
-        let ord =
-            crate::order::check_order(files, syms, &cg, &esc, &roots, &hot, config, r1, false);
-        out.findings.extend(ord.findings);
-        out.suppressed += ord.suppressed;
-        out.shard.obligations = ord.obligations;
-        if r1 {
-            out.timings.push(("R1", t.elapsed()));
-        }
-    }
-
     // ---- O1: order-sensitive float folds. ----
     if o1 {
         let t = Instant::now();
-        let ord =
-            crate::order::check_order(files, syms, &cg, &esc, &roots, &hot, config, false, o1);
-        out.findings.extend(ord.findings);
-        out.suppressed += ord.suppressed;
+        let (findings, suppressed) = crate::order::check_o1(files, syms, &cg, config);
+        out.findings.extend(findings);
+        out.suppressed += suppressed;
         out.timings.push(("O1", t.elapsed()));
     }
 
@@ -1376,29 +1229,10 @@ pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config)
         out.timings.push(("R2", t.elapsed()));
     }
 
-    // ---- G1: shard-safety findings + inventory. ----
+    // ---- G1: shared mutable state on the event-loop path. ----
     if g1 {
         let t = Instant::now();
-        // Root labels for the report header.
-        for &id in &roots {
-            let info = &cg.fns[id];
-            let label = format!(
-                "{}::{}",
-                files[info.file].crate_name,
-                match &info.self_ty {
-                    Some(ty) => format!("{ty}::{}", info.item.name),
-                    None => info.item.name.clone(),
-                }
-            );
-            if !out.shard.roots.contains(&label) {
-                out.shard.roots.push(label);
-            }
-        }
-        out.shard.roots.sort();
-        out.shard.hot_fns = hot.iter().filter(|h| **h).count();
-        out.shard.fields = esc.fields.clone();
-
-        // Statics and thread-locals: a token sweep per runtime file.
+        // `static mut` and thread-locals: a token sweep per runtime file.
         for (fi, file) in files.iter().enumerate() {
             if !matches!(file.target, TargetKind::Lib | TargetKind::Bin) {
                 continue;
@@ -1411,46 +1245,27 @@ pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config)
                     continue;
                 }
                 if tok.text == "static" {
-                    let is_mut = toks.get(i + 1).is_some_and(|t| t.is_ident("mut"));
-                    let name_at = if is_mut { i + 2 } else { i + 1 };
-                    let Some(name_tok) = toks.get(name_at).filter(|t| t.kind == TokKind::Ident)
+                    if !toks.get(i + 1).is_some_and(|t| t.is_ident("mut")) {
+                        continue;
+                    }
+                    let Some(name_tok) = toks.get(i + 2).filter(|t| t.kind == TokKind::Ident)
                     else {
                         continue;
                     };
-                    let kind = if is_mut { "static-mut" } else { "static" };
-                    let classification = if is_mut { "deny" } else { "report" };
-                    out.shard.entries.push(ShardEntry {
-                        file: slash_path(&file.rel),
-                        kind,
-                        type_name: "-".into(),
-                        member: name_tok.text.clone(),
-                        classification,
-                        hot: true,
-                    });
-                    if is_mut {
-                        acc.push(
-                            ctx_of(fi),
-                            config,
-                            "G1",
-                            name_tok,
-                            format!(
-                                "`static mut {}` is unshardable global state; the \
-                                 sharded DES needs per-shard ownership",
-                                name_tok.text
-                            ),
-                        );
-                    }
+                    acc.push(
+                        ctx_of(fi),
+                        config,
+                        "G1",
+                        name_tok,
+                        format!(
+                            "`static mut {}` is unshardable global state; the \
+                             sharded DES needs per-shard ownership",
+                            name_tok.text
+                        ),
+                    );
                 } else if tok.text == "thread_local"
                     && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
                 {
-                    out.shard.entries.push(ShardEntry {
-                        file: slash_path(&file.rel),
-                        kind: "thread-local",
-                        type_name: "-".into(),
-                        member: "thread_local!".into(),
-                        classification: "deny",
-                        hot: true,
-                    });
                     acc.push(
                         ctx_of(fi),
                         config,
@@ -1466,82 +1281,39 @@ pub fn check_flow_rules(files: &[AnalyzedFile], syms: &Symbols, config: &Config)
             out.suppressed += acc.suppressed;
         }
 
-        // Interior-mutability and sync-shared fields, from the symbol
-        // table; deny only on hot types.
+        // Interior-mutability fields on hot types, from the symbol table.
         for (sname, info) in &syms.structs {
             let file = &files[info.file];
-            if !matches!(file.target, TargetKind::Lib | TargetKind::Bin) {
+            if !matches!(file.target, TargetKind::Lib | TargetKind::Bin)
+                || !hot_types.contains(sname.as_str())
+            {
                 continue;
             }
-            let is_hot = hot_types.contains(sname.as_str());
             let mut acc = Findings::new(&file.lexed.suppressions);
             for field in &info.fields {
-                let interior = ty_interior_mut(&field.ty);
-                let sync = ty_sync_shared(&field.ty);
-                if !interior && !sync {
+                if !ty_interior_mut(&field.ty) {
                     continue;
                 }
                 let Some(name_tok) = file.lexed.tokens.get(field.name_tok) else {
                     continue;
                 };
-                let kind = if interior {
-                    "interior-mut-field"
-                } else {
-                    "sync-field"
-                };
-                let deny = interior && is_hot;
-                out.shard.entries.push(ShardEntry {
-                    file: slash_path(&file.rel),
-                    kind,
-                    type_name: sname.clone(),
-                    member: field.name.clone(),
-                    classification: if deny { "deny" } else { "report" },
-                    hot: is_hot,
-                });
-                if deny {
-                    acc.push(
-                        ctx_of(info.file),
-                        config,
-                        "G1",
-                        name_tok,
-                        format!(
-                            "`{sname}.{}` holds `{}` on the event-loop path; \
-                             single-threaded shared mutability blocks the \
-                             sharded DES — give each shard its own copy or channel",
-                            field.name,
-                            field.ty.join("")
-                        ),
-                    );
-                }
+                acc.push(
+                    ctx_of(info.file),
+                    config,
+                    "G1",
+                    name_tok,
+                    format!(
+                        "`{sname}.{}` holds `{}` on the event-loop path; \
+                         single-threaded shared mutability blocks the \
+                         sharded DES — give each shard its own copy or channel",
+                        field.name,
+                        field.ty.join("")
+                    ),
+                );
             }
             out.findings.append(&mut acc.findings);
             out.suppressed += acc.suppressed;
         }
-
-        // &mut self methods on the hot path: inventory only.
-        for (id, &is_hot) in hot.iter().enumerate() {
-            if !is_hot || !cg.fns[id].receiver_mut {
-                continue;
-            }
-            let info = &cg.fns[id];
-            out.shard.entries.push(ShardEntry {
-                file: slash_path(&files[info.file].rel),
-                kind: "mut-self-method",
-                type_name: info.self_ty.clone().unwrap_or_else(|| "-".into()),
-                member: info.item.name.clone(),
-                classification: "report",
-                hot: true,
-            });
-        }
-
-        out.shard.entries.sort_by(|a, b| {
-            (&a.file, &a.type_name, &a.member, a.kind).cmp(&(
-                &b.file,
-                &b.type_name,
-                &b.member,
-                b.kind,
-            ))
-        });
         out.timings.push(("G1", t.elapsed()));
     }
 

@@ -371,7 +371,7 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Parses `gmt-lint: allow(R1, R2): optional reason` out of a line
+/// Parses `gmt-lint: allow(G1, R2): optional reason` out of a line
 /// comment, returning the listed rule ids.
 fn parse_suppression(comment: &str) -> Option<Vec<String>> {
     let rest = comment.split_once("gmt-lint:")?.1;

@@ -16,18 +16,12 @@
 //!   thread-id and hash-iteration taint must not reach export sinks,
 //! * **A1 alloc-in-hot-loop** — no allocation churn in loops reachable
 //!   from the DES event roots,
-//! * **G1 shard-safety** — shared mutable state on the event-loop path
-//!   is denied or inventoried for the sharded-DES roadmap item,
-//! * **R1 mutation-outside-merge-point** — interprocedural: writes to
-//!   shared-resource cells must be dominated by the event-queue
-//!   dispatch roots ([`order`]),
+//! * **G1 shard-safety** — `static mut`, `thread_local!` and
+//!   `Rc`/`RefCell`/`Cell` fields on the event-loop path are denied,
 //! * **R2 interior-mutability-in-model** — model crates must not grow
 //!   new `Rc`/`RefCell`/`Arc`/`Mutex` cells without justification,
 //! * **O1 order-sensitive-float-fold** — float accumulation over
-//!   `HashMap`/`HashSet` iteration order is flagged.
-//!
-//! The shard-safety layer adds a field-level escape classification
-//! ([`escape`]) feeding the `gmt-shard-readiness/3` report.
+//!   `HashMap`/`HashSet` iteration order is flagged ([`order`]).
 //!
 //! The analysis tokenizes with a hand-rolled lexer ([`lexer`]) rather
 //! than a parser dependency, keeping the workspace offline-buildable.
@@ -58,7 +52,6 @@ pub mod cfg;
 pub mod dataflow;
 pub mod diag;
 pub mod engine;
-pub mod escape;
 pub mod fix;
 pub mod flow;
 pub mod lexer;
@@ -71,5 +64,4 @@ pub mod workspace;
 
 pub use diag::{Finding, Level, Report};
 pub use engine::{check_crate_root, check_source, lint_workspace};
-pub use flow::ShardReport;
 pub use rules::{Config, FileContext, TargetKind, RULES};

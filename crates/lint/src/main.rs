@@ -28,7 +28,6 @@ OPTIONS:
     --deny <RULE>           Run RULE (or `all`) at deny level (repeatable)
     --max-millis <N>        Fail (exit 2) if the lint pass itself exceeds N ms
     --timings               Report per-rule wall time on stderr
-    --shard-report <PATH>   Write the G1 sharding-readiness inventory (JSON) to PATH
     --include-vendor        Also lint vendor/* stub crates
     --list-rules            Print the rule table and exit
     -h, --help              Print this help
@@ -87,7 +86,6 @@ fn run() -> Result<bool, String> {
     let mut include_vendor = false;
     let mut max_millis: Option<u64> = None;
     let mut show_timings = false;
-    let mut shard_report: Option<PathBuf> = None;
 
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -126,11 +124,6 @@ fn run() -> Result<bool, String> {
                 );
             }
             "--timings" => show_timings = true,
-            "--shard-report" => {
-                shard_report = Some(PathBuf::from(
-                    args.next().ok_or("--shard-report needs a path")?,
-                ));
-            }
             "--include-vendor" => include_vendor = true,
             "--list-rules" => {
                 for r in RULES {
@@ -175,18 +168,7 @@ fn run() -> Result<bool, String> {
             run = gmt_lint::engine::lint_files(&files, &config);
         }
     }
-    let (report, timings, shard) = (run.report, run.timings, run.shard);
-
-    if let Some(path) = shard_report {
-        fs::write(&path, shard.render_json()).map_err(|e| e.to_string())?;
-        eprintln!(
-            "gmt-lint: wrote shard-readiness report ({} entr{}, {} hot fn(s)) to {}",
-            shard.entries.len(),
-            if shard.entries.len() == 1 { "y" } else { "ies" },
-            shard.hot_fns,
-            path.display()
-        );
-    }
+    let (report, timings) = (run.report, run.timings);
 
     let elapsed = started.elapsed();
     if show_timings {

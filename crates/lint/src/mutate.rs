@@ -1,14 +1,13 @@
 //! Mutation-injection soundness harness: proves the rule set catches
 //! the bugs it claims to forbid.
 //!
-//! The committed `results/shard_readiness.json` and the determinism
-//! guarantees documented in DESIGN §10 are only trustworthy if the
-//! analyzer's *recall* is demonstrated rather than assumed. This module
-//! synthesizes known-bad variants ("mutants") of real workspace files —
-//! wall-clock reads, unseeded RNG, hash-order iteration flowing into
-//! trace sinks, float folds under hash iteration, cold writes to shared
-//! cells, new interior-mutability fields, allocation in per-event roots
-//! — lints each variant through an in-memory [`Overlay`] (nothing is
+//! The determinism guarantees documented in DESIGN §10 are only
+//! trustworthy if the analyzer's *recall* is demonstrated rather than
+//! assumed. This module synthesizes known-bad variants ("mutants") of
+//! real workspace files — wall-clock reads, unseeded RNG, hash-order
+//! iteration flowing into trace sinks, float folds under hash
+//! iteration, new interior-mutability fields, allocation in per-event
+//! roots — lints each variant through an in-memory [`Overlay`] (nothing is
 //! ever written into `src/`), and records per-rule recall into a
 //! `gmt-lint-recall/1` report with a `--check` gate pinned at 100% for
 //! every deny rule.
@@ -510,7 +509,6 @@ pub fn synthesize(corpus: &Corpus, quick: bool) -> Vec<Mutant> {
     synth_n1(corpus, cap, &mut out);
     synth_a1(corpus, cap, &mut out);
     synth_g1(corpus, cap, &mut out);
-    synth_r1(corpus, cap, &mut out);
     synth_r2(corpus, cap, &mut out);
     synth_o1(corpus, cap, &mut out);
     out
@@ -924,46 +922,6 @@ fn synth_g1(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
                 rel,
                 appended(corpus, rel, "static mut __MUT_EVENT_SEQ: u64 = 0;"),
             ),
-            behavioral: false,
-        });
-    }
-}
-
-fn synth_r1(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
-    let targets = append_targets(corpus, R2_CRATES);
-    let tpl = template("r1-cold-cell-write");
-    let snippet = "\
-use std::cell::RefCell;
-use std::rc::Rc;
-
-pub struct __MutCollector {
-    __mut_ring: Rc<RefCell<Vec<u64>>>,
-}
-
-impl __MutCollector {
-    pub fn __mut_collector_new() -> __MutCollector {
-        __MutCollector {
-            __mut_ring: Rc::new(RefCell::new(Vec::new())),
-        }
-    }
-
-    pub fn __mut_record(&self, value: u64) {
-        self.__mut_ring.borrow_mut().push(value);
-    }
-}
-
-pub fn __mut_summarize(values: &[u64]) -> usize {
-    let __mut_c = __MutCollector::__mut_collector_new();
-    for __mut_v in values {
-        __mut_c.__mut_record(*__mut_v);
-    }
-    __mut_c.__mut_ring.borrow().len()
-}";
-    for rel in targets.iter().take(cap) {
-        out.push(Mutant {
-            template: tpl,
-            site: format!("{rel} __MutCollector::__mut_record"),
-            overlay: Overlay::single(rel, appended(corpus, rel, snippet)),
             behavioral: false,
         });
     }

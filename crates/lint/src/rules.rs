@@ -9,7 +9,6 @@
 //! | S1 | every crate root carries `#![forbid(unsafe_code)]` |
 //! | P1 | library code in `core`/`sim`/`serve` returns typed errors, not panics |
 //! | M1 | every `TieringMetrics` field is summed in `merge()` |
-//! | R1 | shared-cell writes are dominated by the event-queue dispatch point |
 //! | R2 | model crates grow no new interior-mutability cells |
 //! | O1 | no float folds over nondeterministic iteration order |
 //!
@@ -139,20 +138,9 @@ pub const RULES: &[Rule] = &[
         id: "G1",
         name: "shard-safety",
         default_level: Level::Deny,
-        summary: "state reachable from the event-loop path must be shardable: no \
-                  static mut/thread_local, no Rc/RefCell/Cell fields on hot types \
-                  (catalogued in the sharding-readiness report)",
+        summary: "state reachable from the event-loop path must be explicitly owned: \
+                  no static mut/thread_local, no Rc/RefCell/Cell fields on hot types",
         version: 2,
-    },
-    Rule {
-        id: "R1",
-        name: "mutation-outside-merge-point",
-        default_level: Level::Deny,
-        summary: "writes to shared-resource cells (Rc/RefCell/Arc/Mutex fields) must \
-                  be dominated by the EventQueue dispatch point: a non-constructor \
-                  mutator reachable from cold code without passing a sanctioned \
-                  event-loop root breaks deterministic merge ordering",
-        version: 1,
     },
     Rule {
         id: "R2",
@@ -269,12 +257,6 @@ pub const MUTATIONS: &[MutationTemplate] = &[
         rule: "G1",
         name: "g1-static-mut",
         summary: "append a `static mut` global to a model-crate library file",
-    },
-    MutationTemplate {
-        rule: "R1",
-        name: "r1-cold-cell-write",
-        summary: "append a RefCell-backed collector whose mutator is reached \
-                  from a cold free function, bypassing the dispatch point",
     },
     MutationTemplate {
         rule: "R2",

@@ -149,7 +149,7 @@ pub struct FieldInfo {
     pub name_tok: usize,
     /// The field type's token texts, verbatim. The flow rules classify
     /// these: `HashMap`/`HashSet` feed N1's iteration-order taint, and
-    /// `Rc`/`RefCell`/`Cell` feed G1's shard-safety inventory.
+    /// `Rc`/`RefCell`/`Cell` feed G1 and R2.
     pub ty: Vec<String>,
 }
 

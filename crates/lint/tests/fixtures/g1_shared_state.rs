@@ -1,5 +1,5 @@
 //! Planted G1 violation: a `static mut` is process-global mutable state
-//! that no shard can own — the sharded DES (ROADMAP item 2) cannot
+//! that no component owns — the deferred sharded DES could not
 //! partition it.
 
 static mut EVENT_SEQ: u64 = 0;

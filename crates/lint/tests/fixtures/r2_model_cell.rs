@@ -1,6 +1,6 @@
 //! R2 fixture: a model crate growing a sync-shared cell. The field's
-//! existence is the violation — nothing ever writes through it, so R1
-//! stays quiet, and the cell still demands an explicit justification.
+//! existence is the violation — nothing ever writes through it, yet the
+//! cell still demands an explicit justification.
 
 use std::sync::{Arc, Mutex};
 
@@ -11,7 +11,7 @@ pub struct SharedFit {
 }
 
 impl SharedFit {
-    /// Reads don't trip R1; the field itself trips R2.
+    /// Only reads; the field itself trips R2.
     pub fn samples(&self) -> u64 {
         self.samples
     }

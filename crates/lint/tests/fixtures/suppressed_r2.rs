@@ -11,7 +11,7 @@ pub struct SharedFit {
 }
 
 impl SharedFit {
-    /// Reads don't trip R1; the field itself trips R2.
+    /// Only reads; the field itself trips R2.
     pub fn samples(&self) -> u64 {
         self.samples
     }

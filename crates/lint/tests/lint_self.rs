@@ -104,11 +104,25 @@ const PLANTED: &[(&str, &str, &str, TargetKind, &str)] = &[
         "G1",
     ),
     (
-        "r1_merge_point.rs",
-        "crates/analysis/src/collector.rs",
-        "analysis",
+        "g1_thread_local.rs",
+        "crates/core/src/seq.rs",
+        "core",
         TargetKind::Lib,
-        "R1",
+        "G1",
+    ),
+    (
+        "g1_hot_cell.rs",
+        "crates/core/src/counter.rs",
+        "core",
+        TargetKind::Lib,
+        "G1",
+    ),
+    (
+        "r2_cold_cell.rs",
+        "crates/core/src/counter.rs",
+        "core",
+        TargetKind::Lib,
+        "R2",
     ),
     (
         "r2_model_cell.rs",
@@ -214,11 +228,6 @@ fn allow_comment_suppresses_a_planted_violation() {
         ("suppressed_n1.rs", "crates/sim/src/hashy.rs", "sim"),
         ("suppressed_a1.rs", "crates/core/src/hotcache.rs", "core"),
         ("suppressed_g1.rs", "crates/core/src/globals.rs", "core"),
-        (
-            "suppressed_r1.rs",
-            "crates/analysis/src/collector.rs",
-            "analysis",
-        ),
         ("suppressed_r2.rs", "crates/reuse/src/cellfit.rs", "reuse"),
         ("suppressed_o1.rs", "crates/sim/src/foldsum.rs", "sim"),
     ];
@@ -381,11 +390,10 @@ fn u1_fix_rewrites_before_into_after_byte_for_byte() {
 /// Inventory of the workspace's surviving suppressions: every
 /// `gmt-lint: allow(...)` must carry a reason, the A1 (alloc in a hot
 /// loop) debt from the pre-overhaul tree must stay paid off, and the
-/// flow-family suppressions (G1/R1/R2) must be version-stamped
-/// (`[G1/2]`, `[R1/1]`, `[R2/1]`) so a rule-precision bump forces a
-/// re-audit, and must live exactly where they are documented: the
-/// shared trace ring (G1) and its post-run collection points (R1), both
-/// in `crates/sim/src/trace.rs`. No R2 suppression remains.
+/// shared-state suppressions (G1/R2) must be version-stamped (`[G1/2]`,
+/// `[R2/1]`) so a rule-precision bump forces a re-audit, and must live
+/// exactly where they are documented: the shared trace ring (G1) in
+/// `crates/sim/src/trace.rs`. No R2 suppression remains.
 #[test]
 fn workspace_suppressions_are_inventoried_and_justified() {
     fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -406,7 +414,6 @@ fn workspace_suppressions_are_inventoried_and_justified() {
     assert!(files.len() > 50, "the walk must cover the crates");
 
     let mut g1_sites = Vec::new();
-    let mut r1_sites = Vec::new();
     let mut r2_sites = Vec::new();
     for path in &files {
         let source = fs::read_to_string(path).expect("readable source");
@@ -439,7 +446,6 @@ fn workspace_suppressions_are_inventoried_and_justified() {
             );
             for (rule_id, stamp, sites) in [
                 ("G1", "[G1/2]", &mut g1_sites),
-                ("R1", "[R1/1]", &mut r1_sites),
                 ("R2", "[R2/1]", &mut r2_sites),
             ] {
                 if !rules.contains(rule_id) {
@@ -460,13 +466,6 @@ fn workspace_suppressions_are_inventoried_and_justified() {
         g1_sites,
         vec!["crates/sim/src/trace.rs".to_string()],
         "exactly one sanctioned G1 suppression: the shared trace ring"
-    );
-    r1_sites.sort();
-    r1_sites.dedup();
-    assert_eq!(
-        r1_sites,
-        vec!["crates/sim/src/trace.rs".to_string()],
-        "R1 suppressions: only the trace ring's post-run collection points"
     );
     assert!(
         r2_sites.is_empty(),
@@ -492,10 +491,9 @@ fn real_workspace_is_clean_at_deny_level() {
     );
 }
 
-/// ISSUE 9 budgets the full pass — now including the escape
-/// classification, merge-point dominance proofs, and the order-
-/// sensitivity scan — at 6 s; the debug-profile walk currently takes
-/// well under one second.
+/// The full pass — the order-sensitivity scan included — is budgeted
+/// at 6 s; the debug-profile walk currently takes well under one
+/// second.
 #[test]
 fn full_workspace_pass_is_fast() {
     let started = std::time::Instant::now();
@@ -537,59 +535,6 @@ fn every_planted_rule_is_registered() {
         assert!(rule(id).is_some(), "rule {id} missing from RULES");
     }
     assert!(rule("S1").is_some());
-}
-
-/// The deliberately-ambiguous escape fixture: the classifier cannot see
-/// through a `Box<dyn Fn>` on a hot type, so the field must be pinned at
-/// `ambiguous` in the shard-readiness report — neither silently
-/// shard-local nor spuriously shared — while the plain counter beside it
-/// stays `shard-local`.
-#[test]
-fn ambiguous_escape_fixture_is_pinned_in_the_shard_report() {
-    let source = fixture("ambiguous_escape.rs");
-    let files = [gmt_lint::symbols::AnalyzedFile::analyze(
-        PathBuf::from("crates/core/src/host.rs"),
-        "core".to_string(),
-        TargetKind::Lib,
-        false,
-        &source,
-    )];
-    let run = gmt_lint::engine::lint_files(&files, &Config::default());
-    assert!(
-        run.report.findings.is_empty(),
-        "the fixture itself is lint-clean: {:#?}",
-        run.report.findings
-    );
-    let by = |name: &str| {
-        run.shard
-            .fields
-            .iter()
-            .find(|e| e.struct_name == "CallbackHost" && e.field == name)
-            .unwrap_or_else(|| panic!("CallbackHost.{name} missing from the shard report"))
-    };
-    assert_eq!(
-        by("transform").class,
-        gmt_lint::escape::Class::Ambiguous,
-        "dyn trait objects must stay ambiguous, not default to local"
-    );
-    assert_eq!(by("hits").class, gmt_lint::escape::Class::ShardLocal);
-    let json = run.shard.render_json();
-    assert!(
-        json.contains("\"schema\":\"gmt-shard-readiness/3\""),
-        "{json}"
-    );
-    assert!(json.contains("\"class\":\"ambiguous\""), "{json}");
-    // Keyed without line numbers: shifting every line leaves it identical.
-    assert!(!json.contains("\"line\""), "{json}");
-    let shifted = [gmt_lint::symbols::AnalyzedFile::analyze(
-        PathBuf::from("crates/core/src/host.rs"),
-        "core".to_string(),
-        TargetKind::Lib,
-        false,
-        &format!("\n\n\n{source}"),
-    )];
-    let moved = gmt_lint::engine::lint_files(&shifted, &Config::default());
-    assert_eq!(moved.shard.render_json(), json);
 }
 
 /// Extracts the text between 1-based (line, column) positions; the end

@@ -28,9 +28,9 @@ fn full_matrix_covers_every_rule_with_behavioral_determinism_probes() {
         let n = mutants.iter().filter(|m| m.template.rule == r.id).count();
         assert!(n >= 1, "rule {} has no mutants in the full matrix", r.id);
     }
-    // The acceptance floor: the determinism and shard-safety deny rules
+    // The acceptance floor: the determinism and shared-state deny rules
     // each get at least five mutants.
-    for id in ["D1", "D2", "N1", "O1", "R1", "R2"] {
+    for id in ["D1", "D2", "N1", "O1", "R2"] {
         let n = mutants.iter().filter(|m| m.template.rule == id).count();
         assert!(n >= 5, "deny rule {id} needs >= 5 mutants, got {n}");
     }

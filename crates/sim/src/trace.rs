@@ -825,7 +825,7 @@ impl Ring {
 /// [`dropped`]: TraceSink::dropped
 #[derive(Clone, Default)]
 pub struct TraceSink {
-    // gmt-lint: allow(G1): [G1/2] the one sanctioned shared-mutable cell — every component appends to one ordered ring; ROADMAP item 2 (sharded DES) replaces it with per-shard sinks. Re-audited under the v4 escape analysis: still a hot direct shared-resource cell, not dischargeable.
+    // gmt-lint: allow(G1): [G1/2] the one sanctioned shared-mutable cell — every component appends to one ordered ring; the deferred sharded DES (ROADMAP, Deferred) would replace it with per-shard sinks.
     inner: Option<Rc<RefCell<Ring>>>,
 }
 
@@ -882,7 +882,6 @@ impl TraceSink {
     /// records. The owning runtime calls this once per coalesced memory
     /// transaction.
     #[inline]
-    // gmt-lint: allow(R1): [R1/1] vt stamping is driven by the runtime's coalesced-transaction counter; cold callers (bench setup) only prime the counter before the event loop starts.
     pub fn set_vt(&self, vt: u64) {
         if let Some(ring) = &self.inner {
             ring.borrow_mut().vt = vt;
@@ -899,7 +898,6 @@ impl TraceSink {
     /// servicing a different workload stream; single-tenant runtimes
     /// never call it, keeping their exported traces on the pre-tenant
     /// schema byte-for-byte.
-    // gmt-lint: allow(R1): [R1/1] tenant switches happen between event batches in the multi-tenant driver; the frontend only sets it during setup, before any event is dispatched.
     pub fn set_tenant(&self, tenant: Option<u32>) {
         if let Some(ring) = &self.inner {
             ring.borrow_mut().tenant = tenant;
@@ -921,7 +919,6 @@ impl TraceSink {
     /// keeps the exported trace time-ordered while preserving decision
     /// order exactly.
     #[inline]
-    // gmt-lint: allow(R1): [R1/1] every runtime emit happens inside the event-loop roots; the cold frontend paths the reverse walk finds only emit run-summary records after the loop has drained.
     pub fn emit(&self, at: Time, event: TraceEvent) {
         let Some(ring) = &self.inner else { return };
         let mut ring = ring.borrow_mut();
@@ -957,7 +954,6 @@ impl TraceSink {
     }
 
     /// Removes and returns all buffered records, oldest first.
-    // gmt-lint: allow(R1): [R1/1] the sanctioned post-run collection point — export paths drain the ring once the event queue is empty, so no event-ordering decision can observe the write.
     pub fn drain(&self) -> Vec<TraceRecord> {
         self.inner
             .as_ref()
