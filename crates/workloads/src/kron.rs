@@ -7,17 +7,12 @@
 //! and edge accesses map to page accesses the way the BaM-modified
 //! applications see them.
 
-use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::thread;
 
 use rand::{Rng, RngCore};
 
-/// Fewest edges worth a thread of their own when building a graph. A
-/// build uses one part per core, but never so many that a part draws
-/// fewer edges than this, so graphs below scale 16 (at edge factor 16)
-/// are built by one thread.
-const MIN_PART_EDGES: usize = 1 << 20;
+use crate::util::{part_count, unit_threshold};
 
 /// RMAT generation parameters (defaults are GAP-Kron's).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,9 +91,7 @@ impl KronGraph {
     /// `u32::MAX` (the CSR offsets are `u32`) or the probabilities are not
     /// a sub-distribution. Both checks run before anything is allocated.
     pub fn generate(config: KronConfig, seed: u64) -> KronGraph {
-        let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let parts = cores.min(edge_count(&config) / MIN_PART_EDGES).max(1);
-        KronGraph::generate_in_parts(config, seed, parts)
+        KronGraph::generate_in_parts(config, seed, part_count(edge_count(&config)))
     }
 
     /// [`KronGraph::generate`] split into `parts` threads, each drawing a
@@ -122,13 +115,15 @@ impl KronGraph {
             map
         });
         // One draw per level picks a quadrant: [0, a) top-left, [a, ab)
-        // top-right, [ab, abc) bottom-left, the rest bottom-right. A draw
-        // is r = m / 2^53 for the top 53 bits m of one output, so r < t
-        // exactly when m < ceil(t · 2^53): the comparisons run on integers.
-        // The draws are close to random, so the bits are computed without
+        // top-right, [ab, abc) bottom-left, the rest bottom-right, compared
+        // on the draw's top 53 bits against exact integer thresholds. The
+        // draws are close to random, so the bits are computed without
         // branches rather than through a mispredicted four-way chain.
-        let threshold = |t: f64| (t * (1u64 << 53) as f64).ceil() as u64;
-        let (ta, tab, tabc) = (threshold(a), threshold(a + b), threshold(a + b + c));
+        let (ta, tab, tabc) = (
+            unit_threshold(a),
+            unit_threshold(a + b),
+            unit_threshold(a + b + c),
+        );
         let per_part = edges.div_ceil(parts).max(1);
         let mut pairs = vec![(0u32, 0u32); edges];
         thread::scope(|s| {

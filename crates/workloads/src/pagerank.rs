@@ -8,10 +8,12 @@
 //! eviction-time RRD pattern of Fig. 4c (pages alternate between
 //! intra-iteration hub reuse and cross-iteration sweep reuse).
 
+use std::ops::Range;
+
 use gmt_mem::{PageId, WarpAccess};
 
 use crate::kron::{scale_bits_for_pages, CsrLayout, KronConfig, KronGraph};
-use crate::util::PageList;
+use crate::util::{chunk_ranges, in_parts, part_count, PageList};
 use crate::{Workload, WorkloadScale};
 
 /// The PageRank workload.
@@ -70,6 +72,35 @@ impl Workload for PageRank {
     /// Every iteration touches the same pages in the same order, so one
     /// is built and then repeated; the seed plays no part.
     fn trace(&self, _seed: u64) -> Vec<WarpAccess> {
+        self.trace_in_parts(part_count(self.graph.edges()))
+    }
+}
+
+impl PageRank {
+    /// [`Workload::trace`] with the iteration split into `parts`
+    /// contiguous runs of 32-vertex chunks, balanced by work and built on
+    /// their own threads. The part count never changes the trace.
+    pub(crate) fn trace_in_parts(&self, parts: usize) -> Vec<WarpAccess> {
+        let g = &self.graph;
+        let first_vertex = |chunk: usize| g.vertices.min(chunk as u32 * 32);
+        let edges_before: Vec<u64> = (0..=g.vertices.div_ceil(32) as usize)
+            .map(|chunk| u64::from(g.offsets[first_vertex(chunk) as usize]))
+            .collect();
+        let pieces = in_parts(&chunk_ranges(&edges_before, parts), |chunks| {
+            self.sweep(first_vertex(chunks.start)..first_vertex(chunks.end))
+        });
+        let iteration: usize = pieces.iter().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(iteration * self.iterations);
+        pieces.into_iter().for_each(|piece| out.extend(piece));
+        for _ in 1..self.iterations {
+            out.extend_from_within(..iteration);
+        }
+        out
+    }
+
+    /// One iteration's accesses for vertices `vertices`, 32 to a chunk;
+    /// the range starts on a chunk boundary.
+    fn sweep(&self, vertices: Range<u32>) -> Vec<WarpAccess> {
         let g = &self.graph;
         let layout = &self.layout;
         let pages = layout.total_pages();
@@ -78,8 +109,8 @@ impl Workload for PageRank {
         let mut rank_reads = PageList::new(pages);
         let mut own_ranks = PageList::new(pages);
         let mut out = Vec::new();
-        for first in (0..g.vertices).step_by(32) {
-            let chunk = first..g.vertices.min(first + 32);
+        for first in vertices.clone().step_by(32) {
+            let chunk = first..vertices.end.min(first + 32);
             for v in chunk.clone() {
                 offset_pages.push(PageId(layout.offset_page(v)));
             }
@@ -98,10 +129,6 @@ impl Workload for PageRank {
                 own_ranks.push(PageId(layout.value_page(v)));
             }
             own_ranks.emit(&mut out, true);
-        }
-        let iteration = out.len();
-        for _ in 1..self.iterations {
-            out.extend_from_within(..iteration);
         }
         out
     }
@@ -150,5 +177,19 @@ mod tests {
         let one = PageRank::on_graph(KronGraph::generate(KronConfig::gap(12), 5), 1);
         let two = small();
         assert_eq!(one.trace(0).len() * 2, two.trace(0).len());
+    }
+
+    #[test]
+    fn part_count_never_changes_the_trace() {
+        for (config, seed) in [(KronConfig::gap(12), 5), (KronConfig::gap_permuted(12), 3)] {
+            let w = PageRank::on_graph(KronGraph::generate(config, seed), 3);
+            let whole = w.trace_in_parts(1);
+            for parts in [2, 3, 7] {
+                assert!(
+                    w.trace_in_parts(parts) == whole,
+                    "{config:?} seed {seed} in {parts} parts"
+                );
+            }
+        }
     }
 }

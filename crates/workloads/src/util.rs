@@ -1,6 +1,96 @@
-//! Shared trace-building helpers.
+//! Shared graph-building and trace-building helpers.
+
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::thread;
 
 use gmt_mem::{PageId, WarpAccess};
+
+/// Fewest edges worth a thread of their own when building a graph or a
+/// trace over one. Below this a part costs more to start than it saves,
+/// so graphs below scale 16 (at edge factor 16) and their traces are
+/// built by one thread.
+const MIN_PART_EDGES: usize = 1 << 20;
+
+/// How many parts a build over `edges` edges of work is split into: one
+/// per core the process may run on (`available_parallelism` honours the
+/// affinity mask), but never so many that a part gets fewer than
+/// [`MIN_PART_EDGES`].
+pub(crate) fn part_count(edges: usize) -> usize {
+    let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    cores.min(edges / MIN_PART_EDGES).max(1)
+}
+
+/// The integer `t` such that a draw `r = m / 2^53`, for the top 53 bits
+/// `m` of one generator output, is below `p` exactly when `m < t`: the
+/// value `ceil(p · 2^53)`, exact because scaling by a power of two is.
+/// A coin flip then needs no conversion to `f64`.
+pub(crate) fn unit_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Trace-building work of one vertex, in edges. Each vertex of a chunk
+/// pushes its own pages and each chunk emits its accesses, so a run of
+/// low-degree vertices costs more than its edge count. Measured at scale
+/// 20 on a 2-core VM: weighing edges alone, the part holding the many
+/// low-degree vertices took 1.6–1.9× as long as the hub part, and of
+/// the weights 0, 8, 12 and 16, 12 built SSSP and PageRank fastest.
+const VERTEX_EDGES: u64 = 12;
+
+/// Cuts 32-vertex chunks into `parts` contiguous ranges of about equal
+/// work. `edges_before[i]` counts the edges of chunks `0..i`, so it holds
+/// one entry more than there are chunks; a chunk's work is its edges
+/// plus [`VERTEX_EDGES`] for each of its (taken as 32) vertices. Ranges
+/// may be empty.
+pub(crate) fn chunk_ranges(edges_before: &[u64], parts: usize) -> Vec<Range<usize>> {
+    let work: Vec<u64> = (0..)
+        .zip(edges_before)
+        .map(|(chunk, &edges)| edges + chunk * 32 * VERTEX_EDGES)
+        .collect();
+    let chunks = work.len() - 1;
+    let mut start = 0;
+    (1..=parts as u64)
+        .map(|k| {
+            let end = work.partition_point(|&w| w < k * work[chunks] / parts as u64);
+            let range = start..end;
+            start = end;
+            range
+        })
+        .collect()
+}
+
+/// Cuts `0..n` into `parts` contiguous ranges whose lengths differ by at
+/// most one.
+pub(crate) fn even_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+    (0..parts)
+        .map(|k| k * n / parts..(k + 1) * n / parts)
+        .collect()
+}
+
+/// Runs `part` on every range and returns the results in range order.
+/// The first range runs on the calling thread, the rest on scoped
+/// threads.
+pub(crate) fn in_parts<T: Send>(
+    ranges: &[Range<usize>],
+    part: impl Fn(Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    let Some((first, rest)) = ranges.split_first() else {
+        return Vec::new();
+    };
+    thread::scope(|s| {
+        let part = &part;
+        let handles: Vec<_> = rest
+            .iter()
+            .map(|range| s.spawn(move || part(range.clone())))
+            .collect();
+        let mut out = vec![part(first.clone())];
+        out.extend(handles.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        out
+    })
+}
 
 /// The distinct pages one warp instruction touches, in first-occurrence
 /// order, deduplicated as they arrive.
@@ -63,6 +153,66 @@ impl PageList {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unit_threshold_matches_the_float_compare() {
+        for p in [0.0, 0.1, 0.25, 0.35, 0.6, 1.0] {
+            let t = unit_threshold(p);
+            for m in [0, 1, t.saturating_sub(1), t, t + 1, (1 << 53) - 1] {
+                let m = m.min((1 << 53) - 1);
+                let r = m as f64 * (1.0 / (1u64 << 53) as f64);
+                assert_eq!(m < t, r < p, "p {p} m {m}");
+            }
+        }
+        assert_eq!(unit_threshold(0.25), 1 << 51);
+    }
+
+    #[test]
+    fn chunk_ranges_cover_every_chunk_once_in_order() {
+        // Chunk 2 holds most of the edges.
+        let edges_before = [0, 1, 2, 9000, 9001, 9002, 9100];
+        for parts in 1..=8 {
+            let ranges = chunk_ranges(&edges_before, parts);
+            assert_eq!(ranges.len(), parts);
+            assert_eq!(ranges[0].start, 0);
+            assert_eq!(ranges[parts - 1].end, 6);
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+        }
+        assert_eq!(chunk_ranges(&edges_before, 2), [0..3, 3..6]);
+        assert_eq!(chunk_ranges(&[0], 3), [0..0, 0..0, 0..0]);
+    }
+
+    #[test]
+    fn chunk_ranges_weigh_vertices_as_well_as_edges() {
+        // Four chunks without edges: the vertices alone balance them.
+        assert_eq!(chunk_ranges(&[0; 5], 2), [0..2, 2..4]);
+        // 600 edges each in chunks 0 and 3: by edges alone the cut would
+        // fall after chunk 0. With 384 for each chunk's vertices, chunks
+        // 0..2 do 1368 of the 2736 units of work.
+        assert_eq!(chunk_ranges(&[0, 600, 600, 600, 1200], 2), [0..2, 2..4]);
+    }
+
+    #[test]
+    fn even_ranges_split_evenly() {
+        assert_eq!(even_ranges(10, 3), [0..3, 3..6, 6..10]);
+        assert_eq!(even_ranges(2, 3), [0..0, 0..1, 1..2]);
+    }
+
+    #[test]
+    fn in_parts_returns_results_in_range_order() {
+        let ranges = even_ranges(100, 4);
+        let sums = in_parts(&ranges, |r| r.sum::<usize>());
+        assert_eq!(sums.iter().sum::<usize>(), (0..100).sum());
+        assert_eq!(sums[0], (0..25).sum());
+        assert!(in_parts(&[], |r| r).is_empty());
+    }
+
+    #[test]
+    fn one_part_for_small_builds() {
+        assert_eq!(part_count(0), 1);
+        assert_eq!(part_count(MIN_PART_EDGES - 1), 1);
+        assert!(part_count(usize::MAX) >= 1);
+    }
 
     fn emitted(list: &mut PageList, write: bool) -> Vec<WarpAccess> {
         let mut out = Vec::new();

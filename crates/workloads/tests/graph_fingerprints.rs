@@ -38,6 +38,16 @@ const TRACES: [(&str, u64, usize); 4] = [
     ("sssp seed 2", 0x5fa4279a4f23d166, 1155),
 ];
 
+/// Like [`TRACES`], on the `gap(18)` seed 7 graph: its 2^22 edges are
+/// enough for SSSP's relaxation rounds and PageRank's iteration to be
+/// built in parallel parts on a multi-core host; under `taskset -c 0`
+/// this test pins the one-part traces as well.
+#[rustfmt::skip]
+const LARGE_TRACES: [(&str, u64, usize); 2] = [
+    ("sssp seed 1", 0x34e4a225d60d1007, 72274),
+    ("pagerank", 0x7742852fb184fd9b, 97218),
+];
+
 struct Fnv(u64);
 
 impl Fnv {
@@ -92,18 +102,11 @@ fn kron_graphs_match_golden() {
     );
 }
 
-#[test]
-fn graph_traces_match_golden() {
-    let g = || graph(KronConfig::gap(12), 5);
-    let sssp = Sssp::on_graph(g(), vec![1.0, 0.6, 0.35, 0.2, 0.1]);
-    let actual = [
-        Bfs::on_graph(g()).trace(0),
-        PageRank::on_graph(g(), 3).trace(0),
-        sssp.trace(1),
-        sssp.trace(2),
-    ];
+/// Prints every trace's `actual` line and fails if any differs from its
+/// golden row.
+fn check_traces(golden: &[(&str, u64, usize)], actual: &[Vec<WarpAccess>]) {
     let mut mismatched = false;
-    for ((name, fingerprint, len), trace) in TRACES.iter().zip(&actual) {
+    for ((name, fingerprint, len), trace) in golden.iter().zip(actual) {
         let got = (trace_fingerprint(trace), trace.len());
         println!("actual: (\"{name}\", {:#018x}, {}),", got.0, got.1);
         mismatched |= got != (*fingerprint, *len);
@@ -111,5 +114,34 @@ fn graph_traces_match_golden() {
     assert!(
         !mismatched,
         "trace fingerprints moved; see the actual lines"
+    );
+}
+
+const SSSP_ROUNDS: [f64; 5] = [1.0, 0.6, 0.35, 0.2, 0.1];
+
+#[test]
+fn graph_traces_match_golden() {
+    let g = || graph(KronConfig::gap(12), 5);
+    let sssp = Sssp::on_graph(g(), SSSP_ROUNDS.to_vec());
+    check_traces(
+        &TRACES,
+        &[
+            Bfs::on_graph(g()).trace(0),
+            PageRank::on_graph(g(), 3).trace(0),
+            sssp.trace(1),
+            sssp.trace(2),
+        ],
+    );
+}
+
+#[test]
+fn large_graph_traces_match_golden() {
+    let g = || graph(KronConfig::gap(18), 7);
+    check_traces(
+        &LARGE_TRACES,
+        &[
+            Sssp::on_graph(g(), SSSP_ROUNDS.to_vec()).trace(1),
+            PageRank::on_graph(g(), 3).trace(0),
+        ],
     );
 }
