@@ -17,7 +17,7 @@
 //! * [`tracesum`] — summaries over captured decision traces: per-window
 //!   counters and occupancy, SSD queue-depth percentiles, and exact
 //!   reconciliation against [`gmt_core::TieringMetrics`],
-//! * [`table`] — fixed-width text tables for the figure binaries.
+//! * [`table`] — fixed-width text tables for the figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! Fixed-width text tables for the figure binaries.
+//! Fixed-width text tables for the figures.
 
 use std::fmt::Write as _;
 
@@ -69,16 +69,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as comma-separated values (for piping into plotting tools).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.headers.join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
-        }
-        out
-    }
 }
 
 impl std::fmt::Display for Table {
@@ -106,21 +96,6 @@ impl std::fmt::Display for Table {
         }
         Ok(())
     }
-}
-
-/// Prints `table` as text, or as CSV when the `GMT_CSV` environment
-/// variable is set to a non-empty value — so every figure binary can feed
-/// plotting scripts without reparsing aligned columns.
-pub fn emit(table: &Table) {
-    if std::env::var("GMT_CSV")
-        .map(|v| !v.is_empty())
-        .unwrap_or(false)
-    {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{table}");
-    }
-    println!();
 }
 
 /// Formats a ratio as `1.23x`.
@@ -152,13 +127,6 @@ mod tests {
         t.row(vec!["1".into(), "2".into()]);
         let md = t.to_markdown();
         assert_eq!(md, "| a | b |\n|---|---|\n| 1 | 2 |\n");
-    }
-
-    #[test]
-    fn csv_is_plain() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   runtime's own [`TieringMetrics`] (the differential tests' anchor),
 //! * [`summarize_windows`] — fixed-width time windows carrying counters,
 //!   Tier-1/Tier-2 occupancy, PCIe traffic and peak SSD queue depth, for
-//!   warm-up timelines and figure binaries,
+//!   warm-up timelines and the paper figures,
 //! * [`queue_depth_percentiles`] — the distribution of instantaneous SSD
 //!   queue depth over the run,
 //! * [`ring_depth_percentiles`] — the same distribution for the NVMe
@@ -726,7 +726,7 @@ pub fn jain_fairness(values: &[f64]) -> f64 {
 /// Prediction accuracy per window: `(window start ns, graded, accuracy)`
 /// for every window that graded at least one prediction.
 ///
-/// The figure binaries plot this as accuracy-over-time (the intra-run
+/// The Fig. 9 capture tabulates this as accuracy-over-time (the intra-run
 /// view behind Fig. 9's end-of-run number).
 pub fn prediction_accuracy_over_time(records: &[TraceRecord], width: Dur) -> Vec<(u64, u64, f64)> {
     summarize_windows(records, width)

@@ -1,8 +1,9 @@
 //! Shared harness for regenerating every table and figure of the paper.
 //!
-//! Each `fig*`/`tab*` binary in `src/bin/` regenerates one artifact:
+//! The `paper` binary writes one capture per artifact to
+//! `results/figures/<id>.txt`, plus `REPORT.md`, in one run:
 //!
-//! | Binary | Paper artifact |
+//! | Capture | Paper artifact |
 //! |---|---|
 //! | `tab2` | Table 2 (application characteristics) |
 //! | `fig4a` | Fig. 4a (VTD ↔ RD correlation) |
@@ -20,7 +21,8 @@
 //! | `mrc` | miss-ratio curves at the tier capacities (extension) |
 //! | `timeline` | §2.1.3 pipelined-regression warm-up study (extension) |
 //! | `overheads` | §3.4 Tier-2 cost accounting |
-//! | `report` | one-command markdown report (`REPORT.md`) |
+//! | `ablate` | ablations of the design choices DESIGN.md calls out |
+//! | `REPORT.md` | one-page markdown report of the headline numbers |
 //!
 //! Absolute numbers come from the simulated substrate; the *shapes* are
 //! the reproduction target (see `EXPERIMENTS.md`). Scale is controlled by
@@ -32,29 +34,11 @@
 
 pub mod hotpath;
 
-use gmt_analysis::runner::{geometry_for, run_system, RunResult, SystemKind};
-use gmt_core::PolicyKind;
+use gmt_analysis::runner::geometry_for;
 use gmt_mem::TierGeometry;
 use gmt_pcie::{HostLink, HostLinkConfig, TransferBatch, TransferMethod};
 use gmt_sim::{Time, Zipf};
 use gmt_workloads::{suite, Workload, WorkloadScale};
-
-/// Tier-1 pages used by the figure binaries (env `GMT_T1_PAGES`,
-/// default 1024).
-pub fn bench_tier1_pages() -> usize {
-    std::env::var("GMT_T1_PAGES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1024)
-}
-
-/// The seed every figure run uses (env `GMT_SEED`, default 1).
-pub fn bench_seed() -> u64 {
-    std::env::var("GMT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
 
 /// A workload paired with the geometry it runs over.
 pub struct Prepared {
@@ -75,25 +59,6 @@ pub fn prepared_suite(tier1_pages: usize, ratio: f64, os: f64) -> Vec<Prepared> 
             Prepared { workload, geometry }
         })
         .collect()
-}
-
-/// Runs one prepared workload on a list of systems; returns results in
-/// the same order.
-pub fn run_all(prepared: &Prepared, systems: &[SystemKind], seed: u64) -> Vec<RunResult> {
-    systems
-        .iter()
-        .map(|&s| run_system(prepared.workload.as_ref(), s, &prepared.geometry, seed))
-        .collect()
-}
-
-/// The four systems of Fig. 8, BaM first.
-pub fn fig8_systems() -> [SystemKind; 4] {
-    [
-        SystemKind::Bam,
-        SystemKind::Gmt(PolicyKind::TierOrder),
-        SystemKind::Gmt(PolicyKind::Random),
-        SystemKind::Gmt(PolicyKind::Reuse),
-    ]
 }
 
 /// One data point of the Fig. 6b micro-benchmark: a small pool of copy

@@ -5,7 +5,7 @@ use rand::Rng;
 
 /// When a tenant's successive warp accesses *arrive* at the hierarchy.
 ///
-/// A closed-loop replay (the figure binaries' mode) issues the next
+/// A closed-loop replay (the paper figures' mode) issues the next
 /// access the instant a warp frees up; a serving system instead sees an
 /// open stream whose arrival process is a property of the tenant, not
 /// of the hierarchy's speed. All three processes are deterministic

@@ -27,6 +27,9 @@ pub struct WorkloadScale {
 }
 
 impl WorkloadScale {
+    /// The fewest pages a workload can meaningfully partition.
+    pub const MIN_PAGES: usize = 64;
+
     /// Sizes the working set to fill the geometry's configured
     /// over-subscription.
     pub fn for_geometry(geometry: &TierGeometry) -> WorkloadScale {
@@ -39,11 +42,10 @@ impl WorkloadScale {
     ///
     /// # Panics
     ///
-    /// Panics if `total_pages` is below the minimum a workload can
-    /// meaningfully partition (64).
+    /// Panics if `total_pages` is below [`WorkloadScale::MIN_PAGES`].
     pub fn pages(total_pages: usize) -> WorkloadScale {
         assert!(
-            total_pages >= 64,
+            total_pages >= WorkloadScale::MIN_PAGES,
             "workloads need at least 64 pages to partition"
         );
         WorkloadScale { total_pages }

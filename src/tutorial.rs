@@ -107,8 +107,7 @@
 //!
 //! # 5. Reproducing the paper
 //!
-//! Each table and figure has a binary under `gmt-bench`
-//! (`cargo run -p gmt-bench --release --bin fig8`), and `EXPERIMENTS.md`
-//! records the paper-vs-measured comparison for all of them. The
-//! `report` binary regenerates the headline numbers into `REPORT.md` on
-//! your machine.
+//! `cargo run -p gmt-bench --release --bin paper` regenerates every table
+//! and figure into `results/figures/` and the headline numbers into
+//! `REPORT.md` on your machine, and `EXPERIMENTS.md` records the
+//! paper-vs-measured comparison for all of them.
