@@ -22,19 +22,6 @@ pub struct TimelinePoint {
     pub metrics: TieringMetrics,
 }
 
-impl TimelinePoint {
-    /// The Tier-2 hit rate accumulated since the previous point.
-    pub fn t2_hit_rate_since(&self, previous: &TimelinePoint) -> f64 {
-        let hits = self.metrics.t2_hits - previous.metrics.t2_hits;
-        let misses = self.metrics.t1_misses - previous.metrics.t1_misses;
-        if misses == 0 {
-            0.0
-        } else {
-            hits as f64 / misses as f64
-        }
-    }
-}
-
 /// Replays `workload` through a [`Gmt`] runtime, snapshotting cumulative
 /// metrics `snapshots` times at even access intervals.
 ///

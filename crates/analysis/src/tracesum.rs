@@ -12,11 +12,7 @@
 //!   Tier-1/Tier-2 occupancy, PCIe traffic and peak SSD queue depth, for
 //!   warm-up timelines and the paper figures,
 //! * [`queue_depth_percentiles`] — the distribution of instantaneous SSD
-//!   queue depth over the run,
-//! * [`ring_depth_percentiles`] — the same distribution for the NVMe
-//!   submission/completion rings ([`TraceEvent::RingSubmit`] /
-//!   [`TraceEvent::RingComplete`]), whose occupancy exceeds any single
-//!   device queue once commands fan out across channels.
+//!   queue depth over the run.
 //!
 //! All summaries assume the capturing ring was large enough that nothing
 //! was dropped ([`TraceSink::dropped`](gmt_sim::trace::TraceSink::dropped)
@@ -360,33 +356,6 @@ pub fn queue_depth_percentiles(records: &[TraceRecord], percentiles: &[f64]) -> 
         .filter_map(|r| match r.event {
             TraceEvent::SsdSubmit { queue_depth, .. }
             | TraceEvent::SsdComplete { queue_depth, .. } => Some(queue_depth),
-            _ => None,
-        })
-        .collect();
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    samples.sort_unstable();
-    nearest_rank(&samples, percentiles)
-}
-
-/// Nearest-rank percentiles of NVMe *ring* occupancy over the run.
-///
-/// Samples every [`TraceEvent::RingSubmit`]/[`TraceEvent::RingComplete`]
-/// occupancy, the submission/completion-ring analogue of
-/// [`queue_depth_percentiles`]'s device view: the ring runs deeper than
-/// any single device queue whenever commands fan out across channels.
-/// Returns an empty vector when the stream holds no ring events.
-///
-/// # Panics
-///
-/// Panics if any requested percentile lies outside `[0, 100]`.
-pub fn ring_depth_percentiles(records: &[TraceRecord], percentiles: &[f64]) -> Vec<u32> {
-    let mut samples: Vec<u32> = records
-        .iter()
-        .filter_map(|r| match r.event {
-            TraceEvent::RingSubmit { queue_depth, .. }
-            | TraceEvent::RingComplete { queue_depth, .. } => Some(queue_depth),
             _ => None,
         })
         .collect();
@@ -909,9 +878,6 @@ mod tests {
         assert_eq!(c.warp_writes, 1);
         assert_eq!(c.ring_submits, 1);
         assert_eq!(c.ring_completes, 1);
-        let p = ring_depth_percentiles(&records, &[50.0, 100.0]);
-        assert_eq!(p, vec![3, 4]);
-        assert!(ring_depth_percentiles(&[], &[50.0]).is_empty());
     }
 
     fn tenant_rec(t: u64, tenant: u32, event: TraceEvent) -> TraceRecord {

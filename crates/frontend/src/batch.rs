@@ -92,6 +92,26 @@ impl TenantBatch {
     }
 }
 
+/// The most pages one flush can carry, as far as it matters against a
+/// Tier-1 of `room` pages: a batch holds fewer pages than the crossover
+/// until the request that takes it there, of at most `max_request_pages`,
+/// is appended (a crossover beyond `room` counts as `room + 1`). `None`
+/// when the method never picks zero-copy at warp width, so that only the
+/// delay timer bounds a flush.
+pub fn widest_flush(
+    method: &TransferMethod,
+    max_request_pages: usize,
+    room: usize,
+) -> Option<usize> {
+    if !method.picks_zero_copy(usize::MAX, WARP_THREADS) {
+        return None;
+    }
+    let crossover = (0..=room)
+        .find(|&pages| method.picks_zero_copy(pages, WARP_THREADS))
+        .unwrap_or(room + 1);
+    Some(crossover.saturating_sub(1) + max_request_pages)
+}
+
 /// How long a class's batch may stay open before a timer flush.
 ///
 /// The base is [`gmt_core::FrontendConfig::max_delay_ns`]; less
@@ -129,6 +149,15 @@ mod tests {
             "8 pages is the crossover: size flush fires"
         );
         assert!(method.picks_zero_copy(8, WARP_THREADS));
+    }
+
+    #[test]
+    fn widest_flush_is_one_request_past_the_crossover() {
+        let hybrid = TransferMethod::hybrid_32t();
+        assert_eq!(widest_flush(&hybrid, 16, 256), Some(7 + 16));
+        assert_eq!(widest_flush(&hybrid, 16, 4), Some(4 + 16));
+        assert_eq!(widest_flush(&TransferMethod::ZeroCopy, 12, 256), Some(12));
+        assert_eq!(widest_flush(&TransferMethod::DmaAsync, 12, 256), None);
     }
 
     #[test]

@@ -91,6 +91,10 @@ impl From<Vec<PageId>> for PageSet {
     }
 }
 
+/// The most distinct pages one warp instruction touches: one per thread
+/// of a 32-thread warp, each lane on a page of its own.
+pub const WARP_PAGES: usize = 32;
+
 /// One coalesced memory instruction issued by a GPU warp.
 ///
 /// This is the unit the whole pipeline operates on: workload generators

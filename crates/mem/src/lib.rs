@@ -25,7 +25,7 @@ mod table;
 
 pub mod trace;
 
-pub use access::{PageSet, WarpAccess};
+pub use access::{PageSet, WarpAccess, WARP_PAGES};
 pub use clock::ClockList;
 pub use fifo::FifoCache;
 pub use geometry::TierGeometry;

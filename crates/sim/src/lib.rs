@@ -9,7 +9,8 @@
 //! * [`Zipf`] — the skewed access generator used by the paper's transfer
 //!   micro-benchmark (Fig. 6b),
 //! * [`stats`] — log-bucketed histograms for experiment output,
-//! * [`rng`] — deterministic, seedable random number helpers.
+//! * [`rng`] — deterministic, seedable random number helpers,
+//! * [`parts`] — host-side work split across cores, joined in order.
 //!
 //! # Examples
 //!
@@ -35,6 +36,7 @@ mod time;
 mod zipf;
 
 pub mod events;
+pub mod parts;
 pub mod rng;
 pub mod stats;
 pub mod trace;

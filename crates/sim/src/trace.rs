@@ -12,13 +12,19 @@
 //! makes [`TraceSink::emit`] a single branch on `None`, so instrumented
 //! hot paths cost nothing when tracing is off. All components of one
 //! runtime share clones of the same sink, which keeps the record stream
-//! globally ordered exactly as decisions were made.
+//! globally ordered exactly as decisions were made. The ring is one
+//! contiguous `VecDeque`, so [`TraceSink::drain`] hands its allocation
+//! over as the returned `Vec` instead of copying the records out.
 //!
 //! Records export to line-oriented JSON ([`to_jsonl`]) and CSV
 //! ([`to_csv`]). Both writers render each event from one per-variant
 //! field list, over integers and fixed strings only, so identical
 //! configurations and seeds produce byte-identical files — the property
-//! the golden-trace regression tests rely on.
+//! the golden-trace regression tests rely on. A long trace is rendered
+//! on every core: one pass counts each part's bytes, one buffer of
+//! exactly the total is cut into a slice per part, and each part renders
+//! into its own slice through the same code the count ran. The bytes do
+//! not depend on the part count.
 //!
 //! # Examples
 //!
@@ -42,6 +48,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
+use crate::parts::{even_ranges, in_parts, part_count};
 use crate::Time;
 
 /// The tier a page lives in (or moves to), as named by the paper:
@@ -434,35 +441,99 @@ enum Value {
 }
 
 impl Value {
-    /// Appends the value as a CSV cell.
-    fn push_csv(self, out: &mut String) {
+    /// Writes the value as a CSV cell.
+    fn write_csv(self, out: &mut impl Out) {
         match self {
-            Value::Int(n) => push_int(out, n),
-            Value::Bool(b) => out.push_str(if b { "true" } else { "false" }),
-            Value::Label(l) => out.push_str(l),
+            Value::Int(n) => out.int(n),
+            Value::Bool(b) => out.str(if b { "true" } else { "false" }),
+            Value::Label(l) => out.str(l),
             Value::Null => {}
         }
     }
 
-    /// Appends the value as JSON; integers and booleans read as in CSV.
-    fn push_json(self, out: &mut String) {
+    /// Writes the value as JSON; integers and booleans read as in CSV.
+    fn write_json(self, out: &mut impl Out) {
         match self {
             Value::Label(l) => {
-                out.push('"');
-                out.push_str(l);
-                out.push('"');
+                out.str("\"");
+                out.str(l);
+                out.str("\"");
             }
-            Value::Null => out.push_str("null"),
-            Value::Int(_) | Value::Bool(_) => self.push_csv(out),
+            Value::Null => out.str("null"),
+            Value::Int(_) | Value::Bool(_) => self.write_csv(out),
         }
     }
 }
 
-/// Appends `n` in decimal.
-fn push_int(out: &mut String, n: u64) {
-    use std::fmt::Write;
-    // Writing into a `String` cannot fail.
-    let _ = write!(out, "{n}");
+/// Where a record renders to. The exporters run every record through the
+/// same renderer twice: into a [`Count`] to size the output, then into a
+/// [`Cursor`] over exactly that many bytes, so the two passes cannot
+/// disagree on a length.
+trait Out {
+    /// Appends `s`.
+    fn str(&mut self, s: &str);
+    /// Appends `n` in decimal.
+    fn int(&mut self, n: u64);
+}
+
+/// Counts the bytes a render would write.
+struct Count(usize);
+
+impl Out for Count {
+    fn str(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+
+    fn int(&mut self, n: u64) {
+        self.0 += decimal_len(n);
+    }
+}
+
+/// Writes into a slice sized by a [`Count`] pass, front to back.
+struct Cursor<'a>(&'a mut [u8]);
+
+impl<'a> Cursor<'a> {
+    /// The next `len` bytes of the slice, consumed.
+    fn take(&mut self, len: usize) -> &'a mut [u8] {
+        let (head, tail) = std::mem::take(&mut self.0).split_at_mut(len);
+        self.0 = tail;
+        head
+    }
+}
+
+/// `"00"` to `"99"`: an integer is rendered two digits per division.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+impl Out for Cursor<'_> {
+    fn str(&mut self, s: &str) {
+        self.take(s.len()).copy_from_slice(s.as_bytes());
+    }
+
+    fn int(&mut self, mut n: u64) {
+        // The length is known up front, so the digits go straight into
+        // place, last pair first.
+        let digits = self.take(decimal_len(n));
+        let mut end = digits.len();
+        while n >= 10 {
+            let pair = (n % 100) as usize * 2;
+            n /= 100;
+            digits[end - 2..end].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+            end -= 2;
+        }
+        if end == 1 {
+            digits[0] = b'0' + n as u8;
+        }
+    }
+}
+
+/// Decimal digits of `n`.
+fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
 }
 
 /// The event-specific [`CSV_HEADER`] columns, in header order.
@@ -636,38 +707,37 @@ impl TraceEvent {
 }
 
 impl TraceRecord {
-    /// Appends the record to `out` as one line of JSON, without the
-    /// trailing newline.
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"t\":");
-        push_int(out, self.at.as_nanos());
-        out.push_str(",\"vt\":");
-        push_int(out, self.vt);
+    /// Writes the record as one line of JSON, newline included.
+    fn write_json(&self, out: &mut impl Out) {
+        out.str("{\"t\":");
+        out.int(self.at.as_nanos());
+        out.str(",\"vt\":");
+        out.int(self.vt);
         if let Some(tenant) = self.tenant {
-            out.push_str(",\"tenant\":");
-            push_int(out, tenant.into());
+            out.str(",\"tenant\":");
+            out.int(tenant.into());
         }
-        out.push_str(",\"ev\":\"");
-        out.push_str(self.event.name());
-        out.push('"');
+        out.str(",\"ev\":\"");
+        out.str(self.event.name());
+        out.str("\"");
         self.event.with_fields(|fields| {
             for &Field(key, _, value) in fields {
-                out.push_str(",\"");
-                out.push_str(key);
-                out.push_str("\":");
-                value.push_json(out);
+                out.str(",\"");
+                out.str(key);
+                out.str("\":");
+                value.write_json(out);
             }
         });
-        out.push('}');
+        out.str("}\n");
     }
 
-    /// Appends the record to `out` as one CSV row, newline included.
-    fn write_csv(&self, out: &mut String) {
-        push_int(out, self.at.as_nanos());
-        out.push(',');
-        push_int(out, self.vt);
-        out.push(',');
-        out.push_str(self.event.name());
+    /// Writes the record as one CSV row, newline included.
+    fn write_csv(&self, out: &mut impl Out) {
+        out.int(self.at.as_nanos());
+        out.str(",");
+        out.int(self.vt);
+        out.str(",");
+        out.str(self.event.name());
         // One cell per `Col`, in header order.
         let mut cells = [Value::Null; 7];
         self.event.with_fields(|fields| {
@@ -676,30 +746,88 @@ impl TraceRecord {
             }
         });
         for cell in cells {
-            out.push(',');
-            cell.push_csv(out);
+            out.str(",");
+            cell.write_csv(out);
         }
-        out.push(',');
+        out.str(",");
         if let Some(tenant) = self.tenant {
-            push_int(out, tenant.into());
+            out.int(tenant.into());
         }
-        out.push('\n');
+        out.str("\n");
     }
+}
+
+/// An export format: what precedes the records, and one record's bytes.
+#[derive(Clone, Copy)]
+enum Format {
+    Jsonl,
+    Csv,
+}
+
+impl Format {
+    fn write_header(self, out: &mut impl Out) {
+        if let Format::Csv = self {
+            out.str(CSV_HEADER);
+            out.str("\n");
+        }
+    }
+
+    fn write_records(self, records: &[TraceRecord], out: &mut impl Out) {
+        match self {
+            Format::Jsonl => records.iter().for_each(|r| r.write_json(out)),
+            Format::Csv => records.iter().for_each(|r| r.write_csv(out)),
+        }
+    }
+}
+
+/// Fewest records worth a thread of their own when exporting: about
+/// 6 MB of JSONL, several milliseconds of rendering against tens of
+/// microseconds to start a thread.
+const MIN_PART_RECORDS: usize = 1 << 16;
+
+/// Renders `records` in `parts` contiguous runs, each on its own thread,
+/// into one buffer of exactly the output's size. A first pass counts
+/// each run's bytes, which fixes where every run starts; the second
+/// renders each run into its own slice of the buffer. The part count
+/// never changes the output.
+fn render(records: &[TraceRecord], format: Format, parts: usize) -> String {
+    let ranges = even_ranges(records.len(), parts);
+    let lens = in_parts(ranges.iter().cloned(), |range| {
+        let mut count = Count(0);
+        format.write_records(&records[range], &mut count);
+        count.0
+    });
+    let mut header = Count(0);
+    format.write_header(&mut header);
+    let mut buf = vec![0; header.0 + lens.iter().sum::<usize>()];
+    let mut out = Cursor(&mut buf);
+    format.write_header(&mut out);
+    let slices: Vec<_> = ranges
+        .into_iter()
+        .zip(lens)
+        .map(|(range, len)| (range, Cursor(out.take(len))))
+        .collect();
+    in_parts(slices, |(range, mut out)| {
+        format.write_records(&records[range], &mut out)
+    });
+    // Every byte rendered is ASCII, so the conversion never falls back.
+    String::from_utf8(buf).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
+/// [`render`] split across the cores, in parts of at least
+/// [`MIN_PART_RECORDS`].
+fn render_on_every_core(records: &[TraceRecord], format: Format) -> String {
+    render(records, format, part_count(records.len(), MIN_PART_RECORDS))
 }
 
 /// Renders records as line-delimited JSON, one record per line.
 ///
 /// Field order is fixed and all values are integers, booleans or fixed
 /// strings, so the output is byte-identical for identical record
-/// sequences, across runs and platforms. It ends with a newline when
-/// `records` is non-empty.
+/// sequences, across runs, platforms and core counts. It ends with a
+/// newline when `records` is non-empty.
 pub fn to_jsonl(records: &[TraceRecord]) -> String {
-    let mut out = String::with_capacity(records.len() * 96);
-    for r in records {
-        r.write_json(&mut out);
-        out.push('\n');
-    }
-    out
+    render_on_every_core(records, Format::Jsonl)
 }
 
 /// CSV column header matching [`to_csv`]'s rows.
@@ -722,94 +850,17 @@ pub const CSV_HEADER: &str = "t_ns,vt,event,id,tier,tier2,flag,depth,bytes,laten
 /// Absent fields are left empty. Like [`to_jsonl`], the output is
 /// byte-stable for identical record sequences.
 pub fn to_csv(records: &[TraceRecord]) -> String {
-    let mut out = String::with_capacity(64 + records.len() * 48);
-    out.push_str(CSV_HEADER);
-    out.push('\n');
-    for r in records {
-        r.write_csv(&mut out);
-    }
-    out
+    render_on_every_core(records, Format::Csv)
 }
 
-/// Records per arena chunk: large enough to amortize allocation, small
-/// enough that a chunk's byte size stays under the allocator's mmap
-/// threshold (glibc: 128 KiB) — so freed chunks return to ordinary heap
-/// bins and get reused across runs instead of being mapped and faulted
-/// fresh every time.
-const CHUNK: usize = 1024;
-
-/// Chunked arena ring: records append into fixed-size chunks, so growth
-/// never copies existing records (a `VecDeque` doubling would) and a
-/// fully-consumed chunk is recycled through `free` instead of returning
-/// to the allocator.
+/// The records of a [`TraceSink`]: the most recent ones, oldest first.
 struct Ring {
-    chunks: VecDeque<Vec<TraceRecord>>,
-    /// Index of the first live record in the front chunk.
-    head: usize,
-    /// Live records across all chunks.
-    len: usize,
-    /// Spare chunks recycled from overflow pops and drains.
-    free: Vec<Vec<TraceRecord>>,
+    records: VecDeque<TraceRecord>,
     capacity: usize,
     dropped: u64,
     vt: u64,
     tenant: Option<u32>,
     last_at: Time,
-}
-
-impl Ring {
-    #[inline]
-    fn push(&mut self, record: TraceRecord) {
-        match self.chunks.back_mut() {
-            Some(chunk) if chunk.len() < CHUNK => chunk.push(record),
-            _ => {
-                let mut chunk = self.free.pop().unwrap_or_else(|| Vec::with_capacity(CHUNK));
-                chunk.push(record);
-                self.chunks.push_back(chunk);
-            }
-        }
-        self.len += 1;
-    }
-
-    fn pop_front(&mut self) {
-        debug_assert!(self.len > 0);
-        self.head += 1;
-        self.len -= 1;
-        if self.head == CHUNK {
-            // Chunks fill to exactly CHUNK before a new one starts, so a
-            // head at CHUNK means the front chunk is fully consumed.
-            // gmt-lint: allow(P1): len > 0 (debug-asserted) means a front chunk exists.
-            let mut chunk = self.chunks.pop_front().expect("front chunk exists");
-            chunk.clear();
-            self.free.push(chunk);
-            self.head = 0;
-        }
-    }
-
-    fn drain(&mut self) -> Vec<TraceRecord> {
-        let mut out = Vec::with_capacity(self.len);
-        let head = self.head;
-        for (i, chunk) in self.chunks.iter_mut().enumerate() {
-            let start = if i == 0 { head.min(chunk.len()) } else { 0 };
-            out.extend(chunk.drain(start..));
-            chunk.clear();
-        }
-        self.free.extend(self.chunks.drain(..));
-        self.head = 0;
-        self.len = 0;
-        out
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &TraceRecord> + '_ {
-        self.chunks.iter().enumerate().flat_map(move |(i, chunk)| {
-            let start = if i == 0 {
-                self.head.min(chunk.len())
-            } else {
-                0
-            };
-            chunk[start..].iter()
-        })
-    }
 }
 
 /// A cheaply cloneable handle to a bounded trace ring buffer.
@@ -838,7 +889,9 @@ impl fmt::Debug for TraceSink {
                 write!(
                     f,
                     "TraceSink(len={}, cap={}, dropped={})",
-                    ring.len, ring.capacity, ring.dropped
+                    ring.records.len(),
+                    ring.capacity,
+                    ring.dropped
                 )
             }
         }
@@ -860,10 +913,7 @@ impl TraceSink {
         assert!(capacity > 0, "trace ring capacity must be non-zero");
         TraceSink {
             inner: Some(Rc::new(RefCell::new(Ring {
-                chunks: VecDeque::new(),
-                head: 0,
-                len: 0,
-                free: Vec::new(),
+                records: VecDeque::new(),
                 capacity,
                 dropped: 0,
                 vt: 0,
@@ -922,15 +972,15 @@ impl TraceSink {
     pub fn emit(&self, at: Time, event: TraceEvent) {
         let Some(ring) = &self.inner else { return };
         let mut ring = ring.borrow_mut();
-        if ring.len == ring.capacity {
-            ring.pop_front();
+        if ring.records.len() == ring.capacity {
+            ring.records.pop_front();
             ring.dropped += 1;
         }
         let at = at.max(ring.last_at);
         ring.last_at = at;
         let vt = ring.vt;
         let tenant = ring.tenant;
-        ring.push(TraceRecord {
+        ring.records.push_back(TraceRecord {
             at,
             vt,
             tenant,
@@ -940,7 +990,7 @@ impl TraceSink {
 
     /// Number of records currently buffered.
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |r| r.borrow().len)
+        self.inner.as_ref().map_or(0, |r| r.borrow().records.len())
     }
 
     /// Whether the buffer holds no records.
@@ -954,20 +1004,23 @@ impl TraceSink {
     }
 
     /// Removes and returns all buffered records, oldest first.
+    ///
+    /// The records are handed over in the ring's own allocation, not
+    /// copied: when the ring has never overflowed they already sit in
+    /// order at its start, and after an overflow they are rotated into
+    /// order in place.
     pub fn drain(&self) -> Vec<TraceRecord> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |r| r.borrow_mut().drain())
+        self.inner.as_ref().map_or_else(Vec::new, |r| {
+            Vec::from(std::mem::take(&mut r.borrow_mut().records))
+        })
     }
 
     /// Calls `f` on every buffered record, oldest first, without
     /// copying or clearing — the zero-allocation way to fold a large
     /// trace into a summary.
-    pub fn visit(&self, mut f: impl FnMut(&TraceRecord)) {
+    pub fn visit(&self, f: impl FnMut(&TraceRecord)) {
         if let Some(ring) = &self.inner {
-            for r in ring.borrow().iter() {
-                f(r);
-            }
+            ring.borrow().records.iter().for_each(f);
         }
     }
 
@@ -975,7 +1028,7 @@ impl TraceSink {
     pub fn snapshot(&self) -> Vec<TraceRecord> {
         self.inner
             .as_ref()
-            .map_or_else(Vec::new, |r| r.borrow().iter().cloned().collect())
+            .map_or_else(Vec::new, |r| r.borrow().records.iter().cloned().collect())
     }
 }
 
@@ -1059,6 +1112,33 @@ mod tests {
             .collect();
         assert_eq!(pages, vec![3, 4]);
         assert!(sink.is_empty());
+    }
+
+    #[test]
+    fn drain_after_wrapping_returns_oldest_first() {
+        let sink = TraceSink::bounded(5);
+        for page in 0..20u64 {
+            sink.emit(Time::from_nanos(page), TraceEvent::Tier1Hit { page });
+        }
+        let wrapped = |sink: &TraceSink| {
+            let ring = sink.inner.as_ref().map(|r| r.borrow());
+            ring.is_some_and(|r| !r.records.as_slices().1.is_empty())
+        };
+        assert!(wrapped(&sink), "the records run past the deque's end");
+        let pages: Vec<u64> = sink
+            .drain()
+            .into_iter()
+            .map(|r| match r.event {
+                TraceEvent::Tier1Hit { page } => page,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(pages, [15, 16, 17, 18, 19]);
+        assert_eq!(sink.dropped(), 15);
+        assert!(sink.is_empty());
+        sink.emit(Time::from_nanos(30), TraceEvent::Tier1Hit { page: 30 });
+        assert_eq!(sink.len(), 1);
+        assert_eq!(sink.dropped(), 15);
     }
 
     #[test]
@@ -1438,6 +1518,86 @@ mod tests {
         assert_eq!(to_csv(&stamped), EVERY_VARIANT_TENANT_CSV);
         for line in EVERY_VARIANT_TENANT_CSV.lines() {
             assert_eq!(line.matches(',').count(), CSV_HEADER.matches(',').count());
+        }
+    }
+
+    /// Every variant with and without a tenant stamp, then the integers
+    /// at the digit-count edges in every integer field a record has.
+    fn mixed_records() -> Vec<TraceRecord> {
+        let mut records = every_variant(|_| None);
+        records.extend(every_variant(|i| Some(i * 1000)));
+        for n in [0, 9, 10, 99, 100, u64::MAX] {
+            records.push(TraceRecord {
+                at: Time::from_nanos(n),
+                vt: n,
+                tenant: Some(u32::try_from(n).unwrap_or(u32::MAX)),
+                event: TraceEvent::Tier1Fill {
+                    page: n,
+                    source: TierTag::Gpu,
+                    ready_ns: n,
+                },
+            });
+        }
+        records
+    }
+
+    #[test]
+    fn every_part_count_renders_the_same_bytes() {
+        let records = mixed_records();
+        for format in [Format::Jsonl, Format::Csv] {
+            let whole = render(&records, format, 1);
+            for parts in [2, 3, 7] {
+                assert_eq!(render(&records, format, parts), whole, "{parts} parts");
+            }
+        }
+        let jsonl = to_jsonl(&records);
+        assert!(jsonl.ends_with(concat!(
+            r#"{"t":18446744073709551615,"vt":18446744073709551615,"tenant":4294967295,"#,
+            r#""ev":"t1_fill","page":18446744073709551615,"source":"t1","ready":18446744073709551615}"#,
+            "\n"
+        )));
+        assert!(to_csv(&records).contains("\n100,100,t1_fill,100,t1,,,,,100,100\n"));
+    }
+
+    #[test]
+    fn exporters_split_a_long_trace_into_the_same_bytes() {
+        let records = mixed_records();
+        let long: Vec<TraceRecord> = records
+            .iter()
+            .cycle()
+            .take(3 * MIN_PART_RECORDS)
+            .cloned()
+            .collect();
+        assert_eq!(to_jsonl(&long), render(&long, Format::Jsonl, 1));
+        assert_eq!(to_csv(&long), render(&long, Format::Csv, 1));
+    }
+
+    #[test]
+    fn count_equals_rendered_length() {
+        for record in mixed_records() {
+            let one = std::slice::from_ref(&record);
+            for format in [Format::Jsonl, Format::Csv] {
+                let mut count = Count(0);
+                format.write_records(one, &mut count);
+                let mut header = Count(0);
+                format.write_header(&mut header);
+                assert_eq!(header.0 + count.0, render(one, format, 1).len());
+            }
+        }
+    }
+
+    #[test]
+    fn integers_render_as_display_does() {
+        let mut ns: Vec<u64> = (0..=1000).collect();
+        for k in 1..20 {
+            let p = 10u64.pow(k);
+            ns.extend([p - 1, p, p + 1]);
+        }
+        ns.extend([u64::MAX - 1, u64::MAX]);
+        for n in ns {
+            let mut buf = vec![0; decimal_len(n)];
+            Cursor(&mut buf).int(n);
+            assert_eq!(buf, n.to_string().into_bytes(), "{n}");
         }
     }
 

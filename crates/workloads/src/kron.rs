@@ -8,8 +8,8 @@
 //! applications see them.
 
 use std::ops::Range;
-use std::thread;
 
+use gmt_sim::parts::in_parts;
 use rand::{Rng, RngCore};
 
 use crate::util::{part_count, unit_threshold};
@@ -126,28 +126,24 @@ impl KronGraph {
         );
         let per_part = edges.div_ceil(parts).max(1);
         let mut pairs = vec![(0u32, 0u32); edges];
-        thread::scope(|s| {
-            for (k, part) in pairs.chunks_mut(per_part).enumerate() {
-                // Each part starts where the serial stream would reach its
-                // first edge: `scale` draws per edge after the shuffle.
-                let mut rng = rng.clone();
-                let relabel = relabel.as_deref();
-                s.spawn(move || {
-                    rng.advance((k * per_part) as u64 * u64::from(config.scale));
-                    for pair in part {
-                        let (mut src, mut dst) = (0u32, 0u32);
-                        for _ in 0..config.scale {
-                            let m = rng.next_u64() >> 11;
-                            let dst_bit = (m >= ta) ^ (m >= tab) ^ (m >= tabc);
-                            src = (src << 1) | u32::from(m >= tab);
-                            dst = (dst << 1) | u32::from(dst_bit);
-                        }
-                        *pair = match relabel {
-                            Some(map) => (map[src as usize], map[dst as usize]),
-                            None => (src, dst),
-                        };
-                    }
-                });
+        let relabel = relabel.as_deref();
+        in_parts(pairs.chunks_mut(per_part).enumerate(), |(k, part)| {
+            // Each part starts where the serial stream would reach its
+            // first edge: `scale` draws per edge after the shuffle.
+            let mut rng = rng.clone();
+            rng.advance((k * per_part) as u64 * u64::from(config.scale));
+            for pair in part {
+                let (mut src, mut dst) = (0u32, 0u32);
+                for _ in 0..config.scale {
+                    let m = rng.next_u64() >> 11;
+                    let dst_bit = (m >= ta) ^ (m >= tab) ^ (m >= tabc);
+                    src = (src << 1) | u32::from(m >= tab);
+                    dst = (dst << 1) | u32::from(dst_bit);
+                }
+                *pair = match relabel {
+                    Some(map) => (map[src as usize], map[dst as usize]),
+                    None => (src, dst),
+                };
             }
         });
         // Counting-sort into CSR. The count is one pass over the pairs;
@@ -166,31 +162,30 @@ impl KronGraph {
             offsets[i] += offsets[i - 1];
         }
         let mut targets = vec![0u32; edges];
-        thread::scope(|s| {
-            let mut cursors = &mut offsets[..vertices as usize];
-            let mut slots = targets.as_mut_slice();
-            let (mut first, mut placed) = (0, 0);
-            for k in 1..=parts {
-                let len = if k == parts {
-                    cursors.len()
-                } else {
-                    cursors.partition_point(|&o| (o as usize) < k * edges / parts)
-                };
-                let (cursor, rest) = cursors.split_at_mut(len);
-                cursors = rest;
-                let end = cursors.first().map_or(edges, |&o| o as usize);
-                let (mine, rest) = slots.split_at_mut(end - placed);
-                slots = rest;
-                let (pairs, base) = (&pairs, placed);
-                s.spawn(move || {
-                    for &(src, dst) in pairs {
-                        if let Some(c) = cursor.get_mut((src as usize).wrapping_sub(first)) {
-                            mine[*c as usize - base] = dst;
-                            *c += 1;
-                        }
-                    }
-                });
-                (first, placed) = (first + len, end);
+        let mut cursors = &mut offsets[..vertices as usize];
+        let mut slots = targets.as_mut_slice();
+        let (mut first, mut placed) = (0, 0);
+        let mut places = Vec::with_capacity(parts);
+        for k in 1..=parts {
+            let len = if k == parts {
+                cursors.len()
+            } else {
+                cursors.partition_point(|&o| (o as usize) < k * edges / parts)
+            };
+            let (cursor, rest) = cursors.split_at_mut(len);
+            cursors = rest;
+            let end = cursors.first().map_or(edges, |&o| o as usize);
+            let (mine, rest) = slots.split_at_mut(end - placed);
+            slots = rest;
+            places.push((cursor, mine, first, placed));
+            (first, placed) = (first + len, end);
+        }
+        in_parts(places, |(cursor, mine, first, base)| {
+            for &(src, dst) in &pairs {
+                if let Some(c) = cursor.get_mut((src as usize).wrapping_sub(first)) {
+                    mine[*c as usize - base] = dst;
+                    *c += 1;
+                }
             }
         });
         offsets.copy_within(..vertices as usize, 1);

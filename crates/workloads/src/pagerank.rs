@@ -11,9 +11,10 @@
 use std::ops::Range;
 
 use gmt_mem::{PageId, WarpAccess};
+use gmt_sim::parts::in_parts;
 
 use crate::kron::{scale_bits_for_pages, CsrLayout, KronConfig, KronGraph};
-use crate::util::{chunk_ranges, in_parts, part_count, PageList};
+use crate::util::{chunk_ranges, part_count, PageList};
 use crate::{Workload, WorkloadScale};
 
 /// The PageRank workload.
@@ -86,7 +87,7 @@ impl PageRank {
         let edges_before: Vec<u64> = (0..=g.vertices.div_ceil(32) as usize)
             .map(|chunk| u64::from(g.offsets[first_vertex(chunk) as usize]))
             .collect();
-        let pieces = in_parts(&chunk_ranges(&edges_before, parts), |chunks| {
+        let pieces = in_parts(chunk_ranges(&edges_before, parts), |chunks| {
             self.sweep(first_vertex(chunks.start)..first_vertex(chunks.end))
         });
         let iteration: usize = pieces.iter().map(Vec::len).sum();

@@ -8,11 +8,12 @@
 //! than PageRank's, matching Fig. 7.
 
 use gmt_mem::{PageId, WarpAccess};
+use gmt_sim::parts::{even_ranges, in_parts};
 use rand::rngs::StdRng;
 use rand::RngCore;
 
 use crate::kron::{scale_bits_for_pages, CsrLayout, KronConfig, KronGraph};
-use crate::util::{chunk_ranges, even_ranges, in_parts, part_count, unit_threshold, PageList};
+use crate::util::{chunk_ranges, part_count, unit_threshold, PageList};
 use crate::{Workload, WorkloadScale};
 
 /// The SSSP workload.
@@ -93,7 +94,7 @@ impl Sssp {
             // One activity draw per vertex, so a vertex range's draws
             // start `range.start` draws into the round.
             let active_below = unit_threshold(activity);
-            let picks = in_parts(&vertex_ranges, |vertices| {
+            let picks = in_parts(vertex_ranges.iter().cloned(), |vertices| {
                 let mut rng = rng.clone();
                 rng.advance(vertices.start as u64);
                 let mut picked = vec![0; vertices.len()];
@@ -119,7 +120,7 @@ impl Sssp {
                 let edges: u64 = chunk.iter().map(|&v| u64::from(g.degree(v))).sum();
                 edges_before.push(edges_before[edges_before.len() - 1] + edges);
             }
-            let round = in_parts(&chunk_ranges(&edges_before, parts), |chunks| {
+            let round = in_parts(chunk_ranges(&edges_before, parts), |chunks| {
                 let mut rng = rng.clone();
                 rng.advance(edges_before[chunks.start]);
                 let vertices = chunks.start * 32..active.len().min(chunks.end * 32);

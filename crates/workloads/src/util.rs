@@ -1,10 +1,8 @@
 //! Shared graph-building and trace-building helpers.
 
-use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::thread;
 
-use gmt_mem::{PageId, WarpAccess};
+use gmt_mem::{PageId, WarpAccess, WARP_PAGES};
 
 /// Fewest edges worth a thread of their own when building a graph or a
 /// trace over one. Below this a part costs more to start than it saves,
@@ -13,12 +11,10 @@ use gmt_mem::{PageId, WarpAccess};
 const MIN_PART_EDGES: usize = 1 << 20;
 
 /// How many parts a build over `edges` edges of work is split into: one
-/// per core the process may run on (`available_parallelism` honours the
-/// affinity mask), but never so many that a part gets fewer than
-/// [`MIN_PART_EDGES`].
+/// per core, but never so many that a part gets fewer than
+/// [`MIN_PART_EDGES`] (see [`gmt_sim::parts::part_count`]).
 pub(crate) fn part_count(edges: usize) -> usize {
-    let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    cores.min(edges / MIN_PART_EDGES).max(1)
+    gmt_sim::parts::part_count(edges, MIN_PART_EDGES)
 }
 
 /// The integer `t` such that a draw `r = m / 2^53`, for the top 53 bits
@@ -59,39 +55,6 @@ pub(crate) fn chunk_ranges(edges_before: &[u64], parts: usize) -> Vec<Range<usiz
         .collect()
 }
 
-/// Cuts `0..n` into `parts` contiguous ranges whose lengths differ by at
-/// most one.
-pub(crate) fn even_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
-    (0..parts)
-        .map(|k| k * n / parts..(k + 1) * n / parts)
-        .collect()
-}
-
-/// Runs `part` on every range and returns the results in range order.
-/// The first range runs on the calling thread, the rest on scoped
-/// threads.
-pub(crate) fn in_parts<T: Send>(
-    ranges: &[Range<usize>],
-    part: impl Fn(Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    let Some((first, rest)) = ranges.split_first() else {
-        return Vec::new();
-    };
-    thread::scope(|s| {
-        let part = &part;
-        let handles: Vec<_> = rest
-            .iter()
-            .map(|range| s.spawn(move || part(range.clone())))
-            .collect();
-        let mut out = vec![part(first.clone())];
-        out.extend(handles.into_iter().map(|h| {
-            h.join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-        }));
-        out
-    })
-}
-
 /// The distinct pages one warp instruction touches, in first-occurrence
 /// order, deduplicated as they arrive.
 ///
@@ -130,14 +93,14 @@ impl PageList {
         }
     }
 
-    /// Emits the kept pages as scattered warp accesses of at most 32
-    /// pages each — the shape a divergent warp instruction produces after
-    /// coalescing — and empties the list.
+    /// Emits the kept pages as scattered warp accesses of at most
+    /// `WARP_PAGES` pages each — the shape a divergent warp instruction
+    /// produces after coalescing — and empties the list.
     pub(crate) fn emit(&mut self, out: &mut Vec<WarpAccess>, write: bool) {
         if self.pages.is_empty() {
             return;
         }
-        for chunk in self.pages.chunks(32) {
+        for chunk in self.pages.chunks(WARP_PAGES) {
             out.push(WarpAccess::scattered(chunk.to_vec(), write));
         }
         self.pages.clear();
@@ -190,21 +153,6 @@ mod tests {
         // fall after chunk 0. With 384 for each chunk's vertices, chunks
         // 0..2 do 1368 of the 2736 units of work.
         assert_eq!(chunk_ranges(&[0, 600, 600, 600, 1200], 2), [0..2, 2..4]);
-    }
-
-    #[test]
-    fn even_ranges_split_evenly() {
-        assert_eq!(even_ranges(10, 3), [0..3, 3..6, 6..10]);
-        assert_eq!(even_ranges(2, 3), [0..0, 0..1, 1..2]);
-    }
-
-    #[test]
-    fn in_parts_returns_results_in_range_order() {
-        let ranges = even_ranges(100, 4);
-        let sums = in_parts(&ranges, |r| r.sum::<usize>());
-        assert_eq!(sums.iter().sum::<usize>(), (0..100).sum());
-        assert_eq!(sums[0], (0..25).sum());
-        assert!(in_parts(&[], |r| r).is_empty());
     }
 
     #[test]
