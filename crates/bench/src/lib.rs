@@ -51,7 +51,7 @@ pub struct Prepared {
 /// Builds the nine-application suite with per-app geometries at the given
 /// Tier-2:Tier-1 `ratio` and over-subscription `os`.
 pub fn prepared_suite(tier1_pages: usize, ratio: f64, os: f64) -> Vec<Prepared> {
-    let scale = WorkloadScale::pages(((tier1_pages as f64) * (1.0 + ratio) * os).round() as usize);
+    let scale = WorkloadScale::pages(data_set_pages(tier1_pages, ratio, os));
     suite(&scale)
         .into_iter()
         .map(|workload| {
@@ -59,6 +59,12 @@ pub fn prepared_suite(tier1_pages: usize, ratio: f64, os: f64) -> Vec<Prepared> 
             Prepared { workload, geometry }
         })
         .collect()
+}
+
+/// The data-set size, in pages, of [`prepared_suite`]'s apps: Tier-1
+/// plus a Tier-2 of `ratio` × Tier-1, over-subscribed `os` times.
+pub fn data_set_pages(tier1_pages: usize, ratio: f64, os: f64) -> usize {
+    ((tier1_pages as f64) * (1.0 + ratio) * os).round() as usize
 }
 
 /// One data point of the Fig. 6b micro-benchmark: a small pool of copy
