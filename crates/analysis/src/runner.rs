@@ -1,10 +1,13 @@
 //! One-call execution of any workload on any system, with the paired
 //! comparisons every figure reports.
 
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
 use gmt_baselines::{Bam, BamConfig, Hmm, HmmConfig};
 use gmt_core::{Gmt, GmtConfig, PolicyKind, TieringMetrics};
 use gmt_gpu::{Executor, ExecutorConfig};
-use gmt_mem::TierGeometry;
+use gmt_mem::trace::Recording;
+use gmt_mem::{TierGeometry, WarpAccess};
 use gmt_sim::Dur;
 use gmt_ssd::SsdStats;
 use gmt_workloads::Workload;
@@ -38,7 +41,7 @@ impl std::fmt::Display for SystemKind {
 }
 
 /// One workload × system execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// The workload's name.
     pub workload: String,
@@ -133,6 +136,96 @@ pub fn run_system_with(
     }
 }
 
+/// A workload that generates its trace once per seed and rebuilds it from
+/// a [`Recording`] on every later call with that seed.
+///
+/// A figure replays each app on several systems over one seed, and
+/// [`run_system`] asks the workload for its trace each time. For a graph
+/// app every such call is a traversal of its graph (0.07–0.25 s at the
+/// default scale on a 2-core VM), while rebuilding the same trace from
+/// the recording takes 0.01–0.06 s. The recording holds one seed: a
+/// call with another seed generates and records again.
+///
+/// # Examples
+///
+/// ```
+/// use gmt_analysis::runner::Recorded;
+/// use gmt_workloads::{bfs::Bfs, Workload, WorkloadScale};
+///
+/// let bfs = Recorded::new(Box::new(Bfs::with_scale(&WorkloadScale::tiny())));
+/// let first = bfs.trace(1); // generated and recorded
+/// assert_eq!(bfs.trace(1), first); // rebuilt from the recording
+/// assert_eq!(bfs.name(), "BFS");
+/// ```
+pub struct Recorded {
+    inner: Box<dyn Workload>,
+    /// The last seed generated, and its recording.
+    recording: Mutex<Option<(u64, Arc<Recording>)>>,
+}
+
+impl Recorded {
+    /// Wraps `inner`; nothing is generated until the first `trace` call.
+    pub fn new(inner: Box<dyn Workload>) -> Recorded {
+        Recorded {
+            inner,
+            recording: Mutex::new(None),
+        }
+    }
+
+    /// `workload` wrapped in a [`Recorded`] if it is one of the graph
+    /// apps (BFS, PageRank, SSSP), and unchanged otherwise. The other six
+    /// apps generate their traces in a millisecond or less, about as fast
+    /// as a recording rebuilds them, and their traces grow with the
+    /// scale. A graph is capped at 2^20 vertices, which it reaches at the
+    /// default scale, so a graph app's recording never outgrows its
+    /// default-scale size of 1.7–9.3 MB.
+    pub fn graph_app(workload: Box<dyn Workload>) -> Box<dyn Workload> {
+        if GRAPH_APPS.contains(&workload.name()) {
+            Box::new(Recorded::new(workload))
+        } else {
+            workload
+        }
+    }
+
+    fn slot(&self) -> MutexGuard<'_, Option<(u64, Arc<Recording>)>> {
+        // The slot is written whole, so a panic elsewhere cannot leave it
+        // half-updated.
+        self.recording
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The names of the graph apps, whose traces [`Recorded::graph_app`]
+/// records.
+const GRAPH_APPS: [&str; 3] = ["BFS", "PageRank", "SSSP"];
+
+impl Workload for Recorded {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn total_pages(&self) -> usize {
+        self.inner.total_pages()
+    }
+
+    fn trace(&self, seed: u64) -> Vec<WarpAccess> {
+        // Clone the handle and release the lock before rebuilding, so
+        // threads sharing the workload replay in parallel.
+        let recorded = self
+            .slot()
+            .as_ref()
+            .filter(|(recorded_seed, _)| *recorded_seed == seed)
+            .map(|(_, recording)| Arc::clone(recording));
+        if let Some(recording) = recorded {
+            return recording.to_trace();
+        }
+        let trace = self.inner.trace(seed);
+        *self.slot() = Some((seed, Arc::new(Recording::new(&trace))));
+        trace
+    }
+}
+
 /// Derives the geometry for a workload the way the paper does: non-graph
 /// workloads are generated *to fill* a geometry, so any consistent pair
 /// works; graph workloads are fixed-size, so the geometry is derived from
@@ -183,7 +276,7 @@ pub fn geo_mean(values: impl IntoIterator<Item = f64>) -> f64 {
 mod tests {
     use super::*;
     use gmt_workloads::srad::Srad;
-    use gmt_workloads::WorkloadScale;
+    use gmt_workloads::{non_graph_suite, suite, WorkloadScale};
 
     fn srad_runs() -> (RunResult, RunResult) {
         let w = Srad::with_scale(&WorkloadScale::pages(600));
@@ -227,6 +320,65 @@ mod tests {
         let opt = optimistic_hmm_elapsed(&hmm, &gmt, Dur::from_micros(130), Dur::from_micros(50));
         assert!(opt <= hmm.elapsed);
         assert!(opt > Dur::ZERO);
+    }
+
+    #[test]
+    fn recorded_returns_the_inner_trace_across_seed_switches() {
+        let scale = WorkloadScale::tiny();
+        for (plain, wrapped) in suite(&scale).into_iter().zip(suite(&scale)) {
+            let recorded = Recorded::new(wrapped);
+            assert_eq!(recorded.name(), plain.name());
+            assert_eq!(recorded.total_pages(), plain.total_pages());
+            let (one, two) = (plain.trace(1), plain.trace(2));
+            for (step, seed, want) in [
+                ("first call", 1, &one),
+                ("repeat", 1, &one),
+                ("switch to seed 2", 2, &two),
+                ("repeat at seed 2", 2, &two),
+                ("switch back to seed 1", 1, &one),
+                ("repeat after switching back", 1, &one),
+            ] {
+                assert_eq!(&recorded.trace(seed), want, "{}: {step}", plain.name());
+            }
+        }
+    }
+
+    #[test]
+    fn recorded_runs_equal_plain_runs() {
+        let scale = WorkloadScale::pages(600);
+        for (plain, wrapped) in suite(&scale).into_iter().zip(suite(&scale)) {
+            let recorded = Recorded::new(wrapped);
+            let g = geometry_for(plain.as_ref(), 4.0, 2.0);
+            for system in [
+                SystemKind::Bam,
+                SystemKind::Hmm,
+                SystemKind::Gmt(PolicyKind::Reuse),
+            ] {
+                assert_eq!(
+                    run_system(&recorded, system, &g, 3),
+                    run_system(plain.as_ref(), system, &g, 3),
+                    "{} on {system}",
+                    plain.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn only_graph_apps_are_recorded() {
+        let scale = WorkloadScale::tiny();
+        let regular: Vec<_> = non_graph_suite(&scale).iter().map(|w| w.name()).collect();
+        for w in suite(&scale) {
+            let name = w.name();
+            assert_eq!(
+                GRAPH_APPS.contains(&name),
+                !regular.contains(&name),
+                "{name}"
+            );
+            let pages = w.total_pages();
+            let w = Recorded::graph_app(w);
+            assert_eq!((w.name(), w.total_pages()), (name, pages));
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use gmt_analysis::runner::{
-    geo_mean, geometry_for, optimistic_hmm_elapsed, run_system, run_system_with, RunResult,
-    SystemKind,
+    geo_mean, geometry_for, optimistic_hmm_elapsed, run_system, run_system_with, Recorded,
+    RunResult, SystemKind,
 };
 use gmt_analysis::table::{fmt_pct, fmt_ratio, Table};
 use gmt_analysis::timeline::run_gmt_timeline;
@@ -706,10 +706,10 @@ PCIe traffic per window, Zipf(0.8) loop (trace-derived):
 fn fig11(inputs: &mut Inputs) -> String {
     let pages = |os| data_set_pages(inputs.tier1, 4.0, os);
     let scale = WorkloadScale::pages(pages(4.0));
-    let fresh = if scale_bits_for_pages(pages(2.0)) == scale_bits_for_pages(pages(4.0)) {
+    let fresh: Vec<_> = if scale_bits_for_pages(pages(2.0)) == scale_bits_for_pages(pages(4.0)) {
         non_graph_suite(&scale)
     } else {
-        suite(&scale)
+        suite(&scale).into_iter().map(Recorded::graph_app).collect()
     };
     let apps = inputs.default.iter().map(|p| {
         let w = fresh

@@ -34,7 +34,7 @@
 
 pub mod hotpath;
 
-use gmt_analysis::runner::geometry_for;
+use gmt_analysis::runner::{geometry_for, Recorded};
 use gmt_mem::TierGeometry;
 use gmt_pcie::{HostLink, HostLinkConfig, TransferBatch, TransferMethod};
 use gmt_sim::{Time, Zipf};
@@ -50,11 +50,15 @@ pub struct Prepared {
 
 /// Builds the nine-application suite with per-app geometries at the given
 /// Tier-2:Tier-1 `ratio` and over-subscription `os`.
+///
+/// The graph apps come wrapped in [`Recorded`], so each generates its
+/// trace once per seed however many systems replay it.
 pub fn prepared_suite(tier1_pages: usize, ratio: f64, os: f64) -> Vec<Prepared> {
     let scale = WorkloadScale::pages(data_set_pages(tier1_pages, ratio, os));
     suite(&scale)
         .into_iter()
         .map(|workload| {
+            let workload = Recorded::graph_app(workload);
             let geometry = geometry_for(workload.as_ref(), ratio, os);
             Prepared { workload, geometry }
         })
@@ -207,8 +211,17 @@ mod tests {
     #[test]
     fn prepared_suite_covers_nine_apps() {
         let prepared = prepared_suite(128, 4.0, 2.0);
+        let plain = suite(&WorkloadScale::pages(data_set_pages(128, 4.0, 2.0)));
         assert_eq!(prepared.len(), 9);
-        for p in &prepared {
+        for (p, w) in prepared.iter().zip(&plain) {
+            assert_eq!(p.workload.name(), w.name());
+            assert_eq!(p.workload.total_pages(), w.total_pages(), "{}", w.name());
+            assert_eq!(
+                p.geometry,
+                geometry_for(w.as_ref(), 4.0, 2.0),
+                "{}",
+                w.name()
+            );
             assert!(p.geometry.tier1_pages > 0);
         }
     }

@@ -2,10 +2,18 @@
 //!
 //! Workload traces can run to millions of accesses; re-generating a graph
 //! and re-running BFS for every experiment is wasteful when the same trace
-//! is replayed across five systems. This module provides a compact binary
-//! encoding (~9 bytes per single-page access) for recording a trace once
-//! and replaying it many times, or for importing traces captured outside
-//! this workspace.
+//! is replayed across five systems. This module holds two encodings of a
+//! trace that share one per-access header:
+//!
+//! * [`encode`] / [`decode`], the versioned v1 byte format (~9 bytes per
+//!   single-page access), for storing a trace or importing traces
+//!   captured outside this workspace;
+//! * [`Recording`], an in-memory recording that writes page ids in
+//!   LEB128, so a graph trace's small page ids take one to two bytes.
+//!   `gmt_analysis::runner::Recorded` keeps one per seed, so the `paper`
+//!   driver, `gmt-cli` and the end-to-end benchmark generate each graph
+//!   app's trace once and rebuild it from the recording for every
+//!   further system.
 //!
 //! # Format
 //!
@@ -18,7 +26,7 @@
 //!   pages  count x u64 LE
 //! ```
 
-use crate::{PageId, WarpAccess};
+use crate::{PageId, PageSet, WarpAccess};
 
 const MAGIC: &[u8; 8] = b"GMTTRACE";
 const VERSION: u16 = 1;
@@ -65,17 +73,15 @@ impl std::error::Error for DecodeTraceError {}
 ///
 /// # Panics
 ///
-/// Panics if an access touches more than 127 distinct pages (a warp can
-/// touch at most 32).
+/// Panics if an access touches no page or more than 127 distinct pages
+/// (a warp can touch at most 32).
 pub fn encode(accesses: &[WarpAccess]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(18 + accesses.len() * 9);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&(accesses.len() as u64).to_le_bytes());
     for access in accesses {
-        let n = access.pages.len();
-        assert!(n > 0 && n <= 127, "access page count {n} out of range");
-        buf.push((n as u8) | if access.write { 0x80 } else { 0 });
+        buf.push(header(access));
         for page in access.pages.iter() {
             buf.extend_from_slice(&page.0.to_le_bytes());
         }
@@ -105,18 +111,134 @@ pub fn decode(buf: &[u8]) -> Result<Vec<WarpAccess>, DecodeTraceError> {
     let mut out = Vec::with_capacity(count.min(body.len() as u64 / 9) as usize);
     for _ in 0..count {
         let [header] = take(&mut body).ok_or(Truncated)?;
-        let n = (header & 0x7F) as usize;
-        if n == 0 {
+        if header & 0x7F == 0 {
             return Err(EmptyAccess);
         }
-        let mut pages = Vec::with_capacity(n);
-        for _ in 0..n {
-            let page = take(&mut body).map(u64::from_le_bytes).ok_or(Truncated)?;
-            pages.push(PageId(page));
-        }
-        out.push(WarpAccess::scattered(pages, header & 0x80 != 0));
+        let access = read_access(header, || take(&mut body).map(u64::from_le_bytes));
+        out.push(access.ok_or(Truncated)?);
     }
     Ok(out)
+}
+
+/// A trace held in memory in a compact form, to be rebuilt any number of
+/// times.
+///
+/// Each access is the v1 header byte followed by its page ids in LEB128
+/// (7 bits a byte, low bits first): a page id below 128 takes one byte
+/// and one below 16,384 two, where [`encode`] always spends eight. At
+/// the default scale a graph app's page ids are below 2,304, so its
+/// recording is about a quarter of its v1 encoding. A recording is
+/// built from accesses this process holds, so unlike [`decode`],
+/// [`Recording::to_trace`] has no malformed input to reject.
+///
+/// # Examples
+///
+/// ```
+/// use gmt_mem::{trace::Recording, PageId, WarpAccess};
+/// let t = vec![
+///     WarpAccess::read(PageId(1)),
+///     WarpAccess::scattered(vec![PageId(300), PageId(u64::MAX)], true),
+/// ];
+/// let recording = Recording::new(&t);
+/// assert_eq!(recording.byte_len(), 2 + 1 + 2 + 10);
+/// assert_eq!(recording.to_trace(), t);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Recording {
+    bytes: Box<[u8]>,
+    accesses: usize,
+}
+
+impl Recording {
+    /// Records `accesses`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an access touches no page or more than 127 distinct
+    /// pages, as [`encode`] does.
+    pub fn new(accesses: &[WarpAccess]) -> Recording {
+        let mut bytes = Vec::with_capacity(accesses.len() * 3);
+        for access in accesses {
+            bytes.push(header(access));
+            for page in access.pages.iter() {
+                let mut id = page.0;
+                while id >= 0x80 {
+                    bytes.push(id as u8 | 0x80);
+                    id >>= 7;
+                }
+                bytes.push(id as u8);
+            }
+        }
+        Recording {
+            bytes: bytes.into_boxed_slice(),
+            accesses: accesses.len(),
+        }
+    }
+
+    /// Bytes the recording holds.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Rebuilds the recorded trace, equal to the one passed to
+    /// [`Recording::new`].
+    pub fn to_trace(&self) -> Vec<WarpAccess> {
+        let mut out = Vec::with_capacity(self.accesses);
+        let mut body = &self.bytes[..];
+        while let Some(access) =
+            take(&mut body).and_then(|[header]| read_access(header, || read_leb128(&mut body)))
+        {
+            out.push(access);
+        }
+        out
+    }
+}
+
+/// An access's header byte: bit 7 the write flag, bits 0..7 the page
+/// count.
+///
+/// # Panics
+///
+/// Panics if the access touches no page or more than 127.
+fn header(access: &WarpAccess) -> u8 {
+    let n = access.pages.len();
+    assert!(n > 0 && n <= 127, "access page count {n} out of range");
+    (n as u8) | if access.write { 0x80 } else { 0 }
+}
+
+/// Builds the access `header` announces, reading each of its page ids
+/// with `page`; `None` if `page` runs out first. A one-page access goes
+/// straight into [`PageSet::One`], with no `Vec` on the way.
+fn read_access(header: u8, mut page: impl FnMut() -> Option<u64>) -> Option<WarpAccess> {
+    let n = usize::from(header & 0x7F);
+    let pages = if n == 1 {
+        PageSet::One(PageId(page()?))
+    } else {
+        let mut pages = Vec::with_capacity(n);
+        for _ in 0..n {
+            pages.push(PageId(page()?));
+        }
+        PageSet::Many(pages.into_boxed_slice())
+    };
+    Some(WarpAccess {
+        pages,
+        write: header & 0x80 != 0,
+    })
+}
+
+/// Consumes one LEB128-encoded `u64` from the front of `buf`, or returns
+/// `None` if `buf` ends inside it.
+fn read_leb128(buf: &mut &[u8]) -> Option<u64> {
+    let mut value = 0;
+    let mut shift = 0;
+    loop {
+        let [byte] = take(buf)?;
+        value |= u64::from(byte & 0x7F) << shift;
+        if byte < 0x80 {
+            return Some(value);
+        }
+        shift += 7;
+    }
 }
 
 /// Consumes the first `N` bytes of `buf`, or returns `None` if fewer
@@ -206,6 +328,56 @@ mod tests {
         let mut b = encode(&[WarpAccess::read(PageId(1))]);
         b[18] &= 0x80; // clear the page count
         assert_eq!(decode(&b), Err(DecodeTraceError::EmptyAccess));
+    }
+
+    #[test]
+    fn single_page_accesses_decode_inline() {
+        let decoded = decode(&SAMPLE_BYTES).unwrap();
+        assert!(matches!(decoded[0].pages, PageSet::One(PageId(0))));
+        assert!(matches!(decoded[1].pages, PageSet::One(PageId(u64::MAX))));
+        assert!(matches!(decoded[2].pages, PageSet::Many(_)));
+        let replayed = Recording::new(&sample()).to_trace();
+        assert!(matches!(replayed[0].pages, PageSet::One(PageId(0))));
+    }
+
+    #[test]
+    fn recording_replays_the_sample() {
+        let t = sample();
+        let recording = Recording::new(&t);
+        assert_eq!(recording.to_trace(), t);
+        assert_eq!(
+            recording.to_trace(),
+            t,
+            "a recording replays any number of times"
+        );
+        // Headers 4; page 0 one byte; u64::MAX ten; 5, 9 and 1 one each;
+        // 0..32 one each.
+        assert_eq!(recording.byte_len(), 4 + 1 + 10 + 3 + 32);
+        assert_eq!(Recording::new(&[]).byte_len(), 0);
+        assert_eq!(Recording::new(&[]).to_trace(), Vec::new());
+    }
+
+    #[test]
+    fn recording_page_ids_take_seven_bits_a_byte() {
+        for (id, bytes) in [
+            (127, 1),
+            (128, 2),
+            (2_303, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (1 << 63, 10),
+        ] {
+            let t = [WarpAccess::read(PageId(id))];
+            let recording = Recording::new(&t);
+            assert_eq!(recording.byte_len(), 1 + bytes, "page {id}");
+            assert_eq!(recording.to_trace(), t, "page {id}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn recording_rejects_an_empty_access() {
+        Recording::new(&[WarpAccess::scattered(Vec::new(), false)]);
     }
 
     #[test]

@@ -27,6 +27,26 @@ proptest! {
     }
 
     #[test]
+    fn recording_roundtrips_arbitrary_accesses(
+        accesses in proptest::collection::vec(arb_access(), 0..200),
+        shift in 0u32..64,
+    ) {
+        // Shifting the uniform ids spreads them over every LEB128 width,
+        // one byte to ten; the last two accesses pin the widest id.
+        let mut trace: Vec<WarpAccess> = accesses
+            .iter()
+            .map(|a| {
+                let pages = a.pages.iter().map(|p| PageId(p.0 >> shift)).collect();
+                WarpAccess::scattered(pages, a.write)
+            })
+            .collect();
+        trace.push(WarpAccess::write(PageId(u64::MAX)));
+        trace.push(WarpAccess::scattered(vec![PageId(u64::MAX), PageId(0)], false));
+        let recording = trace::Recording::new(&trace);
+        prop_assert_eq!(recording.to_trace(), trace);
+    }
+
+    #[test]
     fn truncated_traces_never_panic(
         accesses in proptest::collection::vec(arb_access(), 1..50),
         cut_fraction in 0.0f64..1.0,

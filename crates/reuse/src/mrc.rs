@@ -29,8 +29,11 @@ use crate::olken::ReuseTracker;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MissRatioCurve {
-    /// Finite reuse distances, sorted ascending.
-    sorted_rds: Vec<u64>,
+    /// `hits_below[c]`: accesses with a finite reuse distance below `c`,
+    /// for `c` from 0 to one past the largest such distance. A reuse
+    /// distance is below the number of distinct pages, so the curve takes
+    /// one counter per page where a list of distances takes one per touch.
+    hits_below: Vec<u64>,
     /// First-touch (compulsory) misses.
     cold: u64,
     /// Total accesses.
@@ -41,19 +44,32 @@ impl MissRatioCurve {
     /// Builds the curve from a page-touch stream.
     pub fn from_trace(trace: impl IntoIterator<Item = PageId>) -> MissRatioCurve {
         let mut tracker = ReuseTracker::new();
-        let mut sorted_rds = Vec::new();
+        // `at_rd[d]`: accesses whose reuse distance is exactly `d`.
+        let mut at_rd: Vec<u64> = Vec::new();
         let mut cold = 0u64;
         let mut total = 0u64;
         for page in trace {
             total += 1;
             match tracker.record(page).rd.finite() {
-                Some(rd) => sorted_rds.push(rd),
+                Some(rd) => {
+                    let rd = rd as usize;
+                    if rd >= at_rd.len() {
+                        at_rd.resize(rd + 1, 0);
+                    }
+                    at_rd[rd] += 1;
+                }
                 None => cold += 1,
             }
         }
-        sorted_rds.sort_unstable();
+        let mut hits_below = Vec::with_capacity(at_rd.len() + 1);
+        hits_below.push(0);
+        let mut hits = 0;
+        for n in at_rd {
+            hits += n;
+            hits_below.push(hits);
+        }
         MissRatioCurve {
-            sorted_rds,
+            hits_below,
             cold,
             total,
         }
@@ -73,8 +89,8 @@ impl MissRatioCurve {
     ///
     /// An access with reuse distance `d` hits iff `d < capacity`.
     pub fn misses_at(&self, capacity: usize) -> u64 {
-        let hits = self.sorted_rds.partition_point(|&rd| rd < capacity as u64) as u64;
-        self.total - hits
+        let largest = self.hits_below.len() - 1;
+        self.total - self.hits_below[capacity.min(largest)]
     }
 
     /// Miss ratio at `capacity` (1.0 for an empty trace).
@@ -105,7 +121,7 @@ impl MissRatioCurve {
         }
         // Miss ratio is non-increasing in capacity: binary search over the
         // distinct reuse distances.
-        let max_needed = self.sorted_rds.last().map(|&d| d as usize + 1).unwrap_or(0);
+        let max_needed = self.hits_below.len() - 1;
         let (mut lo, mut hi) = (0usize, max_needed);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -164,6 +180,30 @@ mod tests {
         assert_eq!(mrc.cold_misses(), 4);
         assert_eq!(mrc.misses_at(usize::MAX), 4);
         assert_eq!(mrc.misses_at(0), 20);
+    }
+
+    #[test]
+    fn misses_match_an_lru_stack() {
+        let trace: Vec<PageId> = (0..600u64)
+            .map(|i| PageId((i * 7919 + i / 3) % 30))
+            .collect();
+        let mrc = MissRatioCurve::from_trace(trace.iter().copied());
+        for capacity in 0..35 {
+            // Most recent first: a page's index is its reuse distance.
+            let mut stack: Vec<PageId> = Vec::new();
+            let mut misses = 0;
+            for &page in &trace {
+                match stack.iter().position(|&q| q == page) {
+                    Some(rd) => {
+                        misses += u64::from(rd >= capacity);
+                        stack.remove(rd);
+                    }
+                    None => misses += 1,
+                }
+                stack.insert(0, page);
+            }
+            assert_eq!(mrc.misses_at(capacity), misses, "capacity {capacity}");
+        }
     }
 
     #[test]

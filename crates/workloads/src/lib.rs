@@ -54,6 +54,13 @@ use gmt_mem::WarpAccess;
 /// Workloads are `Send + Sync`: they are immutable once constructed
 /// (generation state lives in `trace`'s locals), so harnesses can share
 /// them across threads and cache them in statics.
+///
+/// `trace` generates the whole trace on every call. A harness that
+/// replays one app on several systems wraps an app whose trace is
+/// expensive to generate (the graph apps, each a graph traversal) in
+/// `gmt_analysis::runner::Recorded`, which generates it once per seed and
+/// rebuilds it from an in-memory recording after that, rather than
+/// regenerating it for each system.
 pub trait Workload: Send + Sync {
     /// The paper's name for the application.
     fn name(&self) -> &'static str;

@@ -12,7 +12,7 @@
 
 use std::process::ExitCode;
 
-use gmt::analysis::runner::{run_system, RunResult, SystemKind};
+use gmt::analysis::runner::{run_system, Recorded, RunResult, SystemKind};
 use gmt::analysis::table::{fmt_pct, fmt_ratio, Table};
 use gmt::core::{GmtConfig, PolicyKind};
 use gmt::mem::{TierGeometry, WARP_PAGES};
@@ -86,6 +86,7 @@ fn find_app(name: &str, opts: &Options) -> Result<Box<dyn Workload>, String> {
     suite(&scale)
         .into_iter()
         .find(|w| w.name().to_ascii_lowercase() == wanted)
+        .map(Recorded::graph_app)
         .ok_or_else(|| format!("unknown app '{name}' (try `gmt-cli list`)"))
 }
 
@@ -161,7 +162,11 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
         SystemKind::Gmt(PolicyKind::Random),
         SystemKind::Gmt(PolicyKind::Reuse),
     ] {
-        let r = run_system(workload.as_ref(), system, &geometry, opts.seed);
+        let r = if system == SystemKind::Bam {
+            bam.clone()
+        } else {
+            run_system(workload.as_ref(), system, &geometry, opts.seed)
+        };
         table.row(vec![
             system.name().to_string(),
             r.elapsed.to_string(),
