@@ -19,7 +19,6 @@
 //!   reconciliation against [`gmt_core::TieringMetrics`],
 //! * [`table`] — fixed-width text tables for the figures.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod characterize;

@@ -16,7 +16,6 @@
 //! Both implement [`gmt_gpu::MemoryBackend`] and reuse
 //! [`gmt_core::TieringMetrics`], so every run is directly comparable.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bam;

@@ -29,7 +29,6 @@
 //! the `GMT_T1_PAGES` environment variable (default 1024 Tier-1 pages;
 //! the paper's unscaled 16 GB is 262144).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hotpath;

@@ -24,8 +24,16 @@
 //! tenant table of [`TenantSlice`]s and a [`PartitionPolicy`] dividing
 //! Tier-1 among them (the `gmt-serve` crate builds on it).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// P1: library code surfaces typed errors, not panics. A justified
+// exception carries `#[expect(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod config;
 mod manager;

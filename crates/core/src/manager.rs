@@ -76,8 +76,11 @@ impl BypassWindow {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "len == capacity > 0 guarantees a front element"
+    )]
     fn push(&mut self, predicted_t3: bool) {
-        // gmt-lint: allow(P1): len == capacity > 0 guarantees a front element.
         if self.recent.len() == self.capacity && self.recent.pop_front().expect("window non-empty")
         {
             self.t3_count -= 1;
@@ -263,12 +266,19 @@ pub struct Gmt {
 /// paths whose typed-error counterparts are [`GmtConfig::validate`] and
 /// [`GmtConfig::check_access_width`].
 #[cold]
+#[expect(
+    clippy::panic,
+    reason = "documented panic; GmtConfig's checks are the typed-error path"
+)]
 fn invalid_config(err: ConfigError) -> ! {
-    // gmt-lint: allow(P1): documented panic; GmtConfig's checks are the typed-error path.
     panic!("invalid GMT configuration: {err}");
 }
 
 /// Index of the tenant whose range holds `page`.
+#[expect(
+    clippy::expect_used,
+    reason = "documented panic for pages below every tenant range"
+)]
 fn owner_of(tenants: &[Tenant], page: PageId) -> usize {
     let i = match tenants.len() {
         // A lone tenant: the range check below is the whole lookup.
@@ -276,7 +286,6 @@ fn owner_of(tenants: &[Tenant], page: PageId) -> usize {
         _ => tenants
             .partition_point(|t| t.slice.base <= page.0)
             .checked_sub(1)
-            // gmt-lint: allow(P1): documented panic for pages below every tenant range.
             .expect("page below every tenant base"),
     };
     let s = &tenants[i].slice;
@@ -763,6 +772,11 @@ impl Gmt {
     /// weighted share (largest resident-per-weight), among tenants that
     /// hold anything at all. Work-conserving: idle tenants' capacity is
     /// reclaimed from whoever borrowed the most.
+    #[expect(
+        clippy::expect_used,
+        reason = "weights are validated non-zero, so ratios are never NaN; eviction only \
+                  runs once tier-1 is full, so a tenant has pages"
+    )]
     fn most_over_share(&self) -> usize {
         self.tenants
             .iter()
@@ -771,11 +785,9 @@ impl Gmt {
             .max_by(|(_, a), (_, b)| {
                 let ka = a.resident as f64 / a.slice.weight as f64;
                 let kb = b.resident as f64 / b.slice.weight as f64;
-                // gmt-lint: allow(P1): weights are validated non-zero, so ratios are never NaN.
                 ka.partial_cmp(&kb).expect("ratios are finite")
             })
             .map(|(i, _)| i)
-            // gmt-lint: allow(P1): eviction only runs once tier-1 is full, so a tenant has pages.
             .expect("eviction requested from an empty tier-1")
     }
 
@@ -822,10 +834,11 @@ impl Gmt {
         let mut reuse_skips = 0usize;
         let mut floor_skips = 0usize;
         loop {
-            let candidate = clock
-                .candidate()
-                // gmt-lint: allow(P1): eviction only runs once the scanned clock is full, so it is non-empty.
-                .expect("tier-1 clock is non-empty");
+            #[expect(
+                clippy::expect_used,
+                reason = "eviction only runs once the scanned clock is full, so it is non-empty"
+            )]
+            let candidate = clock.candidate().expect("tier-1 clock is non-empty");
             let owner = owner_of(tenants, candidate);
             if qos && owner != t && tenants[owner].resident <= tenants[owner].slice.floor_pages {
                 floor_skips += 1;

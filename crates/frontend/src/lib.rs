@@ -62,7 +62,6 @@
 //! assert_eq!(interactive.admits, interactive.completes());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

@@ -16,7 +16,6 @@
 //!   if 2047 other warps can issue in the meantime, but a serialized
 //!   intermediary (a DMA engine, a handful of host cores) stalls them all.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod executor;

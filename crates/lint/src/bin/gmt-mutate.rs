@@ -1,8 +1,6 @@
 //! The `gmt-mutate` binary: mutation-injection recall harness for the
 //! gmt-lint rule set. See [`gmt_lint::mutate`] for the methodology.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

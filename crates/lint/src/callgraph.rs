@@ -199,7 +199,6 @@ mod tests {
             PathBuf::from("crates/core/src/x.rs"),
             "core".into(),
             TargetKind::Lib,
-            false,
             src,
         )
     }

@@ -39,7 +39,7 @@ impl fmt::Display for Level {
 /// One rule violation at one source location.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// The violated rule's id (`D1`, `M1`, …).
+    /// The violated rule's id (`D3`, `M1`, …).
     pub rule: &'static str,
     /// The effective level the rule ran at.
     pub level: Level,
@@ -54,8 +54,7 @@ pub struct Finding {
     /// 1-based column of the character just past the violation.
     pub end_col: u32,
     /// Verbatim source text of the anchor token: the file's text between
-    /// (`line`, `col`) and (`end_line`, `end_col`), or empty for findings
-    /// with no anchor token (S1).
+    /// (`line`, `col`) and (`end_line`, `end_col`).
     pub snippet: String,
     /// Human-readable description of what was found and what to do.
     pub message: String,
@@ -179,23 +178,23 @@ mod tests {
 
     fn finding(level: Level) -> Finding {
         Finding {
-            rule: "D1",
+            rule: "D3",
             level,
-            file: PathBuf::from("crates/sim/src/time.rs"),
+            file: PathBuf::from("crates/sim/src/trace.rs"),
             line: 3,
             col: 7,
             end_line: 3,
             end_col: 14,
-            snippet: "Instant".to_string(),
-            message: "wall-clock `Instant` in virtual-time code".to_string(),
+            snippet: "HashMap".to_string(),
+            message: "`HashMap` in export path `trace.rs`".to_string(),
         }
     }
 
     #[test]
     fn text_render_is_rustc_shaped() {
         let text = finding(Level::Deny).to_string();
-        assert!(text.starts_with("deny[D1]:"), "{text}");
-        assert!(text.contains("--> crates/sim/src/time.rs:3:7"), "{text}");
+        assert!(text.starts_with("deny[D3]:"), "{text}");
+        assert!(text.contains("--> crates/sim/src/trace.rs:3:7"), "{text}");
     }
 
     #[test]

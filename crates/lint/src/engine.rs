@@ -6,8 +6,8 @@
 //!
 //! 1. read + lex + parse every member file into [`AnalyzedFile`]s,
 //! 2. build the workspace [`Symbols`] table,
-//! 3. per file: token rules (D1/D2/D3/P1/M1), S1 on crate roots, and
-//!    the U1 unit-dimension walker (which needs the global fn table),
+//! 3. per file: token rules (D3/M1) and the U1 unit-dimension walker
+//!    (which needs the global fn table),
 //! 4. workspace-wide C1 config-coverage and T1 trace-schema checks,
 //! 5. the call-graph families (N1/A1/G1/R2/O1) over the call graph and
 //!    per-function CFGs ([`crate::flow`]).
@@ -19,14 +19,13 @@
 use std::fs;
 use std::io;
 use std::path::Path;
-use std::time::Duration;
-use std::time::Instant; // gmt-lint: allow(D1): host-side lint timing, not simulation.
+use std::time::{Duration, Instant};
 
-use crate::diag::{Finding, Level, Report};
+use crate::diag::{Finding, Report};
 use crate::flow::check_flow_rules;
 use crate::rules::{
-    check_config_coverage, check_d1, check_d2, check_d3, check_m1, check_p1, check_trace_schema,
-    check_unit_dimensions, has_forbid_unsafe, test_mask, Config, FileContext, Findings, TargetKind,
+    check_config_coverage, check_d3, check_m1, check_trace_schema, check_unit_dimensions,
+    test_mask, Config, FileContext, Findings, TargetKind,
 };
 use crate::symbols::{build_symbols, AnalyzedFile, Symbols};
 use crate::workspace::{workspace_files, Overlay};
@@ -67,15 +66,8 @@ fn check_file(
         f(&mut out);
         bump(timings, name, t.elapsed());
     };
-    timed("D1", &mut |out| {
-        check_d1(ctx, &file.lexed, &mask, config, out)
-    });
-    timed("D2", &mut |out| check_d2(ctx, &file.lexed, config, out));
     timed("D3", &mut |out| {
         check_d3(ctx, &file.lexed, &mask, config, out)
-    });
-    timed("P1", &mut |out| {
-        check_p1(ctx, &file.lexed, &mask, config, out)
     });
     timed("M1", &mut |out| check_m1(ctx, &file.lexed, config, out));
     timed("U1", &mut |out| {
@@ -83,49 +75,7 @@ fn check_file(
     });
     report.findings.extend(out.findings);
     report.suppressed += out.suppressed;
-    let t = Instant::now();
-    if file.crate_root
-        && config.level("S1") != Level::Allow
-        && !has_forbid_unsafe(&file.lexed.tokens)
-    {
-        if s1_suppressed(&file.lexed.suppressions) {
-            report.suppressed += 1;
-        } else {
-            report
-                .findings
-                .push(missing_forbid_unsafe(&file.rel, config));
-        }
-    }
-    bump(timings, "S1", t.elapsed());
     report.files_scanned += 1;
-}
-
-/// Whether a crate root carries a justified S1 suppression.
-///
-/// The missing-attribute finding anchors at line 1 column 1, so the
-/// standard own-line/line-above coverage window collapses to: only a
-/// `// gmt-lint: allow(S1): reason` comment on the first line of the
-/// crate root silences it.
-fn s1_suppressed(suppressions: &[crate::lexer::Suppression]) -> bool {
-    suppressions
-        .iter()
-        .any(|s| s.line == 1 && s.rules.iter().any(|r| r == "S1"))
-}
-
-fn missing_forbid_unsafe(rel_path: &Path, config: &Config) -> Finding {
-    Finding {
-        rule: "S1",
-        level: config.level("S1"),
-        file: rel_path.to_path_buf(),
-        line: 1,
-        col: 1,
-        end_line: 1,
-        end_col: 1,
-        snippet: String::new(),
-        message: "crate root is missing `#![forbid(unsafe_code)]`; every workspace crate \
-                  must statically rule unsafe code out"
-            .to_string(),
-    }
 }
 
 /// Lints a single source string as if it lived at `rel_path`.
@@ -146,23 +96,10 @@ pub fn check_source(
         rel_path.to_path_buf(),
         crate_name.to_string(),
         target,
-        false,
         source,
     )];
     let report = lint_files(&files, config).report;
     (report.findings, report.suppressed)
-}
-
-/// Lints a crate-root source string for S1 (`#![forbid(unsafe_code)]`).
-pub fn check_crate_root(rel_path: &Path, source: &str, config: &Config) -> Option<Finding> {
-    if config.level("S1") == Level::Allow {
-        return None;
-    }
-    let lexed = crate::lexer::lex(source);
-    if has_forbid_unsafe(&lexed.tokens) || s1_suppressed(&lexed.suppressions) {
-        return None;
-    }
-    Some(missing_forbid_unsafe(rel_path, config))
 }
 
 /// Reads, lexes and parses every workspace member file.
@@ -178,7 +115,6 @@ pub fn load_workspace(root: &Path, include_vendor: bool) -> io::Result<Vec<Analy
             file.rel,
             file.crate_name,
             file.target,
-            file.crate_root,
             &source,
         ));
     }
@@ -195,13 +131,9 @@ pub fn apply_overlay(base: &[AnalyzedFile], overlay: &Overlay) -> Vec<AnalyzedFi
     base.iter()
         .map(
             |f| match overlay.files.get(&crate::flow::slash_path(&f.rel)) {
-                Some(source) => AnalyzedFile::analyze(
-                    f.rel.clone(),
-                    f.crate_name.clone(),
-                    f.target,
-                    f.crate_root,
-                    source,
-                ),
+                Some(source) => {
+                    AnalyzedFile::analyze(f.rel.clone(), f.crate_name.clone(), f.target, source)
+                }
                 None => f.clone(),
             },
         )
@@ -289,19 +221,6 @@ mod tests {
     use std::path::PathBuf;
 
     #[test]
-    fn s1_fires_on_a_missing_attribute_and_respects_overrides() {
-        let rel = PathBuf::from("crates/x/src/lib.rs");
-        let config = Config::default();
-        let f = check_crate_root(&rel, "pub fn f() {}", &config).expect("missing attr");
-        assert_eq!(f.rule, "S1");
-        let mut relaxed = Config::default();
-        relaxed
-            .overrides
-            .insert("S1".to_string(), crate::diag::Level::Allow);
-        assert!(check_crate_root(&rel, "pub fn f() {}", &relaxed).is_none());
-    }
-
-    #[test]
     fn identical_span_findings_dedup_to_the_lowest_rule_id() {
         let mk = |rule: &'static str, line: u32, message: &str| crate::diag::Finding {
             rule,
@@ -338,15 +257,12 @@ mod tests {
             PathBuf::from("crates/core/src/x.rs"),
             "core".into(),
             crate::rules::TargetKind::Lib,
-            false,
             "pub fn access() { let v: Vec<u32> = Vec::new(); drop(v); }",
         )];
         let config = Config::default();
         let timings = lint_files(&files, &config).timings;
         let names: Vec<&str> = timings.iter().map(|(n, _)| *n).collect();
-        for expected in [
-            "D1", "D2", "D3", "P1", "M1", "U1", "S1", "C1", "T1", "N1", "A1", "G1", "R2", "O1",
-        ] {
+        for expected in ["D3", "M1", "U1", "C1", "T1", "N1", "A1", "G1", "R2", "O1"] {
             assert!(names.contains(&expected), "missing {expected}: {names:?}");
         }
     }

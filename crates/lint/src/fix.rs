@@ -7,9 +7,7 @@
 //! conversions the walker proves safe: appending `* 1_000`-style
 //! multipliers where a coarse unit flows into a finer slot, and wrapping
 //! raw suffixed values in `Dur::from_…` where they initialize a
-//! `Dur`-typed field. D2 is deliberately excluded — inventing a seed for
-//! an unseeded RNG changes behaviour and needs a human to thread the
-//! root seed through.
+//! `Dur`-typed field.
 //!
 //! The rewrites are token-based: occurrences inside comments, strings and
 //! `#[cfg(test)]` regions are left untouched, as are lines carrying a
@@ -155,13 +153,8 @@ pub fn fix_to_fixpoint(
 ) -> Option<String> {
     let mut cur = source.to_string();
     for _ in 0..8 {
-        let reparsed = AnalyzedFile::analyze(
-            file.rel.clone(),
-            file.crate_name.clone(),
-            file.target,
-            file.crate_root,
-            &cur,
-        );
+        let reparsed =
+            AnalyzedFile::analyze(file.rel.clone(), file.crate_name.clone(), file.target, &cur);
         let mut next = cur.clone();
         if let Some(t) = fix_u1(&next, &reparsed, syms, config) {
             next = t;
@@ -189,7 +182,6 @@ mod tests {
             PathBuf::from("crates/x/src/lib.rs"),
             "x".to_string(),
             TargetKind::Lib,
-            false,
             source,
         )];
         let syms = build_symbols(&files);

@@ -40,13 +40,13 @@
 //! fields anywhere, are R2's domain.
 //!
 //! Known approximations, all conservative for their consumers: macro
-//! bodies are opaque to N1 (D2/D3 still cover them syntactically),
+//! bodies are opaque to N1 (D3 still covers them syntactically),
 //! receiver (`self`) taint does not flow through summaries, and calls
 //! resolve by bare name (joining all candidates).
 
 use std::collections::BTreeMap;
 use std::time::Duration;
-use std::time::Instant; // gmt-lint: allow(D1): host-side lint timing, not simulation.
+use std::time::Instant;
 
 use crate::ast::{Block, Expr, ExprKind, StmtKind};
 use crate::callgraph::{CallGraph, FnId};

@@ -456,11 +456,11 @@ mod tests {
     #[test]
     fn suppressions_are_collected_with_lines() {
         let src =
-            "let a = 1; // gmt-lint: allow(D2, P1): reason\nlet b = 2;\n// gmt-lint: allow(D3)\n";
+            "let a = 1; // gmt-lint: allow(G1, R2): reason\nlet b = 2;\n// gmt-lint: allow(D3)\n";
         let out = lex(src);
         assert_eq!(out.suppressions.len(), 2);
         assert_eq!(out.suppressions[0].line, 1);
-        assert_eq!(out.suppressions[0].rules, vec!["D2", "P1"]);
+        assert_eq!(out.suppressions[0].rules, vec!["G1", "R2"]);
         assert_eq!(out.suppressions[1].line, 3);
         assert_eq!(out.suppressions[1].rules, vec!["D3"]);
     }

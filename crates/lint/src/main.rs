@@ -1,13 +1,11 @@
 //! The `gmt-lint` binary: lints the workspace and exits non-zero when a
 //! deny-level finding survives.
 
-#![forbid(unsafe_code)]
-
 use std::env;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant; // gmt-lint: allow(D1): the linter itself is host tooling, not simulation.
+use std::time::Instant;
 
 use gmt_lint::rules::rule;
 use gmt_lint::symbols::build_symbols;

@@ -4,13 +4,13 @@
 //! The determinism guarantees documented in DESIGN §10 are only
 //! trustworthy if the analyzer's *recall* is demonstrated rather than
 //! assumed. This module synthesizes known-bad variants ("mutants") of
-//! real workspace files — wall-clock reads, unseeded RNG, hash-order
-//! iteration flowing into trace sinks, float folds under hash
-//! iteration, new interior-mutability fields, allocation in per-event
-//! roots — lints each variant through an in-memory [`Overlay`] (nothing is
-//! ever written into `src/`), and records per-rule recall into a
-//! `gmt-lint-recall/1` report with a `--check` gate pinned at 100% for
-//! every deny rule.
+//! real workspace files — hash-order iteration flowing into trace sinks,
+//! float folds under hash iteration, new interior-mutability fields,
+//! allocation in per-event roots — lints each variant through an
+//! in-memory [`Overlay`] (nothing is ever written into `src/`), and
+//! records per-rule recall into a `gmt-lint-recall/1` report with a
+//! `--check` gate pinned at 100% for every deny rule, and at
+//! [`FULL_MIN_MUTANTS`] mutants per deny rule in full mode.
 //!
 //! Two properties keep the measurement honest:
 //!
@@ -18,8 +18,8 @@
 //!    least one [`MutationTemplate`] (enforced by the inventory
 //!    self-test), so a new rule cannot land without mechanical evidence
 //!    the engine detects its violation class.
-//! 2. **Behavioral cross-validation.** A sample of determinism mutants
-//!    (D1/D2/O1) targeting `crates/sim/src/rng.rs` is applied to a
+//! 2. **Behavioral cross-validation.** The O1 mutants targeting
+//!    `crates/sim/src/rng.rs` are applied to a
 //!    scratch copy of the workspace under `target/gmt-mutate/`, and a
 //!    short seeded replay runs twice in-process: the traces must
 //!    actually diverge, or the rule is flagged *vacuous* — statically
@@ -35,6 +35,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::time::Instant;
 
 use crate::callgraph::CallGraph;
 use crate::diag::{json_str, Level};
@@ -42,8 +43,7 @@ use crate::engine::{apply_overlay, lint_files};
 use crate::flow::{slash_path, PER_EVENT_ROOTS, R2_CRATES, ROOT_CRATES};
 use crate::order::O1_CRATES;
 use crate::rules::{
-    has_forbid_unsafe, rule, Config, MutationTemplate, TargetKind, C1_STRUCTS, D1_CRATES,
-    D3_EXPORT_FILES, MUTATIONS, P1_CRATES, RULES,
+    rule, Config, MutationTemplate, TargetKind, C1_STRUCTS, D3_EXPORT_FILES, MUTATIONS, RULES,
 };
 use crate::symbols::{build_symbols, AnalyzedFile};
 use crate::workspace::{workspace_files, Overlay};
@@ -51,16 +51,18 @@ use crate::workspace::{workspace_files, Overlay};
 /// Schema identifier stamped into the recall report.
 pub const RECALL_SCHEMA: &str = "gmt-lint-recall/1";
 
-/// Mutants synthesized per rule in full mode (the acceptance floor for
-/// the determinism rules is five).
+/// Mutants synthesized per rule in full mode.
 const FULL_CAP: usize = 6;
+/// The fewest mutants a deny rule may have in full mode before `--check`
+/// fails: a rule whose sites ran out is measured on too little evidence.
+pub const FULL_MIN_MUTANTS: usize = 5;
 /// Mutants synthesized per rule in `--quick` mode (the CI-budget tier).
 const QUICK_CAP: usize = 2;
 /// The file the behavioral stage rewrites: both seeded-RNG entry points
 /// live here, so every replay draw flows through the mutated code.
 const BEHAVIORAL_REL: &str = "crates/sim/src/rng.rs";
 /// Rules whose mutants the behavioral stage cross-validates.
-const BEHAVIORAL_RULES: &[&str] = &["D1", "D2", "O1"];
+const BEHAVIORAL_RULES: &[&str] = &["O1"];
 
 /// A pre-loaded workspace: analyzed files plus their raw sources
 /// (which [`AnalyzedFile`] does not retain but synthesis needs).
@@ -88,7 +90,6 @@ pub fn load_corpus(root: &Path) -> io::Result<Corpus> {
             f.rel.clone(),
             f.crate_name,
             f.target,
-            f.crate_root,
             &source,
         ));
         sources.insert(slash_path(&f.rel), source);
@@ -151,7 +152,7 @@ pub struct BehavioralReport {
     pub control_identical: bool,
     /// Every probe that ran.
     pub probes: Vec<ProbeOutcome>,
-    /// Behavioral-stage rules (D1, D2, O1) with no diverging probe: their
+    /// Behavioral-stage rules (O1) with no diverging probe: their
     /// static findings were not backed by observable nondeterminism.
     pub vacuous_rules: Vec<&'static str>,
 }
@@ -196,7 +197,8 @@ impl RecallReport {
     }
 
     /// Whether every gate holds: the workspace was clean, every rule
-    /// has mutants, every rule's recall meets its floor, and (when the
+    /// has mutants (in full mode, at least [`FULL_MIN_MUTANTS`] per deny
+    /// rule), every rule's recall meets its floor, and (when the
     /// behavioral stage ran) the control was identical and no rule is
     /// vacuous.
     pub fn ok(&self) -> bool {
@@ -205,7 +207,12 @@ impl RecallReport {
         }
         for (id, total, caught) in self.rollup() {
             let r = rule(id).expect("rollup ids come from RULES");
-            if total == 0 {
+            let min = if self.mode == "full" && r.default_level == Level::Deny {
+                FULL_MIN_MUTANTS
+            } else {
+                1
+            };
+            if total < min {
                 return false;
             }
             let pct = (caught * 100 / total) as u32;
@@ -222,8 +229,7 @@ impl RecallReport {
     /// Renders the report as canonical `gmt-lint-recall/1` JSON.
     ///
     /// The output is fully deterministic — no timestamps, no host
-    /// details — so the committed `results/lint_recall.json` only
-    /// changes when rules, templates or outcomes change.
+    /// details — so two runs over the same tree render the same bytes.
     pub fn render_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
@@ -327,7 +333,7 @@ impl RecallReport {
 
 /// A function-body injection site: the byte position just past the
 /// opening `{`, plus the first parameter's name when it is a plain
-/// `name: u64` (the determinism templates fold entropy into it).
+/// `name: u64` (the O1 template folds its float fold into it).
 struct FnSite {
     rel: String,
     fn_name: String,
@@ -491,17 +497,12 @@ fn template(name: &str) -> &'static MutationTemplate {
 ///
 /// Deterministic by construction: site lists are path-ordered, and the
 /// per-rule cap (`--quick`: 2, full: 6) takes a stable prefix, with the
-/// behavioral target `crates/sim/src/rng.rs` force-included for the
-/// determinism rules so static and behavioral stages probe the same
-/// mutants.
+/// behavioral target `crates/sim/src/rng.rs` force-included for O1 so
+/// static and behavioral stages probe the same mutants.
 pub fn synthesize(corpus: &Corpus, quick: bool) -> Vec<Mutant> {
     let cap = if quick { QUICK_CAP } else { FULL_CAP };
     let mut out = Vec::new();
-    synth_d1(corpus, cap, &mut out);
-    synth_d2(corpus, cap, &mut out);
     synth_d3(corpus, cap, &mut out);
-    synth_s1(corpus, cap, &mut out);
-    synth_p1(corpus, cap, &mut out);
     synth_m1(corpus, cap, &mut out);
     synth_u1(corpus, cap, &mut out);
     synth_c1(corpus, cap, &mut out);
@@ -531,43 +532,6 @@ fn fn_entry_mutants(
             behavioral: BEHAVIORAL_RULES.contains(&tpl.rule) && site.rel == BEHAVIORAL_REL,
         });
     }
-}
-
-fn synth_d1(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
-    let sites = pick_sites(
-        fn_sites(corpus, D1_CRATES, None, true),
-        cap,
-        Some(BEHAVIORAL_REL),
-    );
-    fn_entry_mutants(corpus, out, template("d1-wall-clock-skew"), sites, |s| {
-        let p = s.first_u64_param.as_deref().unwrap_or("_");
-        format!(
-            "        let {p} = {p} ^ std::time::SystemTime::now()\n\
-             \x20           .duration_since(std::time::UNIX_EPOCH)\n\
-             \x20           .map(|d| d.as_nanos() as u64)\n\
-             \x20           .unwrap_or(17);"
-        )
-    });
-}
-
-fn synth_d2(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
-    let sites = pick_sites(
-        fn_sites(corpus, D1_CRATES, None, true),
-        cap,
-        Some(BEHAVIORAL_REL),
-    );
-    fn_entry_mutants(corpus, out, template("d2-thread-rng"), sites, |s| {
-        let p = s.first_u64_param.as_deref().unwrap_or("_");
-        format!(
-            "        fn thread_rng() -> u64 {{\n\
-             \x20           use std::hash::{{BuildHasher, Hasher}};\n\
-             \x20           std::collections::hash_map::RandomState::new()\n\
-             \x20               .build_hasher()\n\
-             \x20               .finish()\n\
-             \x20       }}\n\
-             \x20       let {p} = {p} ^ thread_rng();"
-        )
-    });
 }
 
 fn synth_d3(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
@@ -609,60 +573,6 @@ fn synth_d3(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
             made += 1;
         }
     }
-}
-
-fn synth_s1(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
-    const ATTR_TOKENS: usize = 8;
-    let tpl = template("s1-drop-forbid");
-    let mut made = 0usize;
-    for f in &corpus.files {
-        if made == cap || !f.crate_root {
-            continue;
-        }
-        let toks = &f.lexed.tokens;
-        if !has_forbid_unsafe(toks) {
-            continue;
-        }
-        let Some(at) = toks.windows(ATTR_TOKENS).position(|w| {
-            w[0].is_punct('#')
-                && w[1].is_punct('!')
-                && w[2].is_punct('[')
-                && w[3].is_ident("forbid")
-                && w[5].is_ident("unsafe_code")
-        }) else {
-            continue;
-        };
-        let rel = slash_path(&f.rel);
-        let src = &corpus.sources[&rel];
-        let start = toks[at].offset;
-        let mut end = toks[at + ATTR_TOKENS - 1].offset + toks[at + ATTR_TOKENS - 1].len;
-        if src[end..].starts_with('\n') {
-            end += 1;
-        }
-        let text = format!("{}{}", &src[..start], &src[end..]);
-        out.push(Mutant {
-            template: tpl,
-            site: rel.clone(),
-            overlay: Overlay::single(&rel, text),
-            behavioral: false,
-        });
-        made += 1;
-    }
-}
-
-fn synth_p1(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
-    let sites = pick_sites(fn_sites(corpus, P1_CRATES, None, false), cap, None);
-    let mut i = 0usize;
-    fn_entry_mutants(corpus, out, template("p1-panic-path"), sites, |_| {
-        i += 1;
-        if i % 2 == 1 {
-            "        let __mut_p1: Option<u64> = None;\n        let _ = __mut_p1.unwrap();"
-                .to_string()
-        } else {
-            "        if false {\n            panic!(\"__mut_p1 unreachable\");\n        }"
-                .to_string()
-        }
-    });
 }
 
 fn synth_m1(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
@@ -1054,8 +964,8 @@ fn copy_tree(from: &Path, to: &Path) -> io::Result<()> {
 
 /// The seeded replay the behavioral stage runs twice per mutant. Every
 /// random draw flows through `gmt_sim::rng::{seeded, derive}` — the
-/// functions the behavioral mutants rewrite — so injected wall-clock /
-/// RandomState / hash-order entropy must surface in the trace bytes.
+/// functions the behavioral mutants rewrite — so injected hash-order
+/// entropy must surface in the trace bytes.
 const PROBE_SOURCE: &str = r#"//! Behavioral probe for the gmt-mutate harness: replays a short seeded
 //! event schedule twice and reports whether the traces are identical.
 
@@ -1132,8 +1042,8 @@ fn run_probe(scratch: &Path) -> Result<bool, String> {
 /// Builds a scratch copy of the workspace under
 /// `target/gmt-mutate/scratch` (never a tracked path), adds a probe
 /// example to `crates/sim`, verifies the pristine copy replays
-/// bit-identically, then applies each D1/D2/O1 behavioral mutant in
-/// turn and requires the probe to diverge.
+/// bit-identically, then applies each O1 behavioral mutant in turn and
+/// requires the probe to diverge.
 ///
 /// # Errors
 ///
@@ -1220,23 +1130,24 @@ USAGE:
 OPTIONS:
     --root <PATH>       Workspace root (default: nearest [workspace] above cwd)
     --quick             Small mutant matrix (2/rule), skip the behavioral stage
-    --check             Exit non-zero unless every recall floor holds
+    --check             Exit non-zero unless every recall floor holds (and, in
+                        full mode, every deny rule has at least 5 mutants)
     --out <PATH>        Write the gmt-lint-recall/1 report to PATH
     --no-behavioral     Skip the behavioral cross-validation stage
     -h, --help          Print this help
 
-Synthesizes known-bad variants of real workspace files (wall-clock reads,
-unseeded RNG, hash-order exports, cold cell writes, ...), lints each one
+Synthesizes known-bad variants of real workspace files (hash-order
+exports, float folds, new cells, dropped counters, ...), lints each one
 through an in-memory overlay — mutant source is never written into src/ —
 and reports per-rule recall. Deny rules are pinned at a 100% floor. In
-full mode, determinism mutants (D1/D2/O1) are additionally applied to a
-scratch copy under target/gmt-mutate/ and replayed twice with the same
-seed: the traces must diverge, or the rule is flagged as vacuous.
+full mode, O1 mutants are additionally applied to a scratch copy under
+target/gmt-mutate/ and replayed twice with the same seed: the traces must
+diverge, or the rule is flagged as vacuous.
 
 EXIT CODES:
     0  harness ran (and, with --check, every gate held)
-    1  --check failed: recall floor missed, control run diverged,
-       or a behavioral rule proved vacuous
+    1  --check failed: recall or mutant floor missed, control run
+       diverged, or a behavioral rule proved vacuous
     2  usage or I/O error";
 
 /// Parses `args` (everything after the program / subcommand name) and
@@ -1250,8 +1161,6 @@ EXIT CODES:
 /// Returns a message on bad flags, a missing workspace root, I/O
 /// failure, or a harness error.
 pub fn cli_main(args: &[String]) -> Result<bool, String> {
-    use std::time::Instant; // gmt-lint: allow(D1): the harness itself is host tooling.
-
     let mut root: Option<PathBuf> = None;
     let mut quick = false;
     let mut check = false;

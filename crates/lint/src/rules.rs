@@ -1,23 +1,25 @@
 //! The rule set: each rule encodes one invariant the reproduction's test
 //! suites already rely on, turning tribal knowledge into a CI gate.
 //!
-//! | id | invariant |
-//! |----|-----------|
-//! | D1 | simulation crates use virtual time only — no `Instant`/`SystemTime` |
-//! | D2 | every RNG is seeded via `gmt_sim::rng` — no `thread_rng`/`from_entropy`/`OsRng` |
-//! | D3 | export paths iterate `BTreeMap`/`BTreeSet`, never `HashMap`/`HashSet` |
-//! | S1 | every crate root carries `#![forbid(unsafe_code)]` |
-//! | P1 | library code in `core`/`sim`/`serve` returns typed errors, not panics |
-//! | M1 | every `TieringMetrics` field is summed in `merge()` |
-//! | R2 | model crates grow no new interior-mutability cells |
-//! | O1 | no float folds over nondeterministic iteration order |
+//! | id | invariant | checked by |
+//! |----|-----------|------------|
+//! | D1 | model crates use virtual time only — no `Instant`/`SystemTime` | clippy `disallowed-methods`/`disallowed-types`, root `clippy.toml` |
+//! | D2 | every RNG is seeded via `gmt_sim::rng` — no `RandomState` entropy | clippy `disallowed-methods`, every `clippy.toml` |
+//! | D3 | export paths iterate `BTreeMap`/`BTreeSet`, never `HashMap`/`HashSet` | gmt-lint |
+//! | S1 | no `unsafe` code | rustc `unsafe_code = "forbid"`, root `[workspace.lints]` |
+//! | P1 | library code in `core`/`sim`/`serve` returns typed errors, not panics | clippy `unwrap_used`/`expect_used`/`panic`/`todo`/`unimplemented`, denied at those crate roots |
+//! | M1 | every `TieringMetrics` field is summed in `merge()` | gmt-lint |
+//! | R2 | model crates grow no new interior-mutability cells | gmt-lint |
+//! | O1 | no float folds over nondeterministic iteration order | gmt-lint |
+//!
+//! D1, D2, S1 and P1 have no entry in [`RULES`]: an intended exception to
+//! one of them is an `#[expect(<lint>, reason = "…")]` attribute, not a
+//! `gmt-lint: allow` comment.
 //!
 //! Rules operate on the token stream from [`crate::lexer`], so comments,
 //! strings and doc examples can never produce false positives. Test code
 //! (`#[cfg(test)]` modules, `#[test]` fns, `tests/` targets) is exempt
-//! from D1/D3/P1 but *not* from D2: an unseeded RNG in a test makes the
-//! committed fixtures unreproducible, which is exactly the failure mode
-//! the lint exists to prevent.
+//! from D3.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -45,42 +47,11 @@ pub struct Rule {
 /// Every rule the linter knows, in report order.
 pub const RULES: &[Rule] = &[
     Rule {
-        id: "D1",
-        name: "no-wall-clock",
-        default_level: Level::Deny,
-        summary: "sim/gpu/ssd/pcie/core/serve run on virtual time; \
-                  std::time::{Instant, SystemTime} would leak host timing into results",
-        version: 1,
-    },
-    Rule {
-        id: "D2",
-        name: "no-unseeded-rng",
-        default_level: Level::Deny,
-        summary: "all randomness must be threaded from a seed via gmt_sim::rng; \
-                  thread_rng/from_entropy/OsRng break bit-reproducibility",
-        version: 1,
-    },
-    Rule {
         id: "D3",
         name: "no-hashmap-in-export",
         default_level: Level::Deny,
         summary: "export/serialization modules must use BTreeMap/BTreeSet so \
                   emitted key order is stable across runs and platforms",
-        version: 1,
-    },
-    Rule {
-        id: "S1",
-        name: "forbid-unsafe",
-        default_level: Level::Deny,
-        summary: "every crate root must carry #![forbid(unsafe_code)]",
-        version: 1,
-    },
-    Rule {
-        id: "P1",
-        name: "no-panic-in-lib",
-        default_level: Level::Deny,
-        summary: "library code in core/sim/serve must surface typed errors \
-                  (like ConfigError) instead of unwrap/expect/panic!",
         version: 1,
     },
     Rule {
@@ -180,7 +151,7 @@ pub fn rule(id: &str) -> Option<&'static Rule> {
 pub struct MutationTemplate {
     /// The rule this mutation is designed to trip.
     pub rule: &'static str,
-    /// Stable kebab-case template name, used in `lint_recall.json`.
+    /// Stable kebab-case template name, used in the recall report.
     pub name: &'static str,
     /// What the injected bug looks like.
     pub summary: &'static str,
@@ -189,33 +160,10 @@ pub struct MutationTemplate {
 /// Every mutation template the harness knows, in report order.
 pub const MUTATIONS: &[MutationTemplate] = &[
     MutationTemplate {
-        rule: "D1",
-        name: "d1-wall-clock-skew",
-        summary: "xor a SystemTime nanosecond read into the first u64 parameter \
-                  of a model-crate function",
-    },
-    MutationTemplate {
-        rule: "D2",
-        name: "d2-thread-rng",
-        summary: "define and call a local thread_rng() backed by RandomState \
-                  hasher entropy, folding it into the first u64 parameter",
-    },
-    MutationTemplate {
         rule: "D3",
         name: "d3-hash-in-export",
         summary: "append a helper returning std::collections::HashMap/HashSet \
                   to a named export file",
-    },
-    MutationTemplate {
-        rule: "S1",
-        name: "s1-drop-forbid",
-        summary: "delete #![forbid(unsafe_code)] from a crate root",
-    },
-    MutationTemplate {
-        rule: "P1",
-        name: "p1-panic-path",
-        summary: "insert an unwrap()/panic! at the top of a core/sim/serve \
-                  library function",
     },
     MutationTemplate {
         rule: "M1",
@@ -316,10 +264,6 @@ pub struct FileContext<'a> {
     pub target: TargetKind,
 }
 
-/// Crates whose runtime must never read the host clock (D1).
-pub(crate) const D1_CRATES: &[&str] = &["sim", "gpu", "ssd", "pcie", "core", "serve"];
-/// Crates whose library code must not panic (P1).
-pub(crate) const P1_CRATES: &[&str] = &["core", "sim", "serve"];
 /// File basenames that are export paths regardless of content (D3).
 pub(crate) const D3_EXPORT_FILES: &[&str] = &["trace.rs", "tracesum.rs", "report.rs"];
 
@@ -406,77 +350,15 @@ pub fn is_serde_module(tokens: &[Token]) -> bool {
         .any(|t| t.is_ident("serde") || t.is_ident("Serialize") || t.is_ident("Deserialize"))
 }
 
-/// Whether a crate-root token stream carries `#![forbid(unsafe_code)]` (S1).
-pub fn has_forbid_unsafe(tokens: &[Token]) -> bool {
-    tokens.windows(8).any(|w| {
-        w[0].is_punct('#')
-            && w[1].is_punct('!')
-            && w[2].is_punct('[')
-            && w[3].is_ident("forbid")
-            && w[4].is_punct('(')
-            && w[5].is_ident("unsafe_code")
-            && w[6].is_punct(')')
-            && w[7].is_punct(']')
-    })
-}
-
 /// Runs every token-level rule over one file, appending findings.
 ///
 /// Kept as a thin wrapper over the per-rule functions below so callers
 /// that do not care about `--timings` attribution keep a one-call API,
 /// while the engine can time each rule family separately.
-///
-/// S1 is workspace-shaped (it fires on a *missing* attribute in a crate
-/// root) and therefore lives in [`crate::engine`], not here.
 pub fn check_tokens(ctx: FileContext<'_>, lexed: &LexOutput, config: &Config, out: &mut Findings) {
     let mask = test_mask(&lexed.tokens);
-    check_d1(ctx, lexed, &mask, config, out);
-    check_d2(ctx, lexed, config, out);
     check_d3(ctx, lexed, &mask, config, out);
-    check_p1(ctx, lexed, &mask, config, out);
     check_m1(ctx, lexed, config, out);
-}
-
-/// D1 — no wall clock in simulation crates' runtime code.
-pub fn check_d1(
-    ctx: FileContext<'_>,
-    lexed: &LexOutput,
-    mask: &[bool],
-    config: &Config,
-    out: &mut Findings,
-) {
-    let tokens = &lexed.tokens;
-    if !D1_CRATES.contains(&ctx.crate_name)
-        || !matches!(ctx.target, TargetKind::Lib | TargetKind::Bin)
-    {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if mask[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        if t.text == "Instant" || t.text == "SystemTime" {
-            out.push(ctx, config, "D1", t, format!(
-                "wall-clock `{}` in virtual-time crate `{}`; simulation code must derive all timing from `gmt_sim::Time`",
-                t.text, ctx.crate_name
-            ));
-        }
-    }
-}
-
-/// D2 — no unseeded randomness anywhere, test code included.
-pub fn check_d2(ctx: FileContext<'_>, lexed: &LexOutput, config: &Config, out: &mut Findings) {
-    for t in lexed.tokens.iter() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        if t.text == "thread_rng" || t.text == "from_entropy" || t.text == "OsRng" {
-            out.push(ctx, config, "D2", t, format!(
-                "unseeded RNG source `{}`; route randomness through `gmt_sim::rng::seeded`/`derive` so runs are bit-reproducible",
-                t.text
-            ));
-        }
-    }
 }
 
 /// D3 — hash collections are banned in export paths.
@@ -516,38 +398,6 @@ pub fn check_d3(
             out.push(ctx, config, "D3", t, format!(
                 "`{}` in {scope}; iteration order is nondeterministic — use `{}` so serialized key order is stable",
                 t.text, ordered
-            ));
-        }
-    }
-}
-
-/// P1 — library code in core/sim/serve must not panic.
-pub fn check_p1(
-    ctx: FileContext<'_>,
-    lexed: &LexOutput,
-    mask: &[bool],
-    config: &Config,
-    out: &mut Findings,
-) {
-    let tokens = &lexed.tokens;
-    if !P1_CRATES.contains(&ctx.crate_name) || ctx.target != TargetKind::Lib {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if mask[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        let method_call = i > 0 && tokens[i - 1].is_punct('.');
-        let bang = tokens.get(i + 1).is_some_and(|n| n.is_punct('!'));
-        let hit = match t.text.as_str() {
-            "unwrap" | "expect" => method_call,
-            "panic" | "todo" | "unimplemented" => bang,
-            _ => false,
-        };
-        if hit {
-            out.push(ctx, config, "P1", t, format!(
-                "`{}` in `{}` library code; prefer a typed error (see `ConfigError`) or justify with a suppression",
-                t.text, ctx.crate_name
             ));
         }
     }
@@ -1479,30 +1329,6 @@ mod tests {
     }
 
     #[test]
-    fn d1_fires_only_in_scoped_crates_runtime_code() {
-        let src = "use std::time::Instant;\nfn f() { let _ = Instant::now(); }";
-        let (in_sim, _) = run("crates/sim/src/server.rs", "sim", TargetKind::Lib, src);
-        assert_eq!(in_sim.len(), 2);
-        assert!(in_sim.iter().all(|f| f.rule == "D1"));
-        let (in_reuse, _) = run("crates/reuse/src/sampler.rs", "reuse", TargetKind::Lib, src);
-        assert!(in_reuse.is_empty(), "reuse is outside D1's scope");
-        let in_test = format!("#[cfg(test)]\nmod tests {{ {src} }}");
-        let (masked, _) = run("crates/sim/src/server.rs", "sim", TargetKind::Lib, &in_test);
-        assert!(
-            masked.is_empty(),
-            "test modules may use wall-clock deadlines"
-        );
-    }
-
-    #[test]
-    fn d2_fires_everywhere_even_in_tests() {
-        let src = "#[cfg(test)]\nmod tests {\n fn f() { let mut r = rand::thread_rng(); }\n}";
-        let (findings, _) = run("crates/reuse/src/mrc.rs", "reuse", TargetKind::Lib, src);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "D2");
-    }
-
-    #[test]
     fn d3_scopes_to_export_files_and_serde_modules() {
         let src = "use std::collections::HashMap;\nstruct S { m: HashMap<u32, u32> }";
         let (by_name, _) = run("crates/sim/src/trace.rs", "sim", TargetKind::Lib, src);
@@ -1517,25 +1343,6 @@ mod tests {
             &serde_src,
         );
         assert_eq!(by_serde.len(), 2, "serde-deriving module flagged");
-    }
-
-    #[test]
-    fn p1_distinguishes_methods_macros_and_lookalikes() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n  let _ = x.unwrap_or(1);\n  if x.is_none() { panic!(\"boom\"); }\n  x.unwrap()\n}";
-        let (findings, _) = run("crates/core/src/manager.rs", "core", TargetKind::Lib, src);
-        let rules: Vec<_> = findings.iter().map(|f| (f.rule, f.line)).collect();
-        assert_eq!(
-            rules,
-            vec![("P1", 3), ("P1", 4)],
-            "unwrap_or is fine; panic! and .unwrap() are not"
-        );
-        let (bin, _) = run(
-            "crates/serve/src/bin/serve_bench.rs",
-            "serve",
-            TargetKind::Bin,
-            src,
-        );
-        assert!(bin.is_empty(), "binaries may panic");
     }
 
     #[test]
@@ -1560,42 +1367,33 @@ mod tests {
 
     #[test]
     fn suppressions_cover_their_line_and_the_next() {
-        let trailing = "fn f() { let r = rand::thread_rng(); } // gmt-lint: allow(D2): demo";
-        let (f, s) = run("crates/sim/src/rng.rs", "sim", TargetKind::Lib, trailing);
+        let trailing = "fn f() { let _ = HashSet::<u32>::new(); } // gmt-lint: allow(D3): demo";
+        let (f, s) = run("crates/sim/src/trace.rs", "sim", TargetKind::Lib, trailing);
         assert!(f.is_empty());
         assert_eq!(s, 1);
-        let above = "// gmt-lint: allow(D2): demo\nfn f() { let r = rand::thread_rng(); }";
-        let (f, s) = run("crates/sim/src/rng.rs", "sim", TargetKind::Lib, above);
+        let above = "// gmt-lint: allow(D3): demo\nfn f() { let _ = HashSet::<u32>::new(); }";
+        let (f, s) = run("crates/sim/src/trace.rs", "sim", TargetKind::Lib, above);
         assert!(f.is_empty());
         assert_eq!(s, 1);
-        let wrong_rule = "// gmt-lint: allow(D1)\nfn f() { let r = rand::thread_rng(); }";
-        let (f, _) = run("crates/sim/src/rng.rs", "sim", TargetKind::Lib, wrong_rule);
-        assert_eq!(f.len(), 1, "allow(D1) must not silence D2");
-    }
-
-    #[test]
-    fn forbid_unsafe_detection() {
-        assert!(has_forbid_unsafe(
-            &lex("#![forbid(unsafe_code)]\nfn f() {}").tokens
-        ));
-        assert!(has_forbid_unsafe(
-            &lex("//! docs\n#![warn(missing_docs)]\n#![forbid(unsafe_code)]").tokens
-        ));
-        assert!(!has_forbid_unsafe(&lex("#![deny(unsafe_code)]").tokens));
-        assert!(!has_forbid_unsafe(
-            &lex("// #![forbid(unsafe_code)]").tokens
-        ));
+        let wrong_rule = "// gmt-lint: allow(M1)\nfn f() { let _ = HashSet::<u32>::new(); }";
+        let (f, _) = run(
+            "crates/sim/src/trace.rs",
+            "sim",
+            TargetKind::Lib,
+            wrong_rule,
+        );
+        assert_eq!(f.len(), 1, "allow(M1) must not silence D3");
     }
 
     #[test]
     fn config_overrides_change_levels() {
         let mut config = Config::default();
-        config.overrides.insert("P1".to_string(), Level::Allow);
-        let rel = PathBuf::from("crates/core/src/x.rs");
-        let lexed = lex("fn f(x: Option<u32>) { x.unwrap(); }");
+        config.overrides.insert("D3".to_string(), Level::Allow);
+        let rel = PathBuf::from("crates/sim/src/trace.rs");
+        let lexed = lex("use std::collections::HashMap;");
         let ctx = FileContext {
             rel_path: &rel,
-            crate_name: "core",
+            crate_name: "sim",
             target: TargetKind::Lib,
         };
         let mut out = Findings::new(&lexed.suppressions);

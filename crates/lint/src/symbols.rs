@@ -175,8 +175,6 @@ pub struct AnalyzedFile {
     pub lexed: LexOutput,
     /// The parsed (lossless) syntax tree.
     pub ast: File,
-    /// Whether this is the crate root file (S1's subject).
-    pub crate_root: bool,
 }
 
 impl AnalyzedFile {
@@ -185,7 +183,6 @@ impl AnalyzedFile {
         rel: PathBuf,
         crate_name: String,
         target: TargetKind,
-        crate_root: bool,
         source: &str,
     ) -> AnalyzedFile {
         let lexed = lex(source);
@@ -196,7 +193,6 @@ impl AnalyzedFile {
             target,
             lexed,
             ast,
-            crate_root,
         }
     }
 }
@@ -345,7 +341,6 @@ mod tests {
             PathBuf::from("crates/x/src/lib.rs"),
             "x".into(),
             TargetKind::Lib,
-            false,
             src,
         )
     }

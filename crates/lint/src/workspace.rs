@@ -24,9 +24,6 @@ pub struct SourceFile {
     pub crate_name: String,
     /// Which target the file compiles into.
     pub target: TargetKind,
-    /// Whether this is the crate root (`src/lib.rs`, or `src/main.rs`
-    /// for binary-only crates) — the file S1 inspects.
-    pub crate_root: bool,
 }
 
 /// An in-memory file overlay: workspace-relative slash paths mapped to
@@ -136,13 +133,7 @@ pub fn workspace_files(root: &Path, include_vendor: bool) -> io::Result<Vec<Sour
                 .map(|n| n.to_string_lossy().to_string())
                 .unwrap_or_default()
         };
-        let lib_root = dir.join("src/lib.rs");
-        let bin_only = !lib_root.exists();
-        let crate_root = if bin_only {
-            dir.join("src/main.rs")
-        } else {
-            lib_root
-        };
+        let bin_only = !dir.join("src/lib.rs").exists();
         for (sub, target) in [
             (
                 "src",
@@ -173,7 +164,6 @@ pub fn workspace_files(root: &Path, include_vendor: bool) -> io::Result<Vec<Sour
                 };
                 let rel = abs.strip_prefix(root).unwrap_or(&abs).to_path_buf();
                 out.push(SourceFile {
-                    crate_root: abs == crate_root,
                     abs,
                     rel,
                     crate_name: crate_name.clone(),
@@ -236,8 +226,6 @@ mod tests {
                 .any(|f| f.rel.to_string_lossy().contains("fixtures")),
             "fixture corpora are data, not lintable code"
         );
-        let roots: Vec<_> = files.iter().filter(|f| f.crate_root).collect();
-        assert!(roots.len() >= 12, "every member surfaces its crate root");
     }
 
     #[test]

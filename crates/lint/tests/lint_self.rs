@@ -1,13 +1,15 @@
 //! The lint's own acceptance suite: every fixture trips exactly the rule
 //! it was planted for, the real workspace is clean at deny level, the
-//! suppression syntax works, and `--fix` reproduces the committed
-//! after-image byte for byte.
+//! suppression syntax works, `--fix` reproduces the committed
+//! after-image byte for byte, and every workspace manifest opts into the
+//! workspace lints that carry S1.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use gmt_lint::rules::rule;
-use gmt_lint::{check_crate_root, check_source, fix, Config, Level, Report, TargetKind};
+use gmt_lint::workspace::member_dirs;
+use gmt_lint::{check_source, fix, Config, Level, Report, TargetKind};
 
 fn fixture(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -27,32 +29,11 @@ fn repo_root() -> PathBuf {
 /// (fixture file, pretend path, crate, target, rule it must trip).
 const PLANTED: &[(&str, &str, &str, TargetKind, &str)] = &[
     (
-        "d1_wall_clock.rs",
-        "crates/sim/src/clocky.rs",
-        "sim",
-        TargetKind::Lib,
-        "D1",
-    ),
-    (
-        "d2_unseeded_rng.rs",
-        "crates/reuse/src/noise.rs",
-        "reuse",
-        TargetKind::Lib,
-        "D2",
-    ),
-    (
         "d3_hashmap_export.rs",
         "crates/analysis/src/export.rs",
         "analysis",
         TargetKind::Lib,
         "D3",
-    ),
-    (
-        "p1_panic_in_lib.rs",
-        "crates/core/src/pick.rs",
-        "core",
-        TargetKind::Lib,
-        "P1",
     ),
     (
         "m1_metrics_drift.rs",
@@ -189,38 +170,13 @@ fn a_planted_regression_fails_the_run() {
 }
 
 #[test]
-fn s1_fixture_trips_on_a_missing_forbid() {
-    let source = fixture("s1_missing_forbid.rs");
-    let finding = check_crate_root(
-        Path::new("crates/x/src/lib.rs"),
-        &source,
-        &Config::default(),
-    )
-    .expect("deny(unsafe_code) is not forbid(unsafe_code)");
-    assert_eq!(finding.rule, "S1");
-    assert_eq!(finding.level, Level::Deny);
-    // And the same content is silent for every token rule.
-    let (findings, _) = check_source(
-        Path::new("crates/x/src/lib.rs"),
-        "x",
-        TargetKind::Lib,
-        &source,
-        &Config::default(),
-    );
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
 fn allow_comment_suppresses_a_planted_violation() {
     let cases: &[(&str, &str, &str)] = &[
-        ("suppressed_d1.rs", "crates/sim/src/clocky.rs", "sim"),
-        ("suppressed_d2.rs", "crates/reuse/src/noise.rs", "reuse"),
         (
             "suppressed_d3.rs",
             "crates/analysis/src/export.rs",
             "analysis",
         ),
-        ("suppressed_p1.rs", "crates/core/src/pick.rs", "core"),
         ("suppressed_m1.rs", "crates/core/src/metrics.rs", "core"),
         ("suppressed_u1.rs", "crates/core/src/latency.rs", "core"),
         ("suppressed_c1.rs", "crates/ssd/src/knobs.rs", "ssd"),
@@ -243,23 +199,6 @@ fn allow_comment_suppresses_a_planted_violation() {
         assert!(findings.is_empty(), "{file}: {findings:#?}");
         assert_eq!(suppressed, 1, "{file}: suppression must be counted");
     }
-}
-
-/// S1 anchors at line 1, so its suppression twin is a crate root whose
-/// first line carries the allow comment: `check_crate_root` must treat
-/// it like a satisfied attribute instead of flagging it.
-#[test]
-fn s1_suppression_on_line_one_silences_the_crate_root() {
-    let source = fixture("suppressed_s1.rs");
-    assert!(
-        check_crate_root(
-            Path::new("crates/x/src/lib.rs"),
-            &source,
-            &Config::default()
-        )
-        .is_none(),
-        "a line-1 allow(S1) must silence the missing forbid"
-    );
 }
 
 /// Inventory completeness: every registered rule must ship (a) at least
@@ -316,7 +255,6 @@ fn fix_is_idempotent_across_every_fixture() {
             PathBuf::from("crates/sim/src/fixture.rs"),
             "sim".to_string(),
             TargetKind::Lib,
-            false,
             source,
         )
     };
@@ -371,7 +309,6 @@ fn u1_fix_rewrites_before_into_after_byte_for_byte() {
             PathBuf::from("crates/pcie/src/pacing.rs"),
             "pcie".to_string(),
             TargetKind::Lib,
-            false,
             source,
         )];
         let syms = gmt_lint::symbols::build_symbols(&files);
@@ -487,7 +424,7 @@ fn real_workspace_is_clean_at_deny_level() {
     assert!(report.files_scanned > 100, "the walk must cover the tree");
     assert!(
         report.suppressed > 0,
-        "the documented invariant panics carry suppressions"
+        "the documented exceptions carry suppressions"
     );
 }
 
@@ -534,7 +471,52 @@ fn every_planted_rule_is_registered() {
     for (_, _, _, _, id) in PLANTED {
         assert!(rule(id).is_some(), "rule {id} missing from RULES");
     }
-    assert!(rule("S1").is_some());
+}
+
+/// Whether a manifest holds `[lints]` with `workspace = true`.
+fn opts_into_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
+    }
+    false
+}
+
+/// S1 (no unsafe code) is rustc's `unsafe_code` lint, forbidden once in
+/// the root `[workspace.lints.rust]`. Cargo applies it only to packages
+/// that opt in with `[lints] workspace = true`, so a member without those
+/// lines would quietly allow `unsafe` again: every manifest the member
+/// walk yields, and the root package's, must carry them.
+#[test]
+fn every_workspace_manifest_opts_into_the_workspace_lints() {
+    let root = repo_root();
+    let root_manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    assert!(
+        root_manifest.contains("[workspace.lints.rust]\nunsafe_code = \"forbid\""),
+        "the root manifest must forbid unsafe code for the workspace"
+    );
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for dir in member_dirs(&root, true).expect("member walk succeeds") {
+        manifests.push(dir.join("Cargo.toml"));
+    }
+    assert!(manifests.len() > 12, "the walk must cover the members");
+    for path in &manifests {
+        let text = fs::read_to_string(path).expect("readable manifest");
+        assert!(
+            opts_into_workspace_lints(&text),
+            "{} lacks `[lints] workspace = true`, so unsafe code is allowed there",
+            path.display()
+        );
+    }
+    // The check fails on a member manifest with the two lines removed.
+    let pcie = fs::read_to_string(root.join("crates/pcie/Cargo.toml")).expect("pcie manifest");
+    assert!(!opts_into_workspace_lints(
+        &pcie.replace("[lints]\nworkspace = true\n", "")
+    ));
 }
 
 /// Extracts the text between 1-based (line, column) positions; the end

@@ -21,29 +21,27 @@ fn repo_root() -> PathBuf {
 }
 
 #[test]
-fn full_matrix_covers_every_rule_with_behavioral_determinism_probes() {
+fn full_matrix_covers_every_rule_with_a_behavioral_o1_probe() {
     let corpus = load_corpus(&repo_root()).expect("workspace loads");
     let mutants = synthesize(&corpus, false);
     for r in RULES {
         let n = mutants.iter().filter(|m| m.template.rule == r.id).count();
         assert!(n >= 1, "rule {} has no mutants in the full matrix", r.id);
     }
-    // The acceptance floor: the determinism and shared-state deny rules
-    // each get at least five mutants.
-    for id in ["D1", "D2", "N1", "O1", "R2"] {
+    // The acceptance floor: the nondeterminism and shared-state deny
+    // rules each get at least five mutants.
+    for id in ["N1", "O1", "R2"] {
         let n = mutants.iter().filter(|m| m.template.rule == id).count();
         assert!(n >= 5, "deny rule {id} needs >= 5 mutants, got {n}");
     }
-    // Every determinism rule must carry a behavioral probe so the
-    // replay stage can prove its mutants actually diverge.
-    for id in ["D1", "D2", "O1"] {
-        assert!(
-            mutants
-                .iter()
-                .any(|m| m.template.rule == id && m.behavioral),
-            "determinism rule {id} has no behavioral probe"
-        );
-    }
+    // O1 must carry a behavioral probe so the replay stage can prove its
+    // mutants actually diverge.
+    assert!(
+        mutants
+            .iter()
+            .any(|m| m.template.rule == "O1" && m.behavioral),
+        "O1 has no behavioral probe"
+    );
     // Overlays only replace files that exist in the workspace, and
     // always with changed text — mutants never invent paths or no-op.
     for m in &mutants {
@@ -69,10 +67,10 @@ fn representative_mutants_are_caught_through_the_overlay() {
         baseline.report.findings
     );
     let mutants = synthesize(&corpus, true);
-    // One of each synthesis mechanism: function-entry injection (D1),
+    // One of each synthesis mechanism: function-entry injection (U1),
     // end-of-file append with an interprocedural chain (N1), and a
     // multi-file token rename (T1).
-    for id in ["D1", "N1", "T1"] {
+    for id in ["U1", "N1", "T1"] {
         let m = mutants
             .iter()
             .find(|m| m.template.rule == id)

@@ -13,7 +13,6 @@
 //! * [`TierGeometry`] — capacities and the over-subscription arithmetic the
 //!   evaluation sweeps.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod access;

@@ -20,7 +20,6 @@
 //! [`HostLink`] implements both engines over a shared [`gmt_sim::Link`] and
 //! [`TransferMethod`] selects between them.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod transfer;

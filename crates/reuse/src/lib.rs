@@ -18,7 +18,6 @@
 //!   *next* RVTD class of an eviction candidate from its last two
 //!   "correct tier" outcomes.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod classify;

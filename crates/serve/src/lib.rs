@@ -36,8 +36,16 @@
 //! tenant's Tier-1 hit rate, while [`PartitionPolicy::FullyShared`]
 //! shows the interference.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// P1: library code surfaces typed errors, not panics. A justified
+// exception carries `#[expect(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod arrival;
 mod report;

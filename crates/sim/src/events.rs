@@ -268,7 +268,10 @@ impl<E> EventQueue<E> {
         if !self.settle() {
             return None;
         }
-        // gmt-lint: allow(P1): settle() returned true, so the cohort is non-empty.
+        #[expect(
+            clippy::expect_used,
+            reason = "settle() returned true, so the cohort is non-empty"
+        )]
         let entry = self.cohort.pop_front().expect("settled");
         self.state[entry.seq as usize] = DONE;
         self.live -= 1;

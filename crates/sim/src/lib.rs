@@ -28,8 +28,16 @@
 //! assert_eq!(second, Time::ZERO + Dur::from_micros(4));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// P1: library code surfaces typed errors, not panics. A justified
+// exception carries `#[expect(clippy::…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod server;
 mod time;

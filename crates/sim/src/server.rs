@@ -120,7 +120,10 @@ impl ServerPool {
     /// Submits a request of length `service` at time `now`; returns the
     /// completion time on the earliest-free server.
     pub fn submit(&mut self, now: Time, service: Dur) -> Time {
-        // gmt-lint: allow(P1): the constructor seeds one entry per server and pops are re-pushed.
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor seeds one entry per server and pops are re-pushed"
+        )]
         let Reverse(free) = self.free_at.pop().expect("pool is never empty");
         let start = now.max(free);
         let done = start + service;

@@ -183,8 +183,11 @@ impl AddAssign for Dur {
 
 impl Sub for Dur {
     type Output = Dur;
+    #[expect(
+        clippy::expect_used,
+        reason = "underflow means a causality bug; a loud panic beats wrapping time"
+    )]
     fn sub(self, rhs: Dur) -> Dur {
-        // gmt-lint: allow(P1): underflow means a causality bug; a loud panic beats wrapping time.
         Dur(self.0.checked_sub(rhs.0).expect("duration underflow"))
     }
 }

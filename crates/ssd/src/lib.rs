@@ -19,7 +19,6 @@
 //!   aggregate read bandwidth saturates ≈3.2 GB/s — the numbers the paper
 //!   itself reports (§3.4).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod array;

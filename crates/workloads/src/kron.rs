@@ -98,6 +98,8 @@ impl KronGraph {
     /// contiguous run of edges and then placing the edges of a contiguous
     /// vertex range. The part count never changes the graph.
     pub(crate) fn generate_in_parts(config: KronConfig, seed: u64, parts: usize) -> KronGraph {
+        #[cfg(test)]
+        tests::count_generated();
         let edges = edge_count(&config);
         let (a, b, c) = (config.a, config.b, config.c);
         assert!(
@@ -330,8 +332,22 @@ pub fn scale_bits_for_pages(total_pages: usize) -> u32 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        static GENERATED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Graphs generated on this thread so far.
+    pub(crate) fn graphs_generated() -> usize {
+        GENERATED.with(Cell::get)
+    }
+
+    pub(super) fn count_generated() {
+        GENERATED.with(|n| n.set(n.get() + 1));
+    }
 
     #[test]
     fn scale_bits_are_clamped_and_monotone() {

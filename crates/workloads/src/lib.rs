@@ -26,7 +26,6 @@
 //! derived *from* them (paper §3.5) via
 //! [`gmt_mem::TierGeometry::from_total`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backprop;
@@ -74,22 +73,42 @@ pub trait Workload: Send + Sync {
     fn trace(&self, seed: u64) -> Vec<WarpAccess>;
 }
 
+/// Builds one application at a given scale.
+pub type Build = fn(&WorkloadScale) -> Box<dyn Workload>;
+
+/// The nine Table-2 applications as `(name, constructor)` entries, in the
+/// paper's figure order. Each name is the one its workload's
+/// [`Workload::name`] returns.
+pub const APPS: [(&str, Build); 9] = [
+    ("lavaMD", |s| Box::new(lavamd::LavaMd::with_scale(s))),
+    ("Pathfinder", |s| {
+        Box::new(pathfinder::Pathfinder::with_scale(s))
+    }),
+    ("BFS", |s| Box::new(bfs::Bfs::with_scale(s))),
+    ("MultiVectorAdd", |s| {
+        Box::new(multivectoradd::MultiVectorAdd::with_scale(s))
+    }),
+    ("Srad", |s| Box::new(srad::Srad::with_scale(s))),
+    ("Backprop", |s| Box::new(backprop::Backprop::with_scale(s))),
+    ("PageRank", |s| Box::new(pagerank::PageRank::with_scale(s))),
+    ("SSSP", |s| Box::new(sssp::Sssp::with_scale(s))),
+    ("Hotspot", |s| Box::new(hotspot::Hotspot::with_scale(s))),
+];
+
 /// The full Table-2 suite at a given scale, in the paper's figure order.
 ///
 /// Graph applications receive the scale only to size their synthetic
 /// GAP-Kron graph proportionally.
 pub fn suite(scale: &WorkloadScale) -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(lavamd::LavaMd::with_scale(scale)),
-        Box::new(pathfinder::Pathfinder::with_scale(scale)),
-        Box::new(bfs::Bfs::with_scale(scale)),
-        Box::new(multivectoradd::MultiVectorAdd::with_scale(scale)),
-        Box::new(srad::Srad::with_scale(scale)),
-        Box::new(backprop::Backprop::with_scale(scale)),
-        Box::new(pagerank::PageRank::with_scale(scale)),
-        Box::new(sssp::Sssp::with_scale(scale)),
-        Box::new(hotspot::Hotspot::with_scale(scale)),
-    ]
+    APPS.iter().map(|(_, build)| build(scale)).collect()
+}
+
+/// Builds the application called `name` (ignoring ASCII case) and no
+/// other, or `None` when no Table-2 application has that name.
+pub fn app(name: &str, scale: &WorkloadScale) -> Option<Box<dyn Workload>> {
+    APPS.iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, build)| build(scale))
 }
 
 /// The non-graph subset used by the paper's Fig. 13 (the Tier-1 = 32 GB
@@ -130,6 +149,28 @@ mod tests {
                 "Hotspot"
             ]
         );
+        assert_eq!(
+            names,
+            APPS.map(|(name, _)| name),
+            "entries carry their apps' names"
+        );
+    }
+
+    #[test]
+    fn app_builds_only_the_named_workload() {
+        let scale = WorkloadScale::tiny();
+        let before = kron::tests::graphs_generated();
+        let srad = app("srad", &scale).expect("srad is a Table-2 app");
+        assert_eq!(srad.name(), "Srad");
+        assert_eq!(
+            kron::tests::graphs_generated(),
+            before,
+            "looking up a non-graph app must build no KronGraph"
+        );
+        let bfs = app("BFS", &scale).expect("BFS is a Table-2 app");
+        assert_eq!(bfs.name(), "BFS");
+        assert_eq!(kron::tests::graphs_generated(), before + 1);
+        assert!(app("nonesuch", &scale).is_none());
     }
 
     #[test]

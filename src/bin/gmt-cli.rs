@@ -16,7 +16,7 @@ use gmt::analysis::runner::{run_system, Recorded, RunResult, SystemKind};
 use gmt::analysis::table::{fmt_pct, fmt_ratio, Table};
 use gmt::core::{GmtConfig, PolicyKind};
 use gmt::mem::{TierGeometry, WARP_PAGES};
-use gmt::workloads::{suite, Workload, WorkloadScale};
+use gmt::workloads::{app, Workload, WorkloadScale, APPS};
 
 const USAGE: &str = "\
 usage:
@@ -82,10 +82,7 @@ fn parse_system(name: &str) -> Result<SystemKind, String> {
 fn find_app(name: &str, opts: &Options) -> Result<Box<dyn Workload>, String> {
     let total = ((opts.t1 as f64) * (1.0 + opts.ratio) * opts.os).round() as usize;
     let scale = WorkloadScale::pages(total.max(64));
-    let wanted = name.to_ascii_lowercase();
-    suite(&scale)
-        .into_iter()
-        .find(|w| w.name().to_ascii_lowercase() == wanted)
+    app(name, &scale)
         .map(Recorded::graph_app)
         .ok_or_else(|| format!("unknown app '{name}' (try `gmt-cli list`)"))
 }
@@ -243,12 +240,12 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_list() {
-    println!("workloads:");
-    for w in suite(&WorkloadScale::tiny()) {
-        println!("  {}", w.name());
+fn list() -> String {
+    let mut out = String::from("workloads:\n");
+    for (name, _) in APPS {
+        out += &format!("  {name}\n");
     }
-    println!("systems:\n  BaM\n  HMM\n  GMT-TierOrder\n  GMT-Random\n  GMT-Reuse");
+    out + "systems:\n  BaM\n  HMM\n  GMT-TierOrder\n  GMT-Random\n  GMT-Reuse"
 }
 
 fn main() -> ExitCode {
@@ -259,7 +256,7 @@ fn main() -> ExitCode {
     };
     let outcome = match command.as_str() {
         "list" => {
-            cmd_list();
+            println!("{}", list());
             Ok(())
         }
         "run" => parse_options(rest).and_then(|o| cmd_run(&o)),
@@ -278,5 +275,28 @@ fn main() -> ExitCode {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn list_names_every_app_and_system() {
+        assert_eq!(
+            list(),
+            "workloads:\n  lavaMD\n  Pathfinder\n  BFS\n  MultiVectorAdd\n  Srad\n  \
+             Backprop\n  PageRank\n  SSSP\n  Hotspot\n\
+             systems:\n  BaM\n  HMM\n  GMT-TierOrder\n  GMT-Random\n  GMT-Reuse"
+        );
+    }
+
+    #[test]
+    fn an_unknown_app_is_an_error_that_points_at_list() {
+        let opts = parse_options(&[]).expect("defaults parse");
+        let err = find_app("nonesuch", &opts).err().expect("no such app");
+        assert_eq!(err, "unknown app 'nonesuch' (try `gmt-cli list`)");
+        assert_eq!(find_app("SRAD", &opts).map(|w| w.name()), Ok("Srad"));
     }
 }

@@ -44,8 +44,6 @@
 //! assert!(gmt.elapsed.as_nanos() > 0 && bam.elapsed.as_nanos() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod tutorial;
 
 pub use gmt_analysis as analysis;
