@@ -1,7 +1,12 @@
 //! One-call execution of any workload on any system, with the paired
 //! comparisons every figure reports.
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the shared slot; see `Recorded::recording`"
+)]
+use std::sync::{Arc, Mutex};
+use std::sync::{MutexGuard, PoisonError};
 
 use gmt_baselines::{Bam, BamConfig, Hmm, HmmConfig};
 use gmt_core::{Gmt, GmtConfig, PolicyKind, TieringMetrics};
@@ -160,11 +165,20 @@ pub fn run_system_with(
 pub struct Recorded {
     inner: Box<dyn Workload>,
     /// The last seed generated, and its recording.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "`Workload` is `Sync`: threads replaying one app share its recording, \
+                  and a replay clones the `Arc` so the lock is not held while it runs"
+    )]
     recording: Mutex<Option<(u64, Arc<Recording>)>>,
 }
 
 impl Recorded {
     /// Wraps `inner`; nothing is generated until the first `trace` call.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the shared slot; see `Recorded::recording`"
+    )]
     pub fn new(inner: Box<dyn Workload>) -> Recorded {
         Recorded {
             inner,
@@ -187,6 +201,10 @@ impl Recorded {
         }
     }
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the shared slot; see `Recorded::recording`"
+    )]
     fn slot(&self) -> MutexGuard<'_, Option<(u64, Arc<Recording>)>> {
         // The slot is written whole, so a panic elsewhere cannot leave it
         // half-updated.
@@ -209,6 +227,10 @@ impl Workload for Recorded {
         self.inner.total_pages()
     }
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the shared slot; see `Recorded::recording`"
+    )]
     fn trace(&self, seed: u64) -> Vec<WarpAccess> {
         // Clone the handle and release the lock before rebuilding, so
         // threads sharing the workload replay in parallel.

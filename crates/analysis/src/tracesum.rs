@@ -82,6 +82,9 @@ pub struct TraceCounters {
 }
 
 impl TraceCounters {
+    // T1: every variant is named, so a new one is a compile error here
+    // rather than a silently uncounted event.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn add(&mut self, event: &TraceEvent) {
         match event {
             TraceEvent::Tier1Hit { .. } => self.t1_hits += 1,
@@ -112,7 +115,10 @@ impl TraceCounters {
             TraceEvent::FrontShed { .. } => self.front_sheds += 1,
             TraceEvent::FrontFlush { .. } => self.front_flushes += 1,
             TraceEvent::FrontComplete { .. } => self.front_completes += 1,
-            _ => {}
+            TraceEvent::Tier1Fill { .. }
+            | TraceEvent::SsdSubmit { .. }
+            | TraceEvent::SsdComplete { .. }
+            | TraceEvent::PcieBatch { .. } => {}
         }
     }
 

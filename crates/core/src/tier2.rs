@@ -230,14 +230,14 @@ mod tests {
     }
 
     /// Differential check of the dense-handle `Random` variant against a
-    /// straightforward HashMap model driven by the identical RNG: every
+    /// straightforward map model driven by the identical RNG: every
     /// insert/remove decision (victims included) must coincide.
     #[test]
-    fn random_variant_matches_hashmap_reference() {
+    fn random_variant_matches_a_map_reference() {
         use rand::Rng;
         struct Reference {
             resident: Vec<PageId>,
-            index: std::collections::HashMap<PageId, usize>,
+            index: std::collections::BTreeMap<PageId, usize>,
             capacity: usize,
             rng: rand::rngs::StdRng,
         }
@@ -277,7 +277,7 @@ mod tests {
             let mut dense = Tier2Cache::random(16, seed);
             let mut model = Reference {
                 resident: Vec::new(),
-                index: std::collections::HashMap::new(),
+                index: std::collections::BTreeMap::new(),
                 capacity: 16,
                 rng: gmt_sim::rng::seeded(seed),
             };
@@ -305,7 +305,7 @@ mod tests {
         for p in 0..8 {
             cache.insert_evicting(PageId(p));
         }
-        let mut victims = std::collections::HashSet::new();
+        let mut victims = std::collections::BTreeSet::new();
         for p in 8..64 {
             if let Some(v) = cache.insert_evicting(PageId(p)) {
                 victims.insert(v);

@@ -6,8 +6,8 @@
 //! tokens between them verbatim ([`emit_token_indices`]). The round-trip
 //! property test re-lexes that printout and asserts token-stream
 //! equality with the original file, which proves the parser attributes
-//! every token somewhere — nothing the token-level rules relied on can
-//! fall through the semantic layer.
+//! every token somewhere — no source the rules read can fall through
+//! the semantic layer.
 //!
 //! The tree is deliberately *shallow* about everything the rules do not
 //! need: types, patterns, generics and attributes stay as unparsed gap
@@ -117,13 +117,11 @@ pub struct FieldDef {
     pub ty: Vec<String>,
 }
 
-/// An enum item with its variant names.
+/// An enum item; its body is opaque.
 #[derive(Debug, Clone)]
 pub struct EnumItem {
     /// The enum's name.
     pub name: String,
-    /// Variant names, in declaration order.
-    pub variants: Vec<String>,
 }
 
 /// An `impl` block.

@@ -3,13 +3,11 @@
 //! Calls are resolved by *bare name*: `self.promote(x)`, `promote(x)`
 //! and `Tier::promote(x)` all create edges to every workspace function
 //! named `promote`. That over-approximates dispatch (trait impls and
-//! same-name methods merge), which is the right direction for both
-//! consumers: A1's hot-path reachability must not miss a callee, and
-//! N1's bottom-up summaries join over all candidates so a taint that
-//! *any* resolution could produce is kept. Ubiquitous constructor and
-//! std-shadowing names (`new`, `default`, `from`, `clone`, `collect`,
-//! `with_capacity`) never form edges — `Vec::new()` must not make every
-//! workspace `fn new` look hot.
+//! same-name methods merge), which is the right direction for its
+//! consumer: A1's hot-path reachability must not miss a callee.
+//! Ubiquitous constructor and std-shadowing names (`new`, `default`,
+//! `from`, `clone`, `collect`, `with_capacity`) never form edges —
+//! `Vec::new()` must not make every workspace `fn new` look hot.
 
 use std::collections::BTreeMap;
 
@@ -27,8 +25,6 @@ pub struct FnInfo<'a> {
     pub file: usize,
     /// The parsed function item.
     pub item: &'a FnItem,
-    /// `self_ty` of the enclosing `impl`, when the fn is a method.
-    pub self_ty: Option<String>,
     /// Whether the fn sits inside `#[cfg(test)]`/`#[test]` code.
     pub in_test: bool,
 }
@@ -65,7 +61,7 @@ impl<'a> CallGraph<'a> {
             }
             let mask = test_mask(&file.lexed.tokens);
             for item in &file.ast.items {
-                collect_fns(&mut cg, fi, item, None, &mask);
+                collect_fns(&mut cg, fi, item, &mask);
             }
         }
         for id in 0..cg.fns.len() {
@@ -124,35 +120,23 @@ impl<'a> CallGraph<'a> {
     }
 }
 
-fn collect_fns<'a>(
-    cg: &mut CallGraph<'a>,
-    file_idx: usize,
-    item: &'a Item,
-    self_ty: Option<&str>,
-    mask: &[bool],
-) {
+fn collect_fns<'a>(cg: &mut CallGraph<'a>, file_idx: usize, item: &'a Item, mask: &[bool]) {
     match &item.kind {
         ItemKind::Fn(f) => {
             cg.fns.push(FnInfo {
                 file: file_idx,
                 item: f,
-                self_ty: self_ty.map(str::to_string),
                 in_test: mask.get(f.name_tok).copied().unwrap_or(false),
             });
         }
         ItemKind::Impl(imp) => {
-            let ty = if imp.self_ty.is_empty() {
-                None
-            } else {
-                Some(imp.self_ty.as_str())
-            };
             for inner in &imp.items {
-                collect_fns(cg, file_idx, inner, ty, mask);
+                collect_fns(cg, file_idx, inner, mask);
             }
         }
         ItemKind::Mod(m) => {
             for inner in &m.items {
-                collect_fns(cg, file_idx, inner, self_ty, mask);
+                collect_fns(cg, file_idx, inner, mask);
             }
         }
         _ => {}

@@ -39,7 +39,7 @@ impl fmt::Display for Level {
 /// One rule violation at one source location.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// The violated rule's id (`D3`, `M1`, …).
+    /// The violated rule's id (`U1`, `C1`, `A1`).
     pub rule: &'static str,
     /// The effective level the rule ran at.
     pub level: Level,
@@ -178,22 +178,22 @@ mod tests {
 
     fn finding(level: Level) -> Finding {
         Finding {
-            rule: "D3",
+            rule: "U1",
             level,
             file: PathBuf::from("crates/sim/src/trace.rs"),
             line: 3,
             col: 7,
             end_line: 3,
             end_col: 14,
-            snippet: "HashMap".to_string(),
-            message: "`HashMap` in export path `trace.rs`".to_string(),
+            snippet: "latency".to_string(),
+            message: "`+=` mixes unit `ns` with unit `us`".to_string(),
         }
     }
 
     #[test]
     fn text_render_is_rustc_shaped() {
         let text = finding(Level::Deny).to_string();
-        assert!(text.starts_with("deny[D3]:"), "{text}");
+        assert!(text.starts_with("deny[U1]:"), "{text}");
         assert!(text.contains("--> crates/sim/src/trace.rs:3:7"), "{text}");
     }
 

@@ -1,16 +1,15 @@
-//! The lint driver: walks the workspace, runs the token rules and the
-//! semantic (AST + symbol-table) rules over every file, and assembles
-//! the final [`Report`].
+//! The lint driver: walks the workspace, runs the semantic (AST +
+//! symbol-table) rules over every file, and assembles the final
+//! [`Report`].
 //!
-//! The workspace run is a five-pass pipeline:
+//! The workspace run is a four-pass pipeline:
 //!
 //! 1. read + lex + parse every member file into [`AnalyzedFile`]s,
 //! 2. build the workspace [`Symbols`] table,
-//! 3. per file: token rules (D3/M1) and the U1 unit-dimension walker
-//!    (which needs the global fn table),
-//! 4. workspace-wide C1 config-coverage and T1 trace-schema checks,
-//! 5. the call-graph families (N1/A1/G1/R2/O1) over the call graph and
-//!    per-function CFGs ([`crate::flow`]).
+//! 3. per file: the U1 unit-dimension walker (which needs the global fn
+//!    table),
+//! 4. workspace-wide C1 config-coverage, and A1 alloc-in-hot-loop over
+//!    the call graph ([`crate::hotloop`]).
 //!
 //! Every rule pass is individually timed; `--timings` surfaces the
 //! accumulated per-rule wall time so budget regressions (the CI
@@ -22,13 +21,10 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use crate::diag::{Finding, Report};
-use crate::flow::check_flow_rules;
-use crate::rules::{
-    check_config_coverage, check_d3, check_m1, check_trace_schema, check_unit_dimensions,
-    test_mask, Config, FileContext, Findings, TargetKind,
-};
+use crate::hotloop::check_alloc_in_hot_loops;
+use crate::rules::{check_config_coverage, check_unit_dimensions, Config, Findings, TargetKind};
 use crate::symbols::{build_symbols, AnalyzedFile, Symbols};
-use crate::workspace::{workspace_files, Overlay};
+use crate::workspace::{slash_path, workspace_files, Overlay};
 
 /// Accumulated wall time per rule pass, in first-seen order.
 pub type Timings = Vec<(&'static str, Duration)>;
@@ -41,16 +37,8 @@ fn bump(timings: &mut Timings, name: &'static str, d: Duration) {
     }
 }
 
-fn context<'a>(file: &'a AnalyzedFile) -> FileContext<'a> {
-    FileContext {
-        rel_path: &file.rel,
-        crate_name: &file.crate_name,
-        target: file.target,
-    }
-}
-
-/// Runs every per-file rule over one analyzed file, attributing wall
-/// time to each rule pass.
+/// Runs the per-file rule (U1) over one analyzed file, attributing its
+/// wall time.
 fn check_file(
     file: &AnalyzedFile,
     syms: &Symbols,
@@ -58,21 +46,10 @@ fn check_file(
     report: &mut Report,
     timings: &mut Timings,
 ) {
-    let ctx = context(file);
     let mut out = Findings::new(&file.lexed.suppressions);
-    let mask = test_mask(&file.lexed.tokens);
-    let mut timed = |name, f: &mut dyn FnMut(&mut Findings)| {
-        let t = Instant::now();
-        f(&mut out);
-        bump(timings, name, t.elapsed());
-    };
-    timed("D3", &mut |out| {
-        check_d3(ctx, &file.lexed, &mask, config, out)
-    });
-    timed("M1", &mut |out| check_m1(ctx, &file.lexed, config, out));
-    timed("U1", &mut |out| {
-        check_unit_dimensions(ctx, file, syms, config, out, None);
-    });
+    let t = Instant::now();
+    check_unit_dimensions(file.context(), file, syms, config, &mut out, None);
+    bump(timings, "U1", t.elapsed());
     report.findings.extend(out.findings);
     report.suppressed += out.suppressed;
     report.files_scanned += 1;
@@ -81,9 +58,8 @@ fn check_file(
 /// Lints a single source string as if it lived at `rel_path`.
 ///
 /// This is the unit the self-test fixtures drive: the same rule set the
-/// workspace run uses — token rules, symbol-table rules, and the
-/// flow-sensitive N1/A1/G1 families — minus the filesystem, with the
-/// file acting as its own one-file workspace. Returns the surviving
+/// workspace run uses minus the filesystem, with the file acting as its
+/// own one-file workspace. Returns the surviving
 /// findings plus the number of suppressed ones.
 pub fn check_source(
     rel_path: &Path,
@@ -129,14 +105,12 @@ pub fn load_workspace(root: &Path, include_vendor: bool) -> io::Result<Vec<Analy
 /// tree, and the result feeds [`lint_files`] directly.
 pub fn apply_overlay(base: &[AnalyzedFile], overlay: &Overlay) -> Vec<AnalyzedFile> {
     base.iter()
-        .map(
-            |f| match overlay.files.get(&crate::flow::slash_path(&f.rel)) {
-                Some(source) => {
-                    AnalyzedFile::analyze(f.rel.clone(), f.crate_name.clone(), f.target, source)
-                }
-                None => f.clone(),
-            },
-        )
+        .map(|f| match overlay.files.get(&slash_path(&f.rel)) {
+            Some(source) => {
+                AnalyzedFile::analyze(f.rel.clone(), f.crate_name.clone(), f.target, source)
+            }
+            None => f.clone(),
+        })
         .collect()
 }
 
@@ -163,17 +137,11 @@ pub fn lint_files(files: &[AnalyzedFile], config: &Config) -> LintRun {
     let (c1, c1_suppressed) = check_config_coverage(files, &syms, config);
     bump(&mut timings, "C1", t.elapsed());
     let t = Instant::now();
-    let (t1, t1_suppressed) = check_trace_schema(files, &syms, config);
-    bump(&mut timings, "T1", t.elapsed());
+    let (a1, a1_suppressed) = check_alloc_in_hot_loops(files, config);
+    bump(&mut timings, "A1", t.elapsed());
     report.findings.extend(c1);
-    report.findings.extend(t1);
-    report.suppressed += c1_suppressed + t1_suppressed;
-    let flow = check_flow_rules(files, &syms, config);
-    report.findings.extend(flow.findings);
-    report.suppressed += flow.suppressed;
-    for (name, d) in flow.timings {
-        bump(&mut timings, name, d);
-    }
+    report.findings.extend(a1);
+    report.suppressed += c1_suppressed + a1_suppressed;
     sort_findings(&mut report.findings);
     LintRun { report, timings }
 }
@@ -192,9 +160,8 @@ pub fn lint_workspace(root: &Path, config: &Config, include_vendor: bool) -> io:
 /// Sorts findings into report order and collapses duplicates anchored
 /// at the identical span.
 ///
-/// When several rules diagnose the same tokens (a float-unit
-/// accumulation under hash iteration trips both O1 and U1, a dead
-/// numeric config knob trips both C1 clauses), only the first finding
+/// When several findings diagnose the same tokens (a dead numeric config
+/// knob trips both C1 clauses), only the first finding
 /// in (rule id, message) order survives, so the text and JSON output and
 /// the summary counters report one diagnostic per defect site.
 fn sort_findings(findings: &mut Vec<Finding>) {
@@ -262,7 +229,7 @@ mod tests {
         let config = Config::default();
         let timings = lint_files(&files, &config).timings;
         let names: Vec<&str> = timings.iter().map(|(n, _)| *n).collect();
-        for expected in ["D3", "M1", "U1", "C1", "T1", "N1", "A1", "G1", "R2", "O1"] {
+        for expected in ["U1", "C1", "A1"] {
             assert!(names.contains(&expected), "missing {expected}: {names:?}");
         }
     }

@@ -371,7 +371,7 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Parses `gmt-lint: allow(G1, R2): optional reason` out of a line
+/// Parses `gmt-lint: allow(U1, C1): optional reason` out of a line
 /// comment, returning the listed rule ids.
 fn parse_suppression(comment: &str) -> Option<Vec<String>> {
     let rest = comment.split_once("gmt-lint:")?.1;
@@ -456,13 +456,13 @@ mod tests {
     #[test]
     fn suppressions_are_collected_with_lines() {
         let src =
-            "let a = 1; // gmt-lint: allow(G1, R2): reason\nlet b = 2;\n// gmt-lint: allow(D3)\n";
+            "let a = 1; // gmt-lint: allow(U1, C1): reason\nlet b = 2;\n// gmt-lint: allow(A1)\n";
         let out = lex(src);
         assert_eq!(out.suppressions.len(), 2);
         assert_eq!(out.suppressions[0].line, 1);
-        assert_eq!(out.suppressions[0].rules, vec!["G1", "R2"]);
+        assert_eq!(out.suppressions[0].rules, vec!["U1", "C1"]);
         assert_eq!(out.suppressions[1].line, 3);
-        assert_eq!(out.suppressions[1].rules, vec!["D3"]);
+        assert_eq!(out.suppressions[1].rules, vec!["A1"]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ USAGE:
 OPTIONS:
     --root <PATH>           Workspace root (default: nearest [workspace] above cwd)
     --format <FMT>          Output format: text (default) or json
-    --fix                   Apply the safe D3 and U1 rewrites, then re-lint
+    --fix                   Apply the safe U1 rewrites, then re-lint
     --allow <RULE>          Run RULE (or `all`) at allow level (repeatable)
     --warn <RULE>           Run RULE (or `all`) at warn level (repeatable)
     --deny <RULE>           Run RULE (or `all`) at deny level (repeatable)
@@ -126,8 +126,8 @@ fn run() -> Result<bool, String> {
             "--list-rules" => {
                 for r in RULES {
                     println!(
-                        "{:<3} {:<25} {:<5} v{:<2} {}",
-                        r.id, r.name, r.default_level, r.version, r.summary
+                        "{:<3} {:<25} {:<5} {}",
+                        r.id, r.name, r.default_level, r.summary
                     );
                 }
                 return Ok(true);
@@ -158,7 +158,7 @@ fn run() -> Result<bool, String> {
         let fixed_files = apply_fixes(&root, &files, &run.report, &config)?;
         if fixed_files > 0 {
             eprintln!(
-                "gmt-lint: rewrote {fixed_files} file(s) for D3/U1; \
+                "gmt-lint: rewrote {fixed_files} file(s) for U1; \
                  re-linting (run `cargo build` to confirm the rewrite compiles)"
             );
             files = gmt_lint::engine::load_workspace(&root, include_vendor)
@@ -194,10 +194,7 @@ fn run() -> Result<bool, String> {
     Ok(!report.has_deny())
 }
 
-/// Applies the D3 and U1 rewrites to every file the report flags.
-///
-/// U1 fixes use the already-analyzed token offsets, so they run against
-/// the on-disk text first; D3 re-lexes whatever U1 produced.
+/// Applies the U1 rewrites to every file the report flags.
 fn apply_fixes(
     root: &std::path::Path,
     files: &[gmt_lint::symbols::AnalyzedFile],
@@ -208,7 +205,7 @@ fn apply_fixes(
     let mut flagged: Vec<PathBuf> = report
         .findings
         .iter()
-        .filter(|f| f.rule == "D3" || f.rule == "U1")
+        .filter(|f| f.rule == "U1")
         .map(|f| f.file.clone())
         .collect();
     flagged.sort();

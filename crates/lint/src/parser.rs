@@ -8,7 +8,7 @@
 //!    error type and cannot panic on malformed input.
 //! 2. **Lose nothing.** Every token ends up inside exactly one node's
 //!    span (enforced by the round-trip property test), so the semantic
-//!    rules see the same source the token rules do.
+//!    rules see the same source the lexer does.
 //! 3. **Parse only what the rules need.** Types, patterns, generics and
 //!    attributes are skipped as token runs; expressions get a full Pratt
 //!    parser because the unit-dimension analysis walks them.
@@ -441,19 +441,8 @@ impl<'a> Parser<'a> {
         if !self.is_p(self.pos, '{') {
             return self.verbatim_item(end);
         }
-        let body_end = self.after_matching(self.pos, end);
-        let mut variants = Vec::new();
-        for (seg_lo, seg_hi) in split_top_level(self.toks, self.pos + 1, body_end - 1, ',') {
-            let mut i = seg_lo;
-            while i < seg_hi && self.is_p(i, '#') && self.is_p(i + 1, '[') {
-                i = self.after_matching(i + 1, seg_hi);
-            }
-            if let Some(t) = self.at(i).filter(|t| t.kind == TokKind::Ident) {
-                variants.push(t.text.clone());
-            }
-        }
-        self.pos = body_end;
-        ItemKind::Enum(EnumItem { name, variants })
+        self.pos = self.after_matching(self.pos, end);
+        ItemKind::Enum(EnumItem { name })
     }
 
     fn parse_impl(&mut self, _lo: usize, end: usize) -> ItemKind {
@@ -787,7 +776,6 @@ impl<'a> Parser<'a> {
     }
 
     /// `(op, token width, left bp, right bp, is assignment, dimensional)`.
-    #[allow(clippy::type_complexity)]
     fn peek_binop(&self, end: usize) -> Option<(BinOp, usize, u8, u8, bool, bool)> {
         let i = self.pos;
         if i >= end {
@@ -1642,17 +1630,6 @@ mod tests {
         assert!(s.fields[0].is_pub && s.fields[1].is_pub && s.fields[3].is_pub);
         assert!(!s.fields[2].is_pub);
         assert_eq!(s.fields[1].ty, vec!["Dur"]);
-    }
-
-    #[test]
-    fn enum_variants_are_listed() {
-        let (file, _) = parse(
-            "pub enum TraceEvent { Hit { page: u64 }, Miss(u32), #[doc(hidden)] Weird = 3, Plain }",
-        );
-        let ItemKind::Enum(e) = &file.items[0].kind else {
-            panic!()
-        };
-        assert_eq!(e.variants, vec!["Hit", "Miss", "Weird", "Plain"]);
     }
 
     #[test]

@@ -5,27 +5,32 @@
 //! |----|-----------|------------|
 //! | D1 | model crates use virtual time only — no `Instant`/`SystemTime` | clippy `disallowed-methods`/`disallowed-types`, root `clippy.toml` |
 //! | D2 | every RNG is seeded via `gmt_sim::rng` — no `RandomState` entropy | clippy `disallowed-methods`, every `clippy.toml` |
-//! | D3 | export paths iterate `BTreeMap`/`BTreeSet`, never `HashMap`/`HashSet` | gmt-lint |
+//! | D3 | export paths iterate `BTreeMap`/`BTreeSet`, never `HashMap`/`HashSet` | clippy `disallowed-types`, every `clippy.toml` |
 //! | S1 | no `unsafe` code | rustc `unsafe_code = "forbid"`, root `[workspace.lints]` |
 //! | P1 | library code in `core`/`sim`/`serve` returns typed errors, not panics | clippy `unwrap_used`/`expect_used`/`panic`/`todo`/`unimplemented`, denied at those crate roots |
-//! | M1 | every `TieringMetrics` field is summed in `merge()` | gmt-lint |
-//! | R2 | model crates grow no new interior-mutability cells | gmt-lint |
-//! | O1 | no float folds over nondeterministic iteration order | gmt-lint |
+//! | M1 | every `TieringMetrics` field is summed in `merge()` | rustc: `merge` destructures `other` without `..` (E0027 for a new field, `unused_variables` for a dropped one) |
+//! | U1 | values with unit suffixes do not mix dimensions | gmt-lint |
+//! | C1 | every pub config field is read and range-checked | gmt-lint |
+//! | T1 | every `TraceEvent` variant is handled by `crates/analysis` | rustc E0004 plus `#[deny(clippy::wildcard_enum_match_arm)]` on `TraceCounters::add` |
+//! | N1 | no wall-clock, RNG, thread-identity or hash-order value reaches an export | its sources are banned: clippy `disallowed-methods`/`disallowed-types`, every `clippy.toml` |
+//! | A1 | no allocation in loops reachable from the DES roots | gmt-lint |
+//! | G1 | no `static mut`, `thread_local!` or shared cell on the event-loop path | clippy `disallowed-types`/`disallowed-macros`, every `clippy.toml`; `static mut` needs `unsafe` (S1) |
+//! | R2 | model crates grow no new interior-mutability or sync cells | clippy `disallowed-types`, every `clippy.toml` |
+//! | O1 | no float folds over nondeterministic iteration order | clippy `disallowed-types` on `HashMap`/`HashSet`, every `clippy.toml` |
 //!
-//! D1, D2, S1 and P1 have no entry in [`RULES`]: an intended exception to
-//! one of them is an `#[expect(<lint>, reason = "…")]` attribute, not a
-//! `gmt-lint: allow` comment.
+//! Only U1, C1 and A1 have an entry in [`RULES`]. An intended exception
+//! to any other rule is an `#[expect(<lint>, reason = "…")]` attribute,
+//! not a `gmt-lint: allow` comment.
 //!
-//! Rules operate on the token stream from [`crate::lexer`], so comments,
-//! strings and doc examples can never produce false positives. Test code
-//! (`#[cfg(test)]` modules, `#[test]` fns, `tests/` targets) is exempt
-//! from D3.
+//! Rules operate on the token stream from [`crate::lexer`] and the AST
+//! from [`crate::parser`], so comments, strings and doc examples can
+//! never produce false positives.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::diag::{Finding, Level};
-use crate::lexer::{LexOutput, TokKind, Token};
+use crate::lexer::{TokKind, Token};
 
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
@@ -38,30 +43,10 @@ pub struct Rule {
     pub default_level: Level,
     /// One-line statement of the invariant.
     pub summary: &'static str,
-    /// Semantic version of the rule's detection logic. Bumped whenever the
-    /// rule's precision changes so suppression justifications can be stamped
-    /// with the version they were audited against (e.g. `[G1/2]`).
-    pub version: u32,
 }
 
 /// Every rule the linter knows, in report order.
 pub const RULES: &[Rule] = &[
-    Rule {
-        id: "D3",
-        name: "no-hashmap-in-export",
-        default_level: Level::Deny,
-        summary: "export/serialization modules must use BTreeMap/BTreeSet so \
-                  emitted key order is stable across runs and platforms",
-        version: 1,
-    },
-    Rule {
-        id: "M1",
-        name: "metrics-conservation",
-        default_level: Level::Deny,
-        summary: "every TieringMetrics field must be summed in merge(), or \
-                  per-tenant accounting silently loses counters",
-        version: 1,
-    },
     Rule {
         id: "U1",
         name: "unit-dimension",
@@ -69,7 +54,6 @@ pub const RULES: &[Rule] = &[
         summary: "values with suffix-inferred units (_ns/_us/_ms/_bytes/_pages/_gbps) \
                   must not mix dimensions in arithmetic, comparisons, assignments or \
                   calls without an explicit conversion",
-        version: 1,
     },
     Rule {
         id: "C1",
@@ -77,24 +61,6 @@ pub const RULES: &[Rule] = &[
         default_level: Level::Deny,
         summary: "every pub config field must be read outside its definition (no dead \
                   knobs) and numeric fields must be range-checked in validate()",
-        version: 1,
-    },
-    Rule {
-        id: "T1",
-        name: "trace-schema",
-        default_level: Level::Deny,
-        summary: "every TraceEvent variant emitted by the model crates must be \
-                  explicitly handled by crates/analysis, not wildcard-swallowed",
-        version: 1,
-    },
-    Rule {
-        id: "N1",
-        name: "nondeterminism-taint",
-        default_level: Level::Deny,
-        summary: "values derived from HashMap/HashSet iteration order, wall clocks, \
-                  thread identity or unseeded RNG must not flow (through assignments, \
-                  calls and returns) into export/trace sinks",
-        version: 1,
     },
     Rule {
         id: "A1",
@@ -103,34 +69,6 @@ pub const RULES: &[Rule] = &[
         summary: "no Vec::new/Box::new/clone()/format!/collect() inside loops of \
                   functions call-graph-reachable from the DES access, warp-replay \
                   and ring-poll roots; hot-path churn is what the arena refactor removes",
-        version: 1,
-    },
-    Rule {
-        id: "G1",
-        name: "shard-safety",
-        default_level: Level::Deny,
-        summary: "state reachable from the event-loop path must be explicitly owned: \
-                  no static mut/thread_local, no Rc/RefCell/Cell fields on hot types",
-        version: 2,
-    },
-    Rule {
-        id: "R2",
-        name: "interior-mutability-in-model",
-        default_level: Level::Deny,
-        summary: "model crates must not grow new interior-mutability escape hatches: \
-                  Rc/RefCell/Cell/UnsafeCell fields off the hot path (G1 covers hot \
-                  types) and Arc/Mutex/RwLock fields anywhere are flagged so every \
-                  shared cell is explicitly justified",
-        version: 1,
-    },
-    Rule {
-        id: "O1",
-        name: "order-sensitive-float-fold",
-        default_level: Level::Deny,
-        summary: "float += / sum() folds over iteration whose order is not provably \
-                  deterministic (HashMap/HashSet iteration) accumulate rounding in \
-                  visit order — the classic parallel-reduction nondeterminism bug",
-        version: 1,
     },
 ];
 
@@ -160,18 +98,6 @@ pub struct MutationTemplate {
 /// Every mutation template the harness knows, in report order.
 pub const MUTATIONS: &[MutationTemplate] = &[
     MutationTemplate {
-        rule: "D3",
-        name: "d3-hash-in-export",
-        summary: "append a helper returning std::collections::HashMap/HashSet \
-                  to a named export file",
-    },
-    MutationTemplate {
-        rule: "M1",
-        name: "m1-dropped-counter",
-        summary: "add a TieringMetrics field that merge() never mentions, or \
-                  rename an existing field's mentions inside merge()",
-    },
-    MutationTemplate {
         rule: "U1",
         name: "u1-mixed-units",
         summary: "insert a `total_ns += gap_us` accumulation with no unit \
@@ -184,39 +110,10 @@ pub const MUTATIONS: &[MutationTemplate] = &[
                   range-checks",
     },
     MutationTemplate {
-        rule: "T1",
-        name: "t1-wildcard-swallow",
-        summary: "rename every crates/analysis mention of an emitted TraceEvent \
-                  variant so only a wildcard arm could match it",
-    },
-    MutationTemplate {
-        rule: "N1",
-        name: "n1-hash-order-export",
-        summary: "append a HashMap-keys loop feeding an emit() sink, one- and \
-                  two-hop variants",
-    },
-    MutationTemplate {
         rule: "A1",
         name: "a1-hot-loop-alloc",
         summary: "insert a Vec::new() into the body of a per-event root \
                   (access/poll/step)",
-    },
-    MutationTemplate {
-        rule: "G1",
-        name: "g1-static-mut",
-        summary: "append a `static mut` global to a model-crate library file",
-    },
-    MutationTemplate {
-        rule: "R2",
-        name: "r2-new-cell-field",
-        summary: "append a struct with an Arc<Mutex<..>> (or cold RefCell) \
-                  field to a model crate",
-    },
-    MutationTemplate {
-        rule: "O1",
-        name: "o1-hash-float-fold",
-        summary: "insert a float += recurrence over HashMap::values() whose \
-                  result is folded into the first u64 parameter",
     },
 ];
 
@@ -263,9 +160,6 @@ pub struct FileContext<'a> {
     /// The target the file compiles into.
     pub target: TargetKind,
 }
-
-/// File basenames that are export paths regardless of content (D3).
-pub(crate) const D3_EXPORT_FILES: &[&str] = &["trace.rs", "tracesum.rs", "report.rs"];
 
 /// Marks every token inside `#[cfg(test)] mod … { }` or `#[test] fn … { }`
 /// regions, so runtime rules can skip test-only code.
@@ -342,153 +236,8 @@ pub fn test_mask(tokens: &[Token]) -> Vec<bool> {
     mask
 }
 
-/// Whether a token stream belongs to a serde-deriving module (D3 scope):
-/// anything that imports serde or derives `Serialize`/`Deserialize`.
-pub fn is_serde_module(tokens: &[Token]) -> bool {
-    tokens
-        .iter()
-        .any(|t| t.is_ident("serde") || t.is_ident("Serialize") || t.is_ident("Deserialize"))
-}
-
-/// Runs every token-level rule over one file, appending findings.
-///
-/// Kept as a thin wrapper over the per-rule functions below so callers
-/// that do not care about `--timings` attribution keep a one-call API,
-/// while the engine can time each rule family separately.
-pub fn check_tokens(ctx: FileContext<'_>, lexed: &LexOutput, config: &Config, out: &mut Findings) {
-    let mask = test_mask(&lexed.tokens);
-    check_d3(ctx, lexed, &mask, config, out);
-    check_m1(ctx, lexed, config, out);
-}
-
-/// D3 — hash collections are banned in export paths.
-pub fn check_d3(
-    ctx: FileContext<'_>,
-    lexed: &LexOutput,
-    mask: &[bool],
-    config: &Config,
-    out: &mut Findings,
-) {
-    let tokens = &lexed.tokens;
-    let in_tests_target = matches!(ctx.target, TargetKind::Tests | TargetKind::Bench);
-    let basename = ctx
-        .rel_path
-        .file_name()
-        .map(|n| n.to_string_lossy().to_string())
-        .unwrap_or_default();
-    let named_export = D3_EXPORT_FILES.contains(&basename.as_str());
-    if !named_export && !is_serde_module(tokens) {
-        return;
-    }
-    let scope = if named_export {
-        format!("export path `{basename}`")
-    } else {
-        "serde-deriving module".to_string()
-    };
-    for (i, t) in tokens.iter().enumerate() {
-        if mask[i] || in_tests_target || t.kind != TokKind::Ident {
-            continue;
-        }
-        if t.text == "HashMap" || t.text == "HashSet" {
-            let ordered = if t.text == "HashMap" {
-                "BTreeMap"
-            } else {
-                "BTreeSet"
-            };
-            out.push(ctx, config, "D3", t, format!(
-                "`{}` in {scope}; iteration order is nondeterministic — use `{}` so serialized key order is stable",
-                t.text, ordered
-            ));
-        }
-    }
-}
-
-/// M1 — TieringMetrics fields must be conserved by merge().
-pub fn check_m1(ctx: FileContext<'_>, lexed: &LexOutput, config: &Config, out: &mut Findings) {
-    check_metrics_conservation(ctx, &lexed.tokens, config, out);
-}
-
-/// The M1 cross-check: in any file defining `struct TieringMetrics`,
-/// every named field must appear inside the body of `fn merge` in the
-/// same file (the merge destructures-and-sums, so a field that never
-/// shows up there is silently dropped from per-tenant aggregation).
-fn check_metrics_conservation(
-    ctx: FileContext<'_>,
-    tokens: &[Token],
-    config: &Config,
-    out: &mut Findings,
-) {
-    let Some(struct_at) = tokens
-        .windows(2)
-        .position(|w| w[0].is_ident("struct") && w[1].is_ident("TieringMetrics"))
-    else {
-        return;
-    };
-    // Collect field names: idents directly followed by `:` at depth 1 of
-    // the struct body (`pub` and types never precede a `:` at depth 1).
-    let Some(open) = tokens[struct_at..].iter().position(|t| t.is_punct('{')) else {
-        return;
-    };
-    let mut fields: Vec<&Token> = Vec::new();
-    let mut depth = 0usize;
-    let mut struct_end = tokens.len();
-    for (k, t) in tokens.iter().enumerate().skip(struct_at + open) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                struct_end = k;
-                break;
-            }
-        } else if depth == 1
-            && t.kind == TokKind::Ident
-            && tokens.get(k + 1).is_some_and(|n| n.is_punct(':'))
-        {
-            fields.push(t);
-        }
-    }
-    // Find `fn merge` and gather every ident inside its body.
-    let merge_at = tokens[struct_end..]
-        .windows(2)
-        .position(|w| w[0].is_ident("fn") && w[1].is_ident("merge"))
-        .map(|p| struct_end + p);
-    let Some(merge_at) = merge_at else {
-        out.push(ctx, config, "M1", &tokens[struct_at], format!(
-            "`TieringMetrics` has no `fn merge` in this file; {} field(s) are not aggregated anywhere",
-            fields.len()
-        ));
-        return;
-    };
-    let Some(body_open) = tokens[merge_at..].iter().position(|t| t.is_punct('{')) else {
-        return;
-    };
-    let mut body_idents: Vec<&str> = Vec::new();
-    let mut depth = 0usize;
-    for t in tokens.iter().skip(merge_at + body_open) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if t.kind == TokKind::Ident {
-            body_idents.push(&t.text);
-        }
-    }
-    for f in fields {
-        if !body_idents.iter().any(|id| *id == f.text) {
-            out.push(ctx, config, "M1", f, format!(
-                "`TieringMetrics::{}` is never mentioned in `merge()`; merging per-tenant metrics would silently drop it",
-                f.text
-            ));
-        }
-    }
-}
-
 // --------------------------------------------------------------------------
-// Semantic rules (U1/C1/T1), built on the AST + symbol table.
+// Semantic rules (U1/C1), built on the AST + symbol table.
 // --------------------------------------------------------------------------
 
 use crate::ast::{BinOp, Block, Expr, ExprKind, FnItem, Item, ItemKind, Stmt, StmtKind};
@@ -502,22 +251,6 @@ pub const C1_STRUCTS: &[&str] = &[
     "HostLinkConfig",
     "FrontendConfig",
 ];
-
-/// Crates whose unmasked code counts as *emitting* trace events (T1).
-/// `sim` is excluded on purpose: it defines `TraceEvent` and its helper
-/// methods legitimately name every variant.
-pub const T1_EMITTER_CRATES: &[&str] = &[
-    "core",
-    "serve",
-    "baselines",
-    "gpu",
-    "ssd",
-    "pcie",
-    "frontend",
-];
-
-/// The crate whose exporters must handle every emitted variant (T1).
-pub const T1_ANALYSIS_CRATE: &str = "analysis";
 
 /// An auto-applicable unit conversion discovered by the U1 walker.
 #[derive(Debug, Clone, Copy)]
@@ -1062,38 +795,6 @@ impl UnitWalker<'_, '_, '_> {
     }
 }
 
-/// Whether tokens `a` and `b` are byte-adjacent (multi-char operator).
-fn adj(a: &Token, b: &Token) -> bool {
-    b.offset == a.offset + a.len
-}
-
-/// Collects `<EnumName>::Variant` mentions in a file's unmasked code.
-fn variant_mentions(
-    file: &AnalyzedFile,
-    enum_name: &str,
-    variants: &[String],
-) -> Vec<(String, usize)> {
-    let toks = &file.lexed.tokens;
-    let mask = test_mask(toks);
-    let mut out = Vec::new();
-    for i in 0..toks.len().saturating_sub(3) {
-        if !toks[i].is_ident(enum_name) || mask[i] {
-            continue;
-        }
-        if !(toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && adj(&toks[i + 1], &toks[i + 2]))
-        {
-            continue;
-        }
-        let v = &toks[i + 3];
-        if v.kind == TokKind::Ident && variants.iter().any(|name| name == &v.text) {
-            out.push((v.text.clone(), i + 3));
-        }
-    }
-    out
-}
-
 /// C1: every pub field of the config structs must be read outside its
 /// own definition, and numeric fields must be range-checked.
 pub fn check_config_coverage(
@@ -1147,11 +848,7 @@ pub fn check_config_coverage(
                 }
             }
             let at = &def_file.lexed.tokens[field.name_tok];
-            let ctx = FileContext {
-                rel_path: &def_file.rel,
-                crate_name: &def_file.crate_name,
-                target: def_file.target,
-            };
+            let ctx = def_file.context();
             let mut out = Findings::new(&def_file.lexed.suppressions);
             if !read {
                 out.push(
@@ -1182,71 +879,6 @@ pub fn check_config_coverage(
             findings.extend(out.findings);
             suppressed += out.suppressed;
         }
-    }
-    (findings, suppressed)
-}
-
-/// T1: every `TraceEvent` variant emitted by the model crates must be
-/// explicitly named by the exporters in `crates/analysis`.
-pub fn check_trace_schema(
-    files: &[AnalyzedFile],
-    syms: &Symbols,
-    config: &Config,
-) -> (Vec<Finding>, usize) {
-    let mut findings = Vec::new();
-    let mut suppressed = 0usize;
-    if config.level("T1") == Level::Allow {
-        return (findings, suppressed);
-    }
-    let Some(variants) = syms.enums.get("TraceEvent") else {
-        return (findings, suppressed);
-    };
-    let mut handled: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    for f in files {
-        if f.crate_name == T1_ANALYSIS_CRATE
-            && matches!(f.target, TargetKind::Lib | TargetKind::Bin)
-        {
-            for (v, _) in variant_mentions(f, "TraceEvent", variants) {
-                handled.insert(v);
-            }
-        }
-    }
-    // First unmasked emission site per variant, in file order.
-    let mut emitted: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-    for (fi, f) in files.iter().enumerate() {
-        if !T1_EMITTER_CRATES.contains(&f.crate_name.as_str())
-            || !matches!(f.target, TargetKind::Lib | TargetKind::Bin)
-        {
-            continue;
-        }
-        for (v, tok) in variant_mentions(f, "TraceEvent", variants) {
-            emitted.entry(v).or_insert((fi, tok));
-        }
-    }
-    for (v, (fi, tok)) in &emitted {
-        if handled.contains(v) {
-            continue;
-        }
-        let f = &files[*fi];
-        let ctx = FileContext {
-            rel_path: &f.rel,
-            crate_name: &f.crate_name,
-            target: f.target,
-        };
-        let mut out = Findings::new(&f.lexed.suppressions);
-        out.push(
-            ctx,
-            config,
-            "T1",
-            &f.lexed.tokens[*tok],
-            format!(
-                "`TraceEvent::{v}` is emitted here but never explicitly handled in \
-                 crates/{T1_ANALYSIS_CRATE} — a wildcard arm is silently dropping it \
-                 from the exported summaries"
-            ),
-        );
-        findings.extend(out.findings);
-        suppressed += out.suppressed;
     }
     (findings, suppressed)
 }
@@ -1312,92 +944,48 @@ impl<'a> Findings<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+    use crate::symbols::build_symbols;
     use std::path::PathBuf;
 
-    fn run(path: &str, crate_name: &str, target: TargetKind, src: &str) -> (Vec<Finding>, usize) {
-        let rel = PathBuf::from(path);
-        let lexed = lex(src);
-        let ctx = FileContext {
-            rel_path: &rel,
-            crate_name,
-            target,
-        };
-        let mut out = Findings::new(&lexed.suppressions);
-        check_tokens(ctx, &lexed, &Config::default(), &mut out);
+    /// Runs U1 over `src` as `crates/core/src/x.rs`.
+    fn run_u1(src: &str, config: &Config) -> (Vec<Finding>, usize) {
+        let files = [AnalyzedFile::analyze(
+            PathBuf::from("crates/core/src/x.rs"),
+            "core".to_string(),
+            TargetKind::Lib,
+            src,
+        )];
+        let syms = build_symbols(&files);
+        let mut out = Findings::new(&files[0].lexed.suppressions);
+        check_unit_dimensions(files[0].context(), &files[0], &syms, config, &mut out, None);
         (out.findings, out.suppressed)
     }
 
-    #[test]
-    fn d3_scopes_to_export_files_and_serde_modules() {
-        let src = "use std::collections::HashMap;\nstruct S { m: HashMap<u32, u32> }";
-        let (by_name, _) = run("crates/sim/src/trace.rs", "sim", TargetKind::Lib, src);
-        assert_eq!(by_name.len(), 2, "export file flagged by basename");
-        let (plain, _) = run("crates/sim/src/events.rs", "sim", TargetKind::Lib, src);
-        assert!(plain.is_empty(), "internal module may hash");
-        let serde_src = format!("use serde::Serialize;\n{src}");
-        let (by_serde, _) = run(
-            "crates/sim/src/events.rs",
-            "sim",
-            TargetKind::Lib,
-            &serde_src,
-        );
-        assert_eq!(by_serde.len(), 2, "serde-deriving module flagged");
-    }
-
-    #[test]
-    fn m1_catches_a_dropped_field() {
-        let src = "pub struct TieringMetrics { pub a: u64, pub b: u64 }\nimpl TieringMetrics { pub fn merge(&mut self, o: &Self) { self.a += o.a; } }";
-        let (findings, _) = run("crates/core/src/metrics.rs", "core", TargetKind::Lib, src);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "M1");
-        assert!(findings[0].message.contains("`TieringMetrics::b`"));
-        let ok = "pub struct TieringMetrics { pub a: u64 }\nimpl TieringMetrics { pub fn merge(&mut self, o: &Self) { self.a += o.a; } }";
-        let (none, _) = run("crates/core/src/metrics.rs", "core", TargetKind::Lib, ok);
-        assert!(none.is_empty());
-    }
-
-    #[test]
-    fn m1_requires_a_merge_fn() {
-        let src = "pub struct TieringMetrics { pub a: u64 }";
-        let (findings, _) = run("crates/core/src/metrics.rs", "core", TargetKind::Lib, src);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("no `fn merge`"));
-    }
+    const MIXED: &str =
+        "fn f(gap_us: u64) -> u64 { let mut total_ns: u64 = 0; total_ns += gap_us; total_ns }";
 
     #[test]
     fn suppressions_cover_their_line_and_the_next() {
-        let trailing = "fn f() { let _ = HashSet::<u32>::new(); } // gmt-lint: allow(D3): demo";
-        let (f, s) = run("crates/sim/src/trace.rs", "sim", TargetKind::Lib, trailing);
+        let trailing = format!("{MIXED} // gmt-lint: allow(U1): demo");
+        let (f, s) = run_u1(&trailing, &Config::default());
         assert!(f.is_empty());
         assert_eq!(s, 1);
-        let above = "// gmt-lint: allow(D3): demo\nfn f() { let _ = HashSet::<u32>::new(); }";
-        let (f, s) = run("crates/sim/src/trace.rs", "sim", TargetKind::Lib, above);
+        let above = format!("// gmt-lint: allow(U1): demo\n{MIXED}");
+        let (f, s) = run_u1(&above, &Config::default());
         assert!(f.is_empty());
         assert_eq!(s, 1);
-        let wrong_rule = "// gmt-lint: allow(M1)\nfn f() { let _ = HashSet::<u32>::new(); }";
-        let (f, _) = run(
-            "crates/sim/src/trace.rs",
-            "sim",
-            TargetKind::Lib,
-            wrong_rule,
-        );
-        assert_eq!(f.len(), 1, "allow(M1) must not silence D3");
+        let wrong_rule = format!("// gmt-lint: allow(C1)\n{MIXED}");
+        let (f, _) = run_u1(&wrong_rule, &Config::default());
+        assert_eq!(f.len(), 1, "allow(C1) must not silence U1");
     }
 
     #[test]
     fn config_overrides_change_levels() {
+        assert_eq!(run_u1(MIXED, &Config::default()).0.len(), 1);
         let mut config = Config::default();
-        config.overrides.insert("D3".to_string(), Level::Allow);
-        let rel = PathBuf::from("crates/sim/src/trace.rs");
-        let lexed = lex("use std::collections::HashMap;");
-        let ctx = FileContext {
-            rel_path: &rel,
-            crate_name: "sim",
-            target: TargetKind::Lib,
-        };
-        let mut out = Findings::new(&lexed.suppressions);
-        check_tokens(ctx, &lexed, &config, &mut out);
-        assert!(out.findings.is_empty(), "allow override drops findings");
+        config.overrides.insert("U1".to_string(), Level::Allow);
+        let (f, s) = run_u1(MIXED, &config);
+        assert!(f.is_empty(), "allow override drops findings");
+        assert_eq!(s, 0, "an allowed rule suppresses nothing");
     }
 }

@@ -1,10 +1,10 @@
-//! Workspace-wide symbol table for the semantic rules (U1/C1/T1).
+//! Workspace-wide symbol table for the semantic rules (U1/C1).
 //!
 //! Built from every parsed file's AST in one pass, the table answers the
-//! cross-file questions the token rules cannot: which unit a function
+//! cross-file questions one file's tokens cannot: which unit a function
 //! parameter expects (from its name suffix), which fields a config
-//! struct declares and whether they are numeric, which enum variants
-//! exist, and which identifiers any `validate()` body mentions.
+//! struct declares and whether they are numeric, and which identifiers
+//! any `validate()` body mentions.
 //!
 //! Unit inference is deliberately suffix-based and exact: only the final
 //! `_`-separated segment of an identifier names a unit, so
@@ -17,9 +17,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
-use crate::ast::{AnyNode, File, Item, ItemKind};
+use crate::ast::{File, Item, ItemKind};
 use crate::lexer::{lex, LexOutput, TokKind};
-use crate::rules::TargetKind;
+use crate::rules::{FileContext, TargetKind};
 
 /// A concrete measurement unit inferred from an identifier suffix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -147,10 +147,6 @@ pub struct FieldInfo {
     pub ty_dim: Dim,
     /// Token index of the field name in the defining file.
     pub name_tok: usize,
-    /// The field type's token texts, verbatim. The flow rules classify
-    /// these: `HashMap`/`HashSet` feed N1's iteration-order taint, and
-    /// `Rc`/`RefCell`/`Cell` feed G1 and R2.
-    pub ty: Vec<String>,
 }
 
 /// One struct definition.
@@ -195,6 +191,15 @@ impl AnalyzedFile {
             ast,
         }
     }
+
+    /// Where the file sits in the workspace, for rule scoping.
+    pub fn context(&self) -> FileContext<'_> {
+        FileContext {
+            rel_path: &self.rel,
+            crate_name: &self.crate_name,
+            target: self.target,
+        }
+    }
 }
 
 /// The workspace-wide symbol table.
@@ -204,8 +209,6 @@ pub struct Symbols {
     pub fns: BTreeMap<String, Vec<FnSig>>,
     /// Struct definitions by name (first definition wins).
     pub structs: BTreeMap<String, StructInfo>,
-    /// Enum variants by enum name.
-    pub enums: BTreeMap<String, Vec<String>>,
     /// Every identifier mentioned inside any `fn validate` body.
     pub validate_idents: BTreeSet<String>,
 }
@@ -262,16 +265,10 @@ fn collect_item(syms: &mut Symbols, file_idx: usize, file: &AnalyzedFile, item: 
                         numeric: is_numeric_ty(&fd.ty),
                         ty_dim: dim_of_ty(&fd.ty),
                         name_tok: fd.name_tok,
-                        ty: fd.ty.clone(),
                     })
                     .collect(),
             };
             syms.structs.entry(s.name.clone()).or_insert(info);
-        }
-        ItemKind::Enum(e) => {
-            syms.enums
-                .entry(e.name.clone())
-                .or_insert_with(|| e.variants.clone());
         }
         ItemKind::Impl(imp) => {
             for inner in &imp.items {
@@ -283,7 +280,7 @@ fn collect_item(syms: &mut Symbols, file_idx: usize, file: &AnalyzedFile, item: 
                 collect_item(syms, file_idx, file, inner);
             }
         }
-        ItemKind::Verbatim => {}
+        ItemKind::Enum(_) | ItemKind::Verbatim => {}
     }
 }
 
@@ -315,20 +312,6 @@ fn mark_impls(item: &Item, map: &mut [Option<String>]) {
             }
         }
         _ => {}
-    }
-}
-
-/// Depth-first, source-order visit of every AST node in `file`.
-pub fn walk_nodes<'a>(file: &'a File, visit: &mut dyn FnMut(AnyNode<'a>)) {
-    let mut stack: Vec<AnyNode<'a>> = file.items.iter().rev().map(AnyNode::Item).collect();
-    let mut kids = Vec::new();
-    while let Some(node) = stack.pop() {
-        visit(node);
-        kids.clear();
-        node.children(&mut kids);
-        for k in kids.drain(..).rev() {
-            stack.push(k);
-        }
     }
 }
 

@@ -48,6 +48,14 @@ impl Overlay {
     }
 }
 
+/// `p` with `/` separators, the key form of [`Overlay::files`].
+pub(crate) fn slash_path(p: &Path) -> String {
+    p.components()
+        .map(|c| c.as_os_str().to_string_lossy())
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
 /// Walks upward from `start` to the nearest directory whose `Cargo.toml`
 /// declares a `[workspace]`.
 pub fn find_root(start: &Path) -> Option<PathBuf> {

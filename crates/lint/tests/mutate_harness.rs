@@ -2,9 +2,9 @@
 //! the synthesized matrix covers every rule at the depth the recall
 //! gate needs, overlays only rewrite real workspace files, and a
 //! representative slice of mutants is actually caught end-to-end
-//! through the in-memory overlay. The full matrix (and the behavioral
-//! replay stage) runs as the CI `gmt-mutate` job, not here — this suite
-//! stays inside the regular test budget.
+//! through the in-memory overlay. The full recall gate runs as the CI
+//! `gmt-mutate` job, not here — this suite stays inside the regular test
+//! budget.
 
 use std::path::PathBuf;
 
@@ -21,27 +21,18 @@ fn repo_root() -> PathBuf {
 }
 
 #[test]
-fn full_matrix_covers_every_rule_with_a_behavioral_o1_probe() {
+fn full_matrix_covers_every_rule_at_the_mutant_floor() {
     let corpus = load_corpus(&repo_root()).expect("workspace loads");
     let mutants = synthesize(&corpus, false);
     for r in RULES {
         let n = mutants.iter().filter(|m| m.template.rule == r.id).count();
         assert!(n >= 1, "rule {} has no mutants in the full matrix", r.id);
     }
-    // The acceptance floor: the nondeterminism and shared-state deny
-    // rules each get at least five mutants.
-    for id in ["N1", "O1", "R2"] {
+    // The acceptance floor: every deny rule gets at least five mutants.
+    for id in ["U1", "C1", "A1"] {
         let n = mutants.iter().filter(|m| m.template.rule == id).count();
         assert!(n >= 5, "deny rule {id} needs >= 5 mutants, got {n}");
     }
-    // O1 must carry a behavioral probe so the replay stage can prove its
-    // mutants actually diverge.
-    assert!(
-        mutants
-            .iter()
-            .any(|m| m.template.rule == "O1" && m.behavioral),
-        "O1 has no behavioral probe"
-    );
     // Overlays only replace files that exist in the workspace, and
     // always with changed text — mutants never invent paths or no-op.
     for m in &mutants {
@@ -67,10 +58,10 @@ fn representative_mutants_are_caught_through_the_overlay() {
         baseline.report.findings
     );
     let mutants = synthesize(&corpus, true);
-    // One of each synthesis mechanism: function-entry injection (U1),
-    // end-of-file append with an interprocedural chain (N1), and a
-    // multi-file token rename (T1).
-    for id in ["U1", "N1", "T1"] {
+    // One mutant per rule: function-entry injection checked by the AST
+    // walker (U1) and by the call-graph hot set (A1), and a struct-field
+    // insertion checked across the workspace (C1).
+    for id in ["U1", "C1", "A1"] {
         let m = mutants
             .iter()
             .find(|m| m.template.rule == id)

@@ -7,6 +7,10 @@
 //! random op interleavings: every decision — victims, candidate sweeps,
 //! membership, lengths — must be identical, which is what keeps the
 //! golden traces byte-for-byte stable across the data-layout change.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the oracles keep the original hash indices and sort what they iterate"
+)]
 
 use std::collections::{HashMap, HashSet, VecDeque};
 

@@ -15,7 +15,7 @@ proptest! {
         transitions in proptest::collection::vec((arb_tier(), arb_tier()), 0..200),
     ) {
         let mut predictor = MarkovPredictor::new();
-        let mut reference = std::collections::HashMap::<(Tier, Tier), u64>::new();
+        let mut reference = std::collections::BTreeMap::<(Tier, Tier), u64>::new();
         for &(from, to) in &transitions {
             predictor.reinforce(from, to);
             *reference.entry((from, to)).or_default() += 1;

@@ -321,6 +321,10 @@ pub mod reference {
     //! the executable specification for differential testing. Identical
     //! observable semantics: same [`EventId`] values (sequence numbers),
     //! same FIFO tie-breaking, same lazy cancellation.
+    #![expect(
+        clippy::disallowed_types,
+        reason = "`EventId` is not `Ord`; the pending set is only probed, never iterated"
+    )]
 
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;

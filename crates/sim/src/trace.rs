@@ -43,10 +43,13 @@
 //! assert!(jsonl.starts_with(r#"{"t":130,"vt":1,"ev":"t1_hit","page":7}"#));
 //! ```
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::rc::Rc;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the shared trace ring; see `TraceSink`"
+)]
+use std::{cell::RefCell, rc::Rc};
 
 use crate::parts::{even_ranges, in_parts, part_count};
 use crate::Time;
@@ -876,7 +879,12 @@ struct Ring {
 /// [`dropped`]: TraceSink::dropped
 #[derive(Clone, Default)]
 pub struct TraceSink {
-    // gmt-lint: allow(G1): [G1/2] the one sanctioned shared-mutable cell — every component appends to one ordered ring; the deferred sharded DES (ROADMAP, Deferred) would replace it with per-shard sinks.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one sanctioned shared-mutable cell: every component appends to one \
+                  ordered ring; the deferred sharded DES (ROADMAP, Deferred) would replace \
+                  it with per-shard sinks"
+    )]
     inner: Option<Rc<RefCell<Ring>>>,
 }
 
@@ -909,6 +917,7 @@ impl TraceSink {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
+    #[expect(clippy::disallowed_types, reason = "builds the shared trace ring")]
     pub fn bounded(capacity: usize) -> TraceSink {
         assert!(capacity > 0, "trace ring capacity must be non-zero");
         TraceSink {

@@ -178,7 +178,7 @@ mod tests {
         for i in 0..70_000u64 {
             now = qp.submit(now, false, |at| ssd.read(at, (i % 64) * PAGE, PAGE));
         }
-        let mut outstanding = std::collections::HashSet::new();
+        let mut outstanding = std::collections::BTreeSet::new();
         let mut submits = 0;
         for r in trace.snapshot() {
             match r.event {

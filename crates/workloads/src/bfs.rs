@@ -178,7 +178,7 @@ mod tests {
     fn offset_pages_are_reused_across_levels() {
         let w = small();
         let trace = w.trace(0);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for a in &trace {
             for p in a.pages.iter() {
                 *counts.entry(p).or_insert(0u32) += 1;

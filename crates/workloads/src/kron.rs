@@ -334,13 +334,26 @@ pub fn scale_bits_for_pages(total_pages: usize) -> u32 {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the build counter; see `GENERATED`"
+    )]
     use std::cell::Cell;
 
     thread_local! {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "counts graph builds on the test's own thread, \
+                      so parallel tests do not interfere"
+        )]
         static GENERATED: Cell<usize> = const { Cell::new(0) };
     }
 
     /// Graphs generated on this thread so far.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the build counter; see `GENERATED`"
+    )]
     pub(crate) fn graphs_generated() -> usize {
         GENERATED.with(Cell::get)
     }

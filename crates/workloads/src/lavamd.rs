@@ -104,11 +104,11 @@ impl Workload for LavaMd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn reuse_fraction(w: &LavaMd) -> f64 {
         let trace = w.trace(3);
-        let mut touches: HashMap<u64, usize> = HashMap::new();
+        let mut touches: BTreeMap<u64, usize> = BTreeMap::new();
         for a in &trace {
             for p in a.pages.iter() {
                 *touches.entry(p.0).or_default() += 1;

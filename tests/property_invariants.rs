@@ -123,9 +123,9 @@ proptest! {
         ops in proptest::collection::vec((0u64..64, 0u32..1000), 1..300),
     ) {
         use gmt::mem::PageTable;
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
         let mut table: PageTable<u32> = PageTable::new(total);
-        let mut model: HashMap<u64, u32> = HashMap::new();
+        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
         prop_assert_eq!(table.len(), total);
         for (page, value) in ops {
             let page = page % total as u64;

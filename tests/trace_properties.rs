@@ -10,7 +10,7 @@ use gmt::mem::{PageId, TierGeometry, WarpAccess};
 use gmt::sim::trace::{validate, TraceEvent, TraceRecord, TraceSink};
 use gmt::sim::Time;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Replays `accesses` random touches through a traced GMT runtime and
 /// returns the records plus the runtime (post-`finish`).
@@ -54,7 +54,7 @@ proptest! {
         policy_idx in 0usize..3,
     ) {
         let (records, _) = traced_random_run(seed, policy_idx, 400);
-        let mut installed: HashSet<u64> = HashSet::new();
+        let mut installed: BTreeSet<u64> = BTreeSet::new();
         for r in &records {
             match &r.event {
                 TraceEvent::Tier1Fill { page, .. } | TraceEvent::Prefetch { page } => {
@@ -77,7 +77,7 @@ proptest! {
         policy_idx in 0usize..3,
     ) {
         let (records, _) = traced_random_run(seed, policy_idx, 400);
-        let mut in_flight: std::collections::HashMap<u32, i64> = Default::default();
+        let mut in_flight: BTreeMap<u32, i64> = Default::default();
         for r in &records {
             match r.event {
                 TraceEvent::SsdSubmit { device, queue_depth, .. } => {
@@ -138,7 +138,7 @@ proptest! {
         }
         bam.finish(now);
         prop_assert_eq!(sink.dropped(), 0);
-        let mut outstanding: HashSet<u16> = HashSet::new();
+        let mut outstanding: BTreeSet<u16> = BTreeSet::new();
         let mut completions = 0;
         for r in &sink.snapshot() {
             let depth = match r.event {
