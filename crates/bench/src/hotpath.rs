@@ -13,7 +13,7 @@
 //! | `trace_export` | trace ring fill + JSONL/CSV export |
 //! | `event_calendar` | `EventQueue` schedule/cancel/pop storm |
 //! | `page_structures` | `ClockList`/`FifoCache`/`Tier2Cache` churn |
-//! | `frontend_slo` | online front-end: framed arrivals, admission, Fig. 6 batching, SLO grading |
+//! | `frontend_slo` | online front-end: seeded arrivals, admission, Fig. 6 batching, SLO grading |
 //!
 //! Wall time is host time (this crate is outside the D1 no-wall-clock
 //! boundary); *event counts* are purely virtual and must be identical
@@ -360,7 +360,7 @@ fn page_structures(mode: Mode, seed: u64, reps: u32) -> ScenarioResult {
     })
 }
 
-/// The online serving front-end end to end: framed arrivals through
+/// The online serving front-end end to end: seeded arrivals through
 /// admission control, Fig. 6 batching and SLO-graded completion over
 /// the tiered hierarchy (mirrors the `frontend_bench` scenario).
 fn frontend_slo(mode: Mode, seed: u64, reps: u32) -> ScenarioResult {

@@ -1,5 +1,4 @@
-//! Modeled client connections: seeded request generation over a framed,
-//! non-blocking byte stream.
+//! Modeled client connections: seeded request generation.
 //!
 //! Each connection is a small state machine driven by the engine's
 //! arrival events:
@@ -9,21 +8,15 @@
 //! ```
 //!
 //! While `Sending`, every arrival event makes the connection draw one
-//! request from its seeded distributions (exponential inter-arrival
-//! gaps, uniform request sizes, Zipf page popularity over its tenant's
-//! range), *encode it as wire bytes*, and deliver those bytes to its
-//! own [`FrameDecoder`] in seeded chunks — the same partial-read dance
-//! a non-blocking socket would produce, minus the socket. The engine
-//! only ever sees what survives the decode, so framing is exercised on
-//! every request of every run.
+//! request from its seeded distributions: exponential inter-arrival
+//! gaps, uniform request sizes and Zipf page popularity over its
+//! tenant's range.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use gmt_sim::trace::SloClass;
 use gmt_sim::Zipf;
-
-use crate::frame::{FrameDecoder, RequestFrame};
 
 /// Where a connection is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,12 +46,8 @@ pub struct Connection {
     base: u64,
     /// Requests left to generate.
     remaining: u32,
-    /// Next per-connection sequence number.
-    next_seq: u32,
     /// This connection's private draw stream.
     rng: StdRng,
-    /// Receive-side framing state (bytes survive across chunks).
-    decoder: FrameDecoder,
 }
 
 impl Connection {
@@ -84,9 +73,7 @@ impl Connection {
             outstanding: 0,
             base,
             remaining: requests,
-            next_seq: 0,
             rng: gmt_sim::rng::seeded(seed),
-            decoder: FrameDecoder::new(),
         }
     }
 
@@ -98,66 +85,43 @@ impl Connection {
         (-u.ln() * mean_ns as f64).round() as u64
     }
 
-    /// Generates the next request into `out`: seeded size in
-    /// `1..=max_pages`, pages Zipf-popular within the tenant's range,
-    /// one write per eight requests on average. Transitions to
-    /// `Draining` after the last draw.
+    /// Generates the next request's pages into `pages` and returns
+    /// whether it writes: seeded size in `1..=max_pages`, pages
+    /// Zipf-popular within the tenant's range, one write per eight
+    /// requests on average. Transitions to `Draining` after the last
+    /// draw.
     ///
     /// # Panics
     ///
     /// Panics if the connection is not in `Sending` phase.
-    pub fn generate_into(&mut self, zipf: &Zipf, max_pages: usize, out: &mut RequestFrame) {
+    pub fn generate_into(&mut self, zipf: &Zipf, max_pages: usize, pages: &mut Vec<u64>) -> bool {
         assert_eq!(
             self.phase,
             ConnPhase::Sending,
             "conn{} has nothing to send",
             self.id
         );
-        out.conn = self.id;
-        out.seq = self.next_seq;
-        out.tenant = self.tenant;
-        out.class = self.class;
-        out.write = self.rng.gen_range(0..8u32) == 0;
-        out.pages.clear();
+        let write = self.rng.gen_range(0..8u32) == 0;
+        pages.clear();
         let npages = self.rng.gen_range(1..=max_pages);
         for _ in 0..npages {
-            out.pages.push(self.base + zipf.sample(&mut self.rng));
+            pages.push(self.base + zipf.sample(&mut self.rng));
         }
-        self.next_seq += 1;
+        // Seeded serving outputs depend on these draws: requests once
+        // crossed a modeled wire as `20 + 8 * npages` bytes read in
+        // seeded 1–64-byte chunks, and every later draw on this stream
+        // follows them. ROADMAP item 3's re-record of the serving
+        // numbers is where they can go.
+        let mut wire = 20 + 8 * npages;
+        while wire > 0 {
+            wire = wire.saturating_sub(self.rng.gen_range(1..=64usize));
+        }
         self.outstanding += 1;
         self.remaining -= 1;
         if self.remaining == 0 {
             self.phase = ConnPhase::Draining;
         }
-    }
-
-    /// Delivers encoded wire bytes to this connection's decoder in
-    /// seeded chunks (1–64 bytes each), decoding each frame that
-    /// completes into `into` (later frames overwrite earlier ones) and
-    /// returning how many completed. This models a non-blocking stream
-    /// whose read boundaries never align with frame boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bytes are not well-formed frames — the connection
-    /// encoded them itself, so a framing error is a codec bug, not an
-    /// input condition.
-    pub fn deliver(&mut self, wire: &[u8], into: &mut RequestFrame) -> usize {
-        let mut off = 0;
-        let mut decoded = 0;
-        while off < wire.len() {
-            let n = self.rng.gen_range(1..=64usize).min(wire.len() - off);
-            self.decoder.feed(&wire[off..off + n]);
-            off += n;
-            while self
-                .decoder
-                .next_into(into)
-                .expect("self-encoded frames are well-formed")
-            {
-                decoded += 1;
-            }
-        }
-        decoded
+        write
     }
 
     /// Records one of this connection's requests leaving the system
@@ -179,10 +143,10 @@ mod tests {
         let zipf = Zipf::new(64, 0.9);
         let mut conn = Connection::new(0, 0, SloClass::Interactive, 0, 2, 7);
         assert_eq!(conn.phase, ConnPhase::Sending);
-        let mut out = RequestFrame::empty();
-        conn.generate_into(&zipf, 4, &mut out);
+        let mut pages = Vec::new();
+        conn.generate_into(&zipf, 4, &mut pages);
         assert_eq!(conn.phase, ConnPhase::Sending);
-        conn.generate_into(&zipf, 4, &mut out);
+        conn.generate_into(&zipf, 4, &mut pages);
         assert_eq!(conn.phase, ConnPhase::Draining);
         conn.settle_one();
         assert_eq!(conn.phase, ConnPhase::Draining);
@@ -195,33 +159,17 @@ mod tests {
         let zipf = Zipf::new(128, 0.9);
         let mut a = Connection::new(3, 1, SloClass::Batch, 1_000, 50, 42);
         let mut b = Connection::new(3, 1, SloClass::Batch, 1_000, 50, 42);
-        let (mut fa, mut fb) = (RequestFrame::empty(), RequestFrame::empty());
+        let (mut pa, mut pb) = (Vec::new(), Vec::new());
         for _ in 0..50 {
-            a.generate_into(&zipf, 16, &mut fa);
-            b.generate_into(&zipf, 16, &mut fb);
-            assert_eq!(fa, fb, "same seed, same draws");
-            assert!(!fa.pages.is_empty() && fa.pages.len() <= 16);
-            for &p in &fa.pages {
+            let wa = a.generate_into(&zipf, 16, &mut pa);
+            let wb = b.generate_into(&zipf, 16, &mut pb);
+            assert_eq!((wa, &pa), (wb, &pb), "same seed, same draws");
+            assert!(!pa.is_empty() && pa.len() <= 16);
+            for &p in &pa {
                 assert!((1_000..1_128).contains(&p), "page {p} escaped the range");
             }
             assert_eq!(a.next_gap_ns(500), b.next_gap_ns(500));
         }
         assert_eq!(a.phase, ConnPhase::Draining);
-    }
-
-    #[test]
-    fn deliver_reassembles_what_was_encoded() {
-        let zipf = Zipf::new(64, 0.5);
-        let mut conn = Connection::new(1, 0, SloClass::Standard, 0, 8, 9);
-        let mut gen = RequestFrame::empty();
-        let mut scratch = RequestFrame::empty();
-        let mut wire = Vec::new();
-        for _ in 0..8 {
-            conn.generate_into(&zipf, 8, &mut gen);
-            wire.clear();
-            gen.encode_into(&mut wire);
-            assert_eq!(conn.deliver(&wire, &mut scratch), 1);
-            assert_eq!(scratch, gen, "decode must reproduce the encode");
-        }
     }
 }

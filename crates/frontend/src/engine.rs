@@ -5,9 +5,8 @@
 //!
 //! 1. **Arrivals.** Each modeled [`Connection`] schedules its next
 //!    request on the engine's [`EventQueue`] with seeded exponential
-//!    gaps. The request crosses the modeled wire as a length-prefixed
-//!    frame delivered in seeded chunks (see [`crate::frame`]).
-//! 2. **Admission.** Every decoded request is admitted, deferred or
+//!    gaps, and draws the request's pages when it arrives.
+//! 2. **Admission.** Every arriving request is admitted, deferred or
 //!    shed ([`gmt_sim::trace::TraceEvent::FrontAdmit`] /
 //!    `FrontDefer` / `FrontShed`), based on outstanding-request
 //!    occupancy against class-graded thresholds and — for `Batch`
@@ -20,9 +19,9 @@
 //!    coalesced [`WarpAccess`] into the hierarchy; its ready time
 //!    grades every batched request against its class's p99 target.
 //!
-//! Everything — arrival gaps, request sizes, page popularity, wire
-//! chunking — is drawn from per-connection seeded streams, so two runs
-//! with the same service and seed produce byte-identical traces.
+//! Arrival gaps, request sizes and page popularity are drawn from
+//! per-connection seeded streams, so two runs with the same service
+//! and seed produce byte-identical traces.
 
 use std::collections::VecDeque;
 
@@ -37,7 +36,6 @@ use gmt_sim::{Dur, Time, Zipf};
 
 use crate::batch::{self, TenantBatch, WARP_THREADS};
 use crate::conn::{ConnPhase, Connection};
-use crate::frame::RequestFrame;
 use crate::report::FrontendReport;
 
 /// Zipf skew of every connection's page-popularity draws.
@@ -62,8 +60,6 @@ enum FrontEvent {
 #[derive(Debug)]
 struct DeferredRequest {
     conn: u32,
-    tenant: u32,
-    class: SloClass,
     write: bool,
     /// Original arrival time: queueing delay counts against the SLO.
     arrived: Time,
@@ -100,9 +96,8 @@ pub struct Frontend {
     generated: u64,
     shed: u64,
     last_ready: Time,
-    scratch_gen: RequestFrame,
-    scratch_decoded: RequestFrame,
-    scratch_wire: Vec<u8>,
+    /// The arriving request's pages (reused across arrivals).
+    scratch_pages: Vec<u64>,
 }
 
 /// The result of serving every connection's request stream.
@@ -229,9 +224,7 @@ impl Frontend {
             generated: 0,
             shed: 0,
             last_ready: Time::ZERO,
-            scratch_gen: RequestFrame::empty(),
-            scratch_decoded: RequestFrame::empty(),
-            scratch_wire: Vec::with_capacity(4096),
+            scratch_pages: Vec::with_capacity(fcfg.max_request_pages),
         }
     }
 
@@ -299,19 +292,15 @@ impl Frontend {
         }
     }
 
-    /// One request arrives on `c`: generate, frame, decode, admit.
+    /// One request arrives on `c`: generate, then admit.
     fn on_arrival(&mut self, now: Time, c: u32) {
         let ci = c as usize;
         let tenant = self.conns[ci].tenant as usize;
         let zipf = self.zipfs[tenant];
         let max_pages = self.fcfg.max_request_pages;
-        self.conns[ci].generate_into(&zipf, max_pages, &mut self.scratch_gen);
+        let write = self.conns[ci].generate_into(&zipf, max_pages, &mut self.scratch_pages);
         self.generated += 1;
-        self.scratch_wire.clear();
-        self.scratch_gen.encode_into(&mut self.scratch_wire);
-        let frames = self.conns[ci].deliver(&self.scratch_wire, &mut self.scratch_decoded);
-        debug_assert_eq!(frames, 1, "one request crosses the wire per arrival");
-        self.decide(now);
+        self.decide(now, c, write);
         if self.conns[ci].phase == ConnPhase::Sending {
             let gap = self.conns[ci].next_gap_ns(self.fcfg.mean_interarrival_ns);
             self.queue
@@ -329,23 +318,21 @@ impl Frontend {
         }
     }
 
-    /// Admission control for the freshly decoded request in
-    /// `scratch_decoded`.
-    fn decide(&mut self, now: Time) {
-        let conn = self.scratch_decoded.conn;
-        let tenant = self.scratch_decoded.tenant;
-        let class = self.scratch_decoded.class;
-        let write = self.scratch_decoded.write;
+    /// Admission control for connection `conn`'s freshly generated
+    /// request, whose pages are in `scratch_pages`.
+    fn decide(&mut self, now: Time, conn: u32, write: bool) {
+        let from = &self.conns[conn as usize];
+        let (tenant, class) = (from.tenant, from.class);
         let occupancy = self.batched_requests + self.defer.len();
         let pressed = class == SloClass::Batch && self.tier1_pressed();
         if occupancy < self.admit_limit(class) && !pressed {
-            let pages = std::mem::take(&mut self.scratch_decoded.pages);
-            self.admit(now, conn, tenant, write, now, &pages);
-            self.scratch_decoded.pages = pages;
+            let pages = std::mem::take(&mut self.scratch_pages);
+            self.admit(now, conn, write, now, &pages);
+            self.scratch_pages = pages;
         } else if self.defer.len() < self.fcfg.shed_threshold {
             let mut pages = self.page_pool.pop().unwrap_or_default();
             pages.clear();
-            pages.extend_from_slice(&self.scratch_decoded.pages);
+            pages.extend_from_slice(&self.scratch_pages);
             self.sink.set_tenant(Some(tenant));
             self.sink.emit(
                 now,
@@ -357,8 +344,6 @@ impl Frontend {
             );
             self.defer.push_back(DeferredRequest {
                 conn,
-                tenant,
-                class,
                 write,
                 arrived: now,
                 pages,
@@ -378,19 +363,12 @@ impl Frontend {
         }
     }
 
-    /// Admits one request into its tenant's batch, arming the timer on
-    /// a fresh batch and size-flushing at the Fig. 6 crossover.
-    /// (The class is the tenant's — frames carry it redundantly.)
-    fn admit(
-        &mut self,
-        now: Time,
-        conn: u32,
-        tenant: u32,
-        write: bool,
-        arrived: Time,
-        pages: &[u64],
-    ) {
-        let class = self.classes[tenant as usize];
+    /// Admits one of connection `conn`'s requests into its tenant's
+    /// batch, arming the timer on a fresh batch and size-flushing at
+    /// the Fig. 6 crossover.
+    fn admit(&mut self, now: Time, conn: u32, write: bool, arrived: Time, pages: &[u64]) {
+        let from = &self.conns[conn as usize];
+        let (tenant, class) = (from.tenant, from.class);
         self.sink.set_tenant(Some(tenant));
         self.sink.emit(
             now,
@@ -470,7 +448,7 @@ impl Frontend {
     /// be no flush left to drain it (deadlock until end-of-run).
     fn drain_deferred(&mut self, now: Time) {
         while let Some(front) = self.defer.front() {
-            let class = front.class;
+            let class = self.conns[front.conn as usize].class;
             if self.batched_requests >= self.admit_limit(class) {
                 break;
             }
@@ -478,14 +456,7 @@ impl Frontend {
                 break;
             }
             let req = self.defer.pop_front().expect("front exists");
-            self.admit(
-                now,
-                req.conn,
-                req.tenant,
-                req.write,
-                req.arrived,
-                &req.pages,
-            );
+            self.admit(now, req.conn, req.write, req.arrived, &req.pages);
             self.page_pool.push(req.pages);
         }
     }
@@ -495,14 +466,7 @@ impl Frontend {
     fn final_drain(&mut self, end: Time) {
         self.draining = true;
         while let Some(req) = self.defer.pop_front() {
-            self.admit(
-                end,
-                req.conn,
-                req.tenant,
-                req.write,
-                req.arrived,
-                &req.pages,
-            );
+            self.admit(end, req.conn, req.write, req.arrived, &req.pages);
             self.page_pool.push(req.pages);
         }
         for t in 0..self.batches.len() {

@@ -2,14 +2,11 @@
 //!
 //! Everything below `gmt-serve` replays *schedules*: the offered load
 //! is known up front and merged offline. A serving deployment is not
-//! like that — requests arrive as bytes on N client connections, get
-//! framed, batched, admitted or refused, and graded against per-class
-//! latency objectives. This crate models that front half of the system
-//! on top of [`gmt_serve::TieredService`], deterministically:
+//! like that — requests arrive on N client connections, get batched,
+//! admitted or refused, and graded against per-class latency
+//! objectives. This crate models that front half of the system on top
+//! of [`gmt_serve::TieredService`], deterministically:
 //!
-//! * [`frame`] — length-prefixed request framing with an incremental
-//!   decoder, so the wire can deliver bytes at arbitrary chunk
-//!   boundaries (the non-blocking-socket dance, minus the socket).
 //! * [`conn`] — per-connection state machines with seeded exponential
 //!   inter-arrival gaps, request sizes and Zipf page popularity.
 //! * [`batch`] — per-tenant batching flushed at the Fig. 6 hybrid
@@ -67,13 +64,11 @@
 pub mod batch;
 pub mod conn;
 pub mod engine;
-pub mod frame;
 pub mod report;
 
 pub use batch::{TenantBatch, WARP_THREADS};
 pub use conn::{ConnPhase, Connection};
 pub use engine::{Frontend, FrontendOutcome};
-pub use frame::{FrameDecoder, FrameError, RequestFrame};
 pub use report::FrontendReport;
 
 use gmt_sim::trace::SloClass;

@@ -1,10 +1,8 @@
-//! Property tests for the front-end satellites: the frame codec
-//! round-trips arbitrary payloads under arbitrary chunking, latency
-//! percentiles are monotone, and per-class counts reconcile exactly
-//! against the hierarchy's counters for arbitrary knob settings.
+//! Property tests for the front-end satellites: latency percentiles are
+//! monotone, and per-class counts reconcile exactly against the
+//! hierarchy's counters for arbitrary knob settings.
 
 use gmt_core::GmtConfig;
-use gmt_frontend::frame::{FrameDecoder, RequestFrame};
 use gmt_frontend::Frontend;
 use gmt_mem::TierGeometry;
 use gmt_serve::{
@@ -26,42 +24,6 @@ fn class_of(byte: u8) -> SloClass {
 }
 
 proptest! {
-    // Encode → chunked feed → decode is the identity for arbitrary
-    // request payloads and arbitrary wire chunk sizes.
-    #[test]
-    fn frame_codec_round_trips_any_payload(
-        conn in 0u32..10_000,
-        seq in 0u32..1_000_000,
-        tenant in 0u32..256,
-        class_byte in 0u8..3,
-        write in any::<bool>(),
-        pages in proptest::collection::vec(0u64..(1u64 << 48), 0..40),
-        chunk in 1usize..24,
-    ) {
-        let sent = RequestFrame {
-            conn,
-            seq,
-            tenant,
-            class: class_of(class_byte),
-            write,
-            pages,
-        };
-        let mut wire = Vec::new();
-        sent.encode_into(&mut wire);
-        let mut dec = FrameDecoder::new();
-        let mut got = RequestFrame::empty();
-        let mut decoded = 0;
-        for piece in wire.chunks(chunk) {
-            dec.feed(piece);
-            while dec.next_into(&mut got).expect("well-formed") {
-                decoded += 1;
-            }
-        }
-        prop_assert_eq!(decoded, 1);
-        prop_assert_eq!(got, sent);
-        prop_assert_eq!(dec.buffered(), 0);
-    }
-
     // p50 ≤ p99 ≤ p999 for arbitrary completion-latency streams, and
     // the violation rate is exactly the fraction of samples past the
     // class target.

@@ -38,23 +38,6 @@ Suppress a single line with `// gmt-lint: allow(<RULE>): reason`, either
 trailing the offending line or on the line directly above it.";
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = env::args().collect();
-    if args.get(1).is_some_and(|a| a == "mutate") {
-        args.drain(..2);
-        return match gmt_lint::mutate::cli_main(&args) {
-            Ok(passed) => {
-                if passed {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::from(1)
-                }
-            }
-            Err(err) => {
-                eprintln!("gmt-mutate: error: {err}");
-                ExitCode::from(2)
-            }
-        };
-    }
     match run() {
         Ok(clean) => {
             if clean {

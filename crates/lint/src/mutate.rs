@@ -7,9 +7,8 @@
 //! mixed-unit accumulations, dead config knobs, allocation in per-event
 //! roots — lints each variant through an in-memory [`Overlay`] (nothing
 //! is ever written into `src/`), and records per-rule recall into a
-//! `gmt-lint-recall/2` report with a `--check` gate pinned at 100% for
-//! every deny rule, and at [`FULL_MIN_MUTANTS`] mutants per deny rule in
-//! full mode.
+//! `gmt-lint-recall/3` report with a `--check` gate pinned at 100% for
+//! every deny rule, and at [`MIN_MUTANTS`] mutants per deny rule.
 //!
 //! Every rule in [`RULES`] must declare at least one
 //! [`MutationTemplate`] (enforced by the inventory self-test), so a new
@@ -36,15 +35,13 @@ use crate::symbols::{build_symbols, AnalyzedFile};
 use crate::workspace::{slash_path, workspace_files, Overlay};
 
 /// Schema identifier stamped into the recall report.
-pub const RECALL_SCHEMA: &str = "gmt-lint-recall/2";
+pub const RECALL_SCHEMA: &str = "gmt-lint-recall/3";
 
-/// Mutants synthesized per rule in full mode.
-const FULL_CAP: usize = 6;
-/// The fewest mutants a deny rule may have in full mode before `--check`
-/// fails: a rule whose sites ran out is measured on too little evidence.
-pub const FULL_MIN_MUTANTS: usize = 5;
-/// Mutants synthesized per rule in `--quick` mode (the CI-budget tier).
-const QUICK_CAP: usize = 2;
+/// Mutants synthesized per rule.
+const MUTANT_CAP: usize = 6;
+/// The fewest mutants a deny rule may have before `--check` fails: a
+/// rule whose sites ran out is measured on too little evidence.
+pub const MIN_MUTANTS: usize = 5;
 
 /// A pre-loaded workspace: analyzed files plus their raw sources
 /// (which [`AnalyzedFile`] does not retain but synthesis needs).
@@ -104,10 +101,8 @@ pub struct MutantOutcome {
     pub also: Vec<&'static str>,
 }
 
-/// The full harness result, renderable as `gmt-lint-recall/2`.
+/// The full harness result, renderable as `gmt-lint-recall/3`.
 pub struct RecallReport {
-    /// `"quick"` or `"full"`.
-    pub mode: &'static str,
     /// Whether the pristine workspace linted clean at deny level.
     pub workspace_clean: bool,
     /// Per-mutant outcomes, in synthesis order.
@@ -142,16 +137,16 @@ impl RecallReport {
     }
 
     /// Whether every gate holds: the workspace was clean, every rule
-    /// has mutants (in full mode, at least [`FULL_MIN_MUTANTS`] per deny
-    /// rule), and every rule's recall meets its floor.
+    /// has mutants (at least [`MIN_MUTANTS`] per deny rule), and
+    /// every rule's recall meets its floor.
     pub fn ok(&self) -> bool {
         if !self.workspace_clean {
             return false;
         }
         for (id, total, caught) in self.rollup() {
             let r = rule(id).expect("rollup ids come from RULES");
-            let min = if self.mode == "full" && r.default_level == Level::Deny {
-                FULL_MIN_MUTANTS
+            let min = if r.default_level == Level::Deny {
+                MIN_MUTANTS
             } else {
                 1
             };
@@ -166,7 +161,7 @@ impl RecallReport {
         true
     }
 
-    /// Renders the report as canonical `gmt-lint-recall/2` JSON.
+    /// Renders the report as canonical `gmt-lint-recall/3` JSON.
     ///
     /// The output is fully deterministic — no timestamps, no host
     /// details — so two runs over the same tree render the same bytes.
@@ -174,7 +169,6 @@ impl RecallReport {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": {},", json_str(RECALL_SCHEMA));
-        let _ = writeln!(out, "  \"mode\": {},", json_str(self.mode));
         let _ = writeln!(out, "  \"workspace_clean\": {},", self.workspace_clean);
         out.push_str("  \"rules\": [\n");
         let rollup = self.rollup();
@@ -333,13 +327,12 @@ fn template(name: &str) -> &'static MutationTemplate {
 /// Synthesizes the mutant set for the whole rule inventory.
 ///
 /// Deterministic by construction: site lists are path-ordered, and the
-/// per-rule cap (`--quick`: 2, full: 6) takes a stable prefix.
-pub fn synthesize(corpus: &Corpus, quick: bool) -> Vec<Mutant> {
-    let cap = if quick { QUICK_CAP } else { FULL_CAP };
+/// per-rule cap of 6 takes a stable prefix.
+pub fn synthesize(corpus: &Corpus) -> Vec<Mutant> {
     let mut out = Vec::new();
-    synth_u1(corpus, cap, &mut out);
-    synth_c1(corpus, cap, &mut out);
-    synth_a1(corpus, cap, &mut out);
+    synth_u1(corpus, MUTANT_CAP, &mut out);
+    synth_c1(corpus, MUTANT_CAP, &mut out);
+    synth_a1(corpus, MUTANT_CAP, &mut out);
     out
 }
 
@@ -424,7 +417,7 @@ fn synth_a1(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
 ///
 /// Returns a message when the pristine workspace is not deny-clean
 /// (recall over a dirty baseline would be meaningless).
-pub fn measure_recall(corpus: &Corpus, quick: bool) -> Result<RecallReport, String> {
+pub fn measure_recall(corpus: &Corpus) -> Result<RecallReport, String> {
     let config = Config::default();
     let baseline = lint_files(&corpus.files, &config);
     if !baseline.report.findings.is_empty() {
@@ -434,7 +427,7 @@ pub fn measure_recall(corpus: &Corpus, quick: bool) -> Result<RecallReport, Stri
         }
         return Err(msg);
     }
-    let mutants = synthesize(corpus, quick);
+    let mutants = synthesize(corpus);
     let mut outcomes = Vec::with_capacity(mutants.len());
     for m in &mutants {
         let files = apply_overlay(&corpus.files, &m.overlay);
@@ -454,7 +447,6 @@ pub fn measure_recall(corpus: &Corpus, quick: bool) -> Result<RecallReport, Stri
         });
     }
     Ok(RecallReport {
-        mode: if quick { "quick" } else { "full" },
         workspace_clean: true,
         mutants: outcomes,
     })
@@ -465,24 +457,23 @@ pub fn measure_recall(corpus: &Corpus, quick: bool) -> Result<RecallReport, Stri
 /// # Errors
 ///
 /// Propagates load and [`measure_recall`] errors.
-pub fn run(root: &Path, quick: bool) -> Result<RecallReport, String> {
+pub fn run(root: &Path) -> Result<RecallReport, String> {
     let corpus = load_corpus(root).map_err(|e| format!("loading workspace: {e}"))?;
-    measure_recall(&corpus, quick)
+    measure_recall(&corpus)
 }
 
-/// Usage text for the `gmt-mutate` CLI (also `gmt-lint mutate`).
+/// Usage text for the `gmt-mutate` CLI.
 pub const USAGE: &str = "\
 gmt-mutate — mutation-injection recall harness for the gmt-lint rule set
 
 USAGE:
-    gmt-mutate [OPTIONS]            (also: gmt-lint mutate [OPTIONS])
+    gmt-mutate [OPTIONS]
 
 OPTIONS:
     --root <PATH>       Workspace root (default: nearest [workspace] above cwd)
-    --quick             Small mutant matrix (2/rule)
-    --check             Exit non-zero unless every recall floor holds (and, in
-                        full mode, every deny rule has at least 5 mutants)
-    --out <PATH>        Write the gmt-lint-recall/2 report to PATH
+    --check             Exit non-zero unless every recall floor holds and every
+                        deny rule has at least 5 mutants
+    --out <PATH>        Write the gmt-lint-recall/3 report to PATH
     -h, --help          Print this help
 
 Synthesizes known-bad variants of real workspace files (mixed-unit
@@ -496,7 +487,7 @@ EXIT CODES:
     1  --check failed: recall or mutant floor missed
     2  usage or I/O error";
 
-/// Parses `args` (everything after the program / subcommand name) and
+/// Parses `args` (everything after the program name) and
 /// runs the harness, printing the report and per-rule tallies.
 ///
 /// Returns whether the `--check` gates held (always `true` without
@@ -508,7 +499,6 @@ EXIT CODES:
 /// failure, or a harness error.
 pub fn cli_main(args: &[String]) -> Result<bool, String> {
     let mut root: Option<PathBuf> = None;
-    let mut quick = false;
     let mut check = false;
     let mut out_path: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -517,7 +507,6 @@ pub fn cli_main(args: &[String]) -> Result<bool, String> {
             "--root" => {
                 root = Some(PathBuf::from(it.next().ok_or("--root needs a path")?));
             }
-            "--quick" => quick = true,
             "--check" => check = true,
             "--out" => {
                 out_path = Some(PathBuf::from(it.next().ok_or("--out needs a path")?));
@@ -538,7 +527,7 @@ pub fn cli_main(args: &[String]) -> Result<bool, String> {
         }
     };
     let started = Instant::now();
-    let report = run(&root, quick)?;
+    let report = run(&root)?;
     let rendered = report.render_json();
     match &out_path {
         Some(path) => {

@@ -2,9 +2,9 @@
 //! the synthesized matrix covers every rule at the depth the recall
 //! gate needs, overlays only rewrite real workspace files, and a
 //! representative slice of mutants is actually caught end-to-end
-//! through the in-memory overlay. The full recall gate runs as the CI
-//! `gmt-mutate` job, not here — this suite stays inside the regular test
-//! budget.
+//! through the in-memory overlay. The recall gate itself runs as the CI
+//! `lint-recall` job, not here — this suite stays inside the regular
+//! test budget.
 
 use std::path::PathBuf;
 
@@ -23,7 +23,7 @@ fn repo_root() -> PathBuf {
 #[test]
 fn full_matrix_covers_every_rule_at_the_mutant_floor() {
     let corpus = load_corpus(&repo_root()).expect("workspace loads");
-    let mutants = synthesize(&corpus, false);
+    let mutants = synthesize(&corpus);
     for r in RULES {
         let n = mutants.iter().filter(|m| m.template.rule == r.id).count();
         assert!(n >= 1, "rule {} has no mutants in the full matrix", r.id);
@@ -57,7 +57,7 @@ fn representative_mutants_are_caught_through_the_overlay() {
         "recall over a dirty baseline is meaningless: {:#?}",
         baseline.report.findings
     );
-    let mutants = synthesize(&corpus, true);
+    let mutants = synthesize(&corpus);
     // One mutant per rule: function-entry injection checked by the AST
     // walker (U1) and by the call-graph hot set (A1), and a struct-field
     // insertion checked across the workspace (C1).
@@ -65,7 +65,7 @@ fn representative_mutants_are_caught_through_the_overlay() {
         let m = mutants
             .iter()
             .find(|m| m.template.rule == id)
-            .unwrap_or_else(|| panic!("no {id} mutant in the quick matrix"));
+            .unwrap_or_else(|| panic!("no {id} mutant in the matrix"));
         let files = apply_overlay(&corpus.files, &m.overlay);
         let run = lint_files(&files, &config);
         assert!(

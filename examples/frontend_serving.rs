@@ -1,9 +1,9 @@
-//! Online serving through the front-end: framed request streams,
+//! Online serving through the front-end: seeded request streams,
 //! Fig. 6 batching, backpressure and per-class SLO grading.
 //!
 //! Three tenants with different SLO classes share one hierarchy behind
-//! the serving front-end. Connections generate framed requests with
-//! seeded exponential gaps; the front-end batches admitted pages per
+//! the serving front-end. Connections generate requests with seeded
+//! exponential gaps; the front-end batches admitted pages per
 //! tenant, flushes at the Fig. 6 zero-copy crossover or on a
 //! class-scaled delay timer, and defers batch-class arrivals whenever
 //! Tier-1 pressure builds. The run prints the per-class SLO report and
