@@ -80,7 +80,7 @@ pub fn characterize(
     let mut accesses = 0u64;
     let mut page_touches = 0u64;
 
-    for access in workload.trace(seed) {
+    workload.for_each_access(seed, &mut |access| {
         accesses += 1;
         for page in access.pages.iter() {
             page_touches += 1;
@@ -101,7 +101,7 @@ pub fn characterize(
             }
             clock.insert(page);
         }
-    }
+    });
 
     let touched = touches.len() as u64;
     let reused = touches.values().filter(|&&c| c > 1).count() as u64;
@@ -186,7 +186,7 @@ pub fn eviction_rrd_series(
     let mut clock = ClockList::new(geometry.tier1_pages);
     let mut pending: BTreeMap<PageId, u64> = BTreeMap::new();
     let mut series: BTreeMap<PageId, Vec<u64>> = BTreeMap::new();
-    for access in workload.trace(seed) {
+    workload.for_each_access(seed, &mut |access| {
         for page in access.pages.iter() {
             tracker.record(page);
             if let Some(evicted_at) = pending.remove(&page) {
@@ -202,7 +202,7 @@ pub fn eviction_rrd_series(
             }
             clock.insert(page);
         }
-    }
+    });
     series.retain(|_, v| v.len() >= min_evictions);
     series
 }

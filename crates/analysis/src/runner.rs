@@ -10,10 +10,10 @@ use std::sync::{MutexGuard, PoisonError};
 
 use gmt_baselines::{Bam, BamConfig, Hmm, HmmConfig};
 use gmt_core::{Gmt, GmtConfig, PolicyKind, TieringMetrics};
-use gmt_gpu::{Executor, ExecutorConfig};
+use gmt_gpu::{Executor, ExecutorConfig, MemoryBackend, RunOutcome};
 use gmt_mem::trace::Recording;
 use gmt_mem::{TierGeometry, WarpAccess};
-use gmt_sim::Dur;
+use gmt_sim::{Dur, Time};
 use gmt_ssd::SsdStats;
 use gmt_workloads::Workload;
 
@@ -116,19 +116,29 @@ pub fn run_system_with(
     config: &GmtConfig,
     seed: u64,
 ) -> RunResult {
-    let trace = workload.trace(seed);
     let executor = Executor::new(ExecutorConfig::default());
     let (elapsed, metrics, ssd) = match system {
         SystemKind::Bam => {
-            let out = executor.run(Bam::new(BamConfig::from(*config)), trace);
+            let out = replay(
+                &executor,
+                Bam::new(BamConfig::from(*config)),
+                workload,
+                seed,
+            );
             (out.elapsed, out.backend.metrics(), out.backend.ssd_stats())
         }
         SystemKind::Hmm => {
-            let out = executor.run(Hmm::new(HmmConfig::from(*config)), trace);
+            let out = replay(
+                &executor,
+                Hmm::new(HmmConfig::from(*config)),
+                workload,
+                seed,
+            );
             (out.elapsed, out.backend.metrics(), out.backend.ssd_stats())
         }
         SystemKind::Gmt(policy) => {
-            let out = executor.run(Gmt::new(config.with_policy(policy)), trace);
+            let gmt = Gmt::new(config.with_policy(policy));
+            let out = replay(&executor, gmt, workload, seed);
             (out.elapsed, out.backend.metrics(), out.backend.ssd_stats())
         }
     };
@@ -141,15 +151,31 @@ pub fn run_system_with(
     }
 }
 
-/// A workload that generates its trace once per seed and rebuilds it from
+/// Replays `workload`'s trace at `seed` through `backend`, an access at a
+/// time as the workload hands them out
+/// ([`Workload::for_each_access`]), in a closed loop.
+pub(crate) fn replay<B: MemoryBackend>(
+    executor: &Executor,
+    backend: B,
+    workload: &dyn Workload,
+    seed: u64,
+) -> RunOutcome<B> {
+    let mut replay = executor.replay(backend);
+    workload.for_each_access(seed, &mut |access| replay.issue(Time::ZERO, access));
+    replay.finish()
+}
+
+/// A workload that generates its trace once per seed and replays it from
 /// a [`Recording`] on every later call with that seed.
 ///
 /// A figure replays each app on several systems over one seed, and
-/// [`run_system`] asks the workload for its trace each time. For a graph
-/// app every such call is a traversal of its graph (0.07–0.25 s at the
-/// default scale on a 2-core VM), while rebuilding the same trace from
-/// the recording takes 0.01–0.06 s. The recording holds one seed: a
-/// call with another seed generates and records again.
+/// [`run_system`] asks the workload for its accesses each time. For a
+/// graph app, generating them is a traversal of its graph (0.07–0.25 s
+/// at the default scale on a 2-core VM). Here [`Workload::for_each_access`]
+/// instead decodes the recording in place, with no allocation per
+/// access, and [`Workload::trace`] rebuilds the trace's `Vec` from it.
+/// The recording holds one seed: a call with another seed generates and
+/// records again.
 ///
 /// # Examples
 ///
@@ -160,6 +186,9 @@ pub fn run_system_with(
 /// let bfs = Recorded::new(Box::new(Bfs::with_scale(&WorkloadScale::tiny())));
 /// let first = bfs.trace(1); // generated and recorded
 /// assert_eq!(bfs.trace(1), first); // rebuilt from the recording
+/// let mut replayed = 0;
+/// bfs.for_each_access(1, &mut |_| replayed += 1); // decoded in place
+/// assert_eq!(replayed, first.len());
 /// assert_eq!(bfs.name(), "BFS");
 /// ```
 pub struct Recorded {
@@ -188,17 +217,42 @@ impl Recorded {
 
     /// `workload` wrapped in a [`Recorded`] if it is one of the graph
     /// apps (BFS, PageRank, SSSP), and unchanged otherwise. The other six
-    /// apps generate their traces in a millisecond or less, about as fast
-    /// as a recording rebuilds them, and their traces grow with the
-    /// scale. A graph is capped at 2^20 vertices, which it reaches at the
-    /// default scale, so a graph app's recording never outgrows its
-    /// default-scale size of 1.7–9.3 MB.
+    /// apps generate their traces in a millisecond or less, and their
+    /// traces grow with the scale. A graph is capped at 2^20 vertices,
+    /// which it reaches at the default scale, so a graph app's recording
+    /// never outgrows its default-scale size of 2.2–9.3 MB.
     pub fn graph_app(workload: Box<dyn Workload>) -> Box<dyn Workload> {
         if GRAPH_APPS.contains(&workload.name()) {
             Box::new(Recorded::new(workload))
         } else {
             workload
         }
+    }
+
+    /// The recording of `seed`, if it is the one held. The handle is
+    /// cloned and the lock released before it is returned, so threads
+    /// sharing the workload replay in parallel.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the shared slot; see `Recorded::recording`"
+    )]
+    fn recorded(&self, seed: u64) -> Option<Arc<Recording>> {
+        self.slot()
+            .as_ref()
+            .filter(|(recorded_seed, _)| *recorded_seed == seed)
+            .map(|(_, recording)| Arc::clone(recording))
+    }
+
+    /// Generates the trace of `seed`, records it in place of the one
+    /// held, and returns it.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the shared slot; see `Recorded::recording`"
+    )]
+    fn record(&self, seed: u64) -> Vec<WarpAccess> {
+        let trace = self.inner.trace(seed);
+        *self.slot() = Some((seed, Arc::new(Recording::new(&trace))));
+        trace
     }
 
     #[expect(
@@ -227,24 +281,18 @@ impl Workload for Recorded {
         self.inner.total_pages()
     }
 
-    #[expect(
-        clippy::disallowed_types,
-        reason = "the shared slot; see `Recorded::recording`"
-    )]
     fn trace(&self, seed: u64) -> Vec<WarpAccess> {
-        // Clone the handle and release the lock before rebuilding, so
-        // threads sharing the workload replay in parallel.
-        let recorded = self
-            .slot()
-            .as_ref()
-            .filter(|(recorded_seed, _)| *recorded_seed == seed)
-            .map(|(_, recording)| Arc::clone(recording));
-        if let Some(recording) = recorded {
-            return recording.to_trace();
+        match self.recorded(seed) {
+            Some(recording) => recording.to_trace(),
+            None => self.record(seed),
         }
-        let trace = self.inner.trace(seed);
-        *self.slot() = Some((seed, Arc::new(Recording::new(&trace))));
-        trace
+    }
+
+    fn for_each_access(&self, seed: u64, visit: &mut dyn FnMut(&WarpAccess)) {
+        match self.recorded(seed) {
+            Some(recording) => recording.for_each(visit),
+            None => self.record(seed).iter().for_each(visit),
+        }
     }
 }
 

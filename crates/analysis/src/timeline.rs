@@ -7,7 +7,7 @@
 //! runtime with periodic metric snapshots.
 
 use gmt_core::{Gmt, GmtConfig, TieringMetrics};
-use gmt_gpu::{ExecutorConfig, MemoryBackend};
+use gmt_gpu::{Executor, ExecutorConfig};
 use gmt_sim::{Dur, Time};
 use gmt_workloads::Workload;
 
@@ -25,8 +25,9 @@ pub struct TimelinePoint {
 /// Replays `workload` through a [`Gmt`] runtime, snapshotting cumulative
 /// metrics `snapshots` times at even access intervals.
 ///
-/// The replay loop matches [`gmt_gpu::Executor`]'s scheduling exactly, so
-/// the final point agrees with a normal run.
+/// The replay is [`gmt_gpu::Executor`]'s own ([`Executor::replay`]), so
+/// the final point agrees with a normal run up to the backend's drain at
+/// the end ([`gmt_gpu::MemoryBackend::finish`]), which no point includes.
 ///
 /// # Examples
 ///
@@ -58,24 +59,17 @@ pub fn run_gmt_timeline(
     let trace = workload.trace(seed);
     assert!(!trace.is_empty(), "cannot profile an empty trace");
     let interval = (trace.len() / snapshots).max(1);
-    let mut gmt = Gmt::new(*config);
-    let mut warps: std::collections::BinaryHeap<std::cmp::Reverse<Time>> = (0..executor.warp_slots)
-        .map(|_| std::cmp::Reverse(Time::ZERO))
-        .collect();
-    let mut horizon = Time::ZERO;
+    let executor = Executor::new(*executor);
+    let mut replay = executor.replay(Gmt::new(*config));
     let mut points = Vec::with_capacity(snapshots + 1);
     for (i, access) in trace.iter().enumerate() {
-        let std::cmp::Reverse(ready) = warps.pop().expect("warp heap never empty");
-        let data_ready = gmt.access(ready, access);
-        let next_issue = data_ready + executor.compute_per_access;
-        horizon = horizon.max(next_issue);
-        warps.push(std::cmp::Reverse(next_issue));
+        replay.issue(Time::ZERO, access);
         let done = i + 1;
         if done % interval == 0 || done == trace.len() {
             points.push(TimelinePoint {
                 accesses: done as u64,
-                elapsed: horizon.since(Time::ZERO),
-                metrics: gmt.metrics(),
+                elapsed: replay.horizon().since(Time::ZERO),
+                metrics: replay.backend().metrics(),
             });
             if points.len() == snapshots && done != trace.len() {
                 // Keep the final point aligned with the trace end.

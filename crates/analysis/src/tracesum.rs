@@ -24,6 +24,8 @@ use gmt_sim::trace::{SloClass, TierTag, TraceEvent, TraceRecord};
 use gmt_sim::Dur;
 use gmt_workloads::Workload;
 
+use crate::runner::replay;
+
 /// Decision counters recovered from a trace stream.
 ///
 /// Field names mirror the derivable subset of [`TieringMetrics`]. The
@@ -204,7 +206,12 @@ pub fn run_gmt_traced(
 ) -> TracedRun {
     let mut gmt = Gmt::new(*config);
     let sink = gmt.enable_tracing(capacity);
-    let out = Executor::new(ExecutorConfig::default()).run(gmt, workload.trace(seed));
+    let out = replay(
+        &Executor::new(ExecutorConfig::default()),
+        gmt,
+        workload,
+        seed,
+    );
     TracedRun {
         records: sink.snapshot(),
         metrics: out.backend.metrics(),

@@ -843,11 +843,9 @@ fn mrc(inputs: &mut Inputs) -> String {
         "capacity for 50% miss",
     ]);
     for p in &inputs.default {
-        let touches = p
-            .workload
-            .trace(inputs.seed)
-            .into_iter()
-            .flat_map(|a| a.pages.iter().collect::<Vec<_>>());
+        let mut touches = Vec::new();
+        p.workload
+            .for_each_access(inputs.seed, &mut |a| touches.extend(a.pages.iter()));
         let mrc = MissRatioCurve::from_trace(touches);
         let t1 = p.geometry.tier1_pages;
         let t12 = t1 + p.geometry.tier2_pages;

@@ -124,6 +124,49 @@ impl Executor {
         &self.config
     }
 
+    /// Starts a replay through `backend`: every warp slot is free at
+    /// time zero. Hand it accesses with [`Replay::issue`] and end it with
+    /// [`Replay::finish`].
+    ///
+    /// This is the engine under [`Executor::run`] and
+    /// [`Executor::run_arrivals`], for a caller whose accesses are not an
+    /// iterator of owned values, such as a trace decoded in place.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gmt_gpu::{Executor, ExecutorConfig, MemoryBackend};
+    /// use gmt_mem::{PageId, WarpAccess};
+    /// use gmt_sim::{Dur, Time};
+    ///
+    /// struct Flat;
+    /// impl MemoryBackend for Flat {
+    ///     fn access(&mut self, now: Time, _a: &WarpAccess) -> Time {
+    ///         now + Dur::from_micros(1)
+    ///     }
+    /// }
+    ///
+    /// let exec = Executor::new(ExecutorConfig::default());
+    /// let mut replay = exec.replay(Flat);
+    /// let mut access = WarpAccess::read(PageId(0));
+    /// for page in 0..100 {
+    ///     access.pages = PageId(page).into(); // one access, reused
+    ///     replay.issue(Time::ZERO, &access);
+    /// }
+    /// assert_eq!(replay.finish().accesses, 100);
+    /// ```
+    pub fn replay<B: MemoryBackend>(&self, backend: B) -> Replay<'_, B> {
+        Replay {
+            warps: (0..self.config.warp_slots)
+                .map(|_| Reverse(Time::ZERO))
+                .collect(),
+            accesses: 0,
+            horizon: Time::ZERO,
+            executor: self,
+            backend,
+        }
+    }
+
     /// Replays `trace` through `backend`; returns elapsed time, access
     /// count and the backend.
     ///
@@ -135,7 +178,11 @@ impl Executor {
         B: MemoryBackend,
         I: IntoIterator<Item = WarpAccess>,
     {
-        self.run_arrivals(backend, trace.into_iter().map(|a| (Time::ZERO, a)))
+        let mut replay = self.replay(backend);
+        for access in trace {
+            replay.issue(Time::ZERO, &access);
+        }
+        replay.finish()
     }
 
     /// Replays an *open-arrival* trace: each access carries the wall
@@ -169,44 +216,80 @@ impl Executor {
     /// let out = exec.run_arrivals(Instant, [(at, WarpAccess::read(PageId(0)))]);
     /// assert!(out.elapsed >= Dur::from_micros(5));
     /// ```
-    pub fn run_arrivals<B, I>(&self, mut backend: B, trace: I) -> RunOutcome<B>
+    pub fn run_arrivals<B, I>(&self, backend: B, trace: I) -> RunOutcome<B>
     where
         B: MemoryBackend,
         I: IntoIterator<Item = (Time, WarpAccess)>,
     {
-        let mut warps: BinaryHeap<Reverse<Time>> = (0..self.config.warp_slots)
-            .map(|_| Reverse(Time::ZERO))
-            .collect();
-        let mut accesses = 0u64;
-        let mut horizon = Time::ZERO;
+        let mut replay = self.replay(backend);
         for (arrival, access) in trace {
-            // The earliest-free warp issues the access and is then busy
-            // until `next_issue`. Warps carry no identity, so its heap
-            // entry is rewritten in place rather than popped and pushed.
-            let mut warp = warps.peek_mut().expect("warp heap is never empty");
-            let issue = warp.0.max(arrival);
-            if self.trace.is_enabled() {
-                if let Some(page) = access.pages.iter().next() {
-                    self.trace.emit(
-                        issue,
-                        TraceEvent::WarpAccess {
-                            page: page.0,
-                            write: access.write,
-                        },
-                    );
-                }
-            }
-            let data_ready = backend.access(issue, &access);
-            let next_issue = data_ready + self.config.compute_per_access;
-            horizon = horizon.max(next_issue);
-            *warp = Reverse(next_issue);
-            accesses += 1;
+            replay.issue(arrival, &access);
         }
-        let done = backend.finish(horizon);
+        replay.finish()
+    }
+}
+
+/// One replay in progress: the warp slots' ready times and the backend.
+/// Made by [`Executor::replay`].
+#[derive(Debug)]
+pub struct Replay<'a, B> {
+    /// Each warp slot's next issue time.
+    warps: BinaryHeap<Reverse<Time>>,
+    accesses: u64,
+    /// The latest time any warp becomes free.
+    horizon: Time,
+    executor: &'a Executor,
+    backend: B,
+}
+
+impl<B: MemoryBackend> Replay<'_, B> {
+    /// Issues `access`, whose work arrives at `arrival`, on the
+    /// earliest-free warp: it issues at the later of the two, and the
+    /// warp is busy until the backend has its data and the warp's
+    /// compute time has passed.
+    pub fn issue(&mut self, arrival: Time, access: &WarpAccess) {
+        // Warps carry no identity, so the warp's heap entry is
+        // rewritten in place rather than popped and pushed.
+        let mut warp = self.warps.peek_mut().expect("warp heap is never empty");
+        let issue = warp.0.max(arrival);
+        let trace = &self.executor.trace;
+        if trace.is_enabled() {
+            if let Some(page) = access.pages.iter().next() {
+                trace.emit(
+                    issue,
+                    TraceEvent::WarpAccess {
+                        page: page.0,
+                        write: access.write,
+                    },
+                );
+            }
+        }
+        let data_ready = self.backend.access(issue, access);
+        let next_issue = data_ready + self.executor.config.compute_per_access;
+        self.horizon = self.horizon.max(next_issue);
+        *warp = Reverse(next_issue);
+        self.accesses += 1;
+    }
+
+    /// The backend, as the accesses issued so far have left it.
+    pub fn backend(&self) -> &B {
+        &self.backend
+    }
+
+    /// When the last warp to free up does so: the run's length so far,
+    /// before the backend drains.
+    pub fn horizon(&self) -> Time {
+        self.horizon
+    }
+
+    /// Ends the replay: lets the backend drain ([`MemoryBackend::finish`])
+    /// from the time the last warp frees up, and returns the outcome.
+    pub fn finish(mut self) -> RunOutcome<B> {
+        let done = self.backend.finish(self.horizon);
         RunOutcome {
             elapsed: done.since(Time::ZERO),
-            accesses,
-            backend,
+            accesses: self.accesses,
+            backend: self.backend,
         }
     }
 }

@@ -21,5 +21,5 @@
 mod executor;
 mod partitioned;
 
-pub use executor::{Executor, ExecutorConfig, MemoryBackend, RunOutcome};
+pub use executor::{Executor, ExecutorConfig, MemoryBackend, Replay, RunOutcome};
 pub use partitioned::PartitionedExecutor;

@@ -1,10 +1,10 @@
 //! A1 alloc-in-hot-loop over the call-graph hot set ([`crate::callgraph`]).
 //!
 //! The hot set is the call-graph closure of the DES roots: the per-event
-//! entry points (`access`, `poll`, `step` — their whole body runs once
-//! per simulated event, so the body itself counts as loop depth 1) and
-//! the replay drivers (`run`, `run_arrivals` — only their internal loops
-//! are hot). Inside hot loops, `Vec::new`, `Box::new`, `with_capacity`, `clone()`,
+//! entry points (`access`, `poll`, `step`, and `issue`, the executor's
+//! per-access body — their whole body runs once per simulated event, so
+//! the body itself counts as loop depth 1) and the replay drivers (`run`,
+//! `run_arrivals` — only their internal loops are hot). Inside hot loops, `Vec::new`, `Box::new`, `with_capacity`, `clone()`,
 //! `collect()`, `format!` and `vec!` are flagged: this is allocation
 //! churn a reused scratch buffer or arena removes.
 //!
@@ -19,7 +19,7 @@ use crate::rules::{Config, Findings};
 use crate::symbols::AnalyzedFile;
 
 /// Per-event DES roots: their whole body runs once per simulated event.
-pub(crate) const PER_EVENT_ROOTS: &[&str] = &["access", "poll", "step"];
+pub(crate) const PER_EVENT_ROOTS: &[&str] = &["access", "poll", "step", "issue"];
 /// Replay drivers: hot only inside their own loops.
 const DRIVER_ROOTS: &[&str] = &["run", "run_arrivals"];
 /// Crates whose root-named fns anchor the hot path.

@@ -50,6 +50,13 @@ const PLANTED: &[(&str, &str, &str, TargetKind, &str)] = &[
         TargetKind::Lib,
         "A1",
     ),
+    (
+        "a1_alloc_per_issue.rs",
+        "crates/gpu/src/replay.rs",
+        "gpu",
+        TargetKind::Lib,
+        "A1",
+    ),
 ];
 
 #[test]

@@ -50,6 +50,14 @@ impl PageSet {
         }
     }
 
+    /// The touched pages, to overwrite in place.
+    pub(crate) fn ids_mut(&mut self) -> &mut [PageId] {
+        match self {
+            PageSet::One(p) => std::slice::from_mut(p),
+            PageSet::Many(pages) => pages,
+        }
+    }
+
     /// The first page in the set.
     ///
     /// # Panics
@@ -64,13 +72,8 @@ impl PageSet {
     /// Multi-tenant runtimes use this to relocate a tenant's trace into
     /// its global page range without rebuilding every access.
     pub fn relocate(&mut self, offset: u64) {
-        match self {
-            PageSet::One(p) => p.0 += offset,
-            PageSet::Many(pages) => {
-                for p in pages.iter_mut() {
-                    p.0 += offset;
-                }
-            }
+        for p in self.ids_mut() {
+            p.0 += offset;
         }
     }
 }

@@ -31,8 +31,8 @@ proptest! {
         accesses in proptest::collection::vec(arb_access(), 0..200),
         shift in 0u32..64,
     ) {
-        // Shifting the uniform ids spreads them over every LEB128 width,
-        // one byte to ten; the last two accesses pin the widest id.
+        // The last two accesses pin the widest id, so every id of this
+        // recording takes eight bytes.
         let mut trace: Vec<WarpAccess> = accesses
             .iter()
             .map(|a| {
@@ -44,6 +44,31 @@ proptest! {
         trace.push(WarpAccess::scattered(vec![PageId(u64::MAX), PageId(0)], false));
         let recording = trace::Recording::new(&trace);
         prop_assert_eq!(recording.to_trace(), trace);
+    }
+
+    #[test]
+    fn recording_for_each_visits_arbitrary_accesses_in_place(
+        accesses in proptest::collection::vec(arb_access(), 0..200),
+        shift in 0u32..64,
+    ) {
+        // Shifting the uniform ids moves the widest one, and with it the
+        // recording's id width, over every width from one byte to eight.
+        let trace: Vec<WarpAccess> = accesses
+            .iter()
+            .map(|a| {
+                let pages = a.pages.iter().map(|p| PageId(p.0 >> shift)).collect();
+                WarpAccess::scattered(pages, a.write)
+            })
+            .collect();
+        let recording = trace::Recording::new(&trace);
+        let mut visited = Vec::new();
+        recording.for_each(|access| visited.push(access.clone()));
+        prop_assert_eq!(&visited, &trace);
+        let widest = trace.iter().flat_map(|a| a.pages.iter()).map(|p| p.0).max();
+        let bits = widest.map_or(0, |id| 64 - id.leading_zeros() as usize);
+        let width = bits.div_ceil(8).max(1);
+        let ids: usize = trace.iter().map(|a| a.pages.len()).sum();
+        prop_assert_eq!(recording.byte_len(), trace.len() + ids * width);
     }
 
     #[test]

@@ -67,8 +67,10 @@ use gmt_mem::WarpAccess;
 /// replays one app on several systems wraps an app whose trace is
 /// expensive to generate (the graph apps, each a graph traversal) in
 /// `gmt_analysis::runner::Recorded`, which generates it once per seed and
-/// rebuilds it from an in-memory recording after that, rather than
-/// regenerating it for each system.
+/// replays it from an in-memory recording after that, rather than
+/// regenerating it for each system. A consumer that only reads each
+/// access once calls [`Workload::for_each_access`], which such a
+/// recording serves without building the trace's `Vec`.
 pub trait Workload: Send + Sync {
     /// The paper's name for the application.
     fn name(&self) -> &'static str;
@@ -80,6 +82,17 @@ pub trait Workload: Send + Sync {
     /// produces the identical trace, so paired runs across runtimes see
     /// the same accesses.
     fn trace(&self, seed: u64) -> Vec<WarpAccess>;
+
+    /// Calls `visit` on each access of `trace(seed)`, in order.
+    ///
+    /// The default generates the trace and walks it. A workload that can
+    /// hand out its accesses without building the whole `Vec` overrides
+    /// it; each access then lives only for its `visit` call.
+    fn for_each_access(&self, seed: u64, visit: &mut dyn FnMut(&WarpAccess)) {
+        for access in self.trace(seed) {
+            visit(&access);
+        }
+    }
 }
 
 /// Builds one application at a given scale.

@@ -194,10 +194,8 @@ fn cmd_characterize(opts: &Options) -> Result<(), String> {
         fmt_pct(c.tier_bias[1]),
         fmt_pct(c.tier_bias[2])
     );
-    let touches = workload
-        .trace(opts.seed)
-        .into_iter()
-        .flat_map(|a| a.pages.iter().collect::<Vec<_>>());
+    let mut touches = Vec::new();
+    workload.for_each_access(opts.seed, &mut |a| touches.extend(a.pages.iter()));
     let mrc = MissRatioCurve::from_trace(touches);
     println!(
         "LRU miss ratio      {} @ |T1|, {} @ |T1|+|T2|",
