@@ -12,7 +12,10 @@
 //!   Tier-1/Tier-2 occupancy, PCIe traffic and peak SSD queue depth, for
 //!   warm-up timelines and the paper figures,
 //! * [`queue_depth_percentiles`] — the distribution of instantaneous SSD
-//!   queue depth over the run.
+//!   queue depth over the run,
+//! * [`TenantSummaryBuilder`] and [`SloSummaryBuilder`] — per-tenant and
+//!   per-SLO-class folds, fed one record at a time straight out of the
+//!   ring.
 //!
 //! All summaries assume the capturing ring was large enough that nothing
 //! was dropped ([`TraceSink::dropped`](gmt_sim::trace::TraceSink::dropped)
@@ -376,27 +379,34 @@ pub fn queue_depth_percentiles(records: &[TraceRecord], percentiles: &[f64]) -> 
         return Vec::new();
     }
     samples.sort_unstable();
-    nearest_rank(&samples, percentiles)
-}
-
-fn nearest_rank(samples: &[u32], percentiles: &[f64]) -> Vec<u32> {
+    // `samples` is not empty, so every percentile has a value.
     percentiles
         .iter()
-        .map(|&p| {
-            assert!(
-                (0.0..=100.0).contains(&p),
-                "percentile {p} outside [0, 100]"
-            );
-            let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
-            samples[rank.saturating_sub(1).min(samples.len() - 1)]
-        })
+        .filter_map(|&p| nearest_rank(&samples, p))
         .collect()
+}
+
+/// The nearest-rank `p`-th percentile of ascending `sorted`: the sample
+/// at rank `ceil(p/100 · n)`, counted from 1, with rank 0 (`p = 0`)
+/// taken as the smallest sample. `None` when `sorted` is empty.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 100]`.
+fn nearest_rank<T: Copy>(sorted: &[T], p: f64) -> Option<T> {
+    assert!(
+        (0.0..=100.0).contains(&p),
+        "percentile {p} outside [0, 100]"
+    );
+    let last = sorted.len().checked_sub(1)?;
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.saturating_sub(1).min(last)])
 }
 
 /// Per-tenant view of a multi-tenant trace stream.
 ///
-/// Built by [`tenant_summaries`] from records stamped with a tenant id
-/// (the serving runtime's `TraceSink::set_tenant`). Untagged records —
+/// Built by [`TenantSummaryBuilder`] from records stamped with a tenant
+/// id (the serving runtime's `TraceSink::set_tenant`). Untagged records —
 /// single-tenant runs, or device events emitted outside any tenant's
 /// access — are not attributed to anyone.
 #[derive(Debug, Clone)]
@@ -428,36 +438,39 @@ impl TenantTraceSummary {
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn miss_service_percentile(&self, p: f64) -> Option<u64> {
-        assert!(
-            (0.0..=100.0).contains(&p),
-            "percentile {p} outside [0, 100]"
-        );
-        if self.miss_service_ns.is_empty() {
-            return None;
-        }
-        let n = self.miss_service_ns.len();
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        Some(self.miss_service_ns[rank.saturating_sub(1).min(n - 1)])
+        nearest_rank(&self.miss_service_ns, p)
     }
 }
 
 /// Splits a tenant-stamped stream into one summary per tenant, ordered
-/// by tenant id. Records without a tenant stamp are skipped.
+/// by tenant id. Feed it records one at a time (e.g. straight out of a
+/// trace ring via `TraceSink::visit`) without ever materializing the
+/// whole trace as a contiguous slice.
 ///
 /// Miss-service latency is taken from [`TraceEvent::Tier1Fill`]: the
 /// fill's `ready_ns` minus the record's wall time is exactly how long
 /// the faulting warp waited for its page.
-pub fn tenant_summaries(records: &[TraceRecord]) -> Vec<TenantTraceSummary> {
-    let mut builder = TenantSummaryBuilder::new();
-    for r in records {
-        builder.observe(r);
-    }
-    builder.finish()
-}
-
-/// Incremental form of [`tenant_summaries`]: feed records one at a time
-/// (e.g. straight out of a trace ring via `TraceSink::visit`) without
-/// ever materializing the whole trace as a contiguous slice.
+///
+/// # Examples
+///
+/// ```
+/// use gmt_analysis::tracesum::TenantSummaryBuilder;
+/// use gmt_sim::trace::{TraceEvent, TraceSink};
+/// use gmt_sim::Time;
+///
+/// let sink = TraceSink::bounded(8);
+/// sink.set_tenant(Some(1));
+/// sink.emit(Time::from_nanos(5), TraceEvent::Tier1Hit { page: 0 });
+/// sink.set_tenant(None);
+/// sink.emit(Time::from_nanos(6), TraceEvent::Tier1Hit { page: 1 });
+///
+/// let mut builder = TenantSummaryBuilder::new();
+/// sink.visit(|r| builder.observe(r));
+/// let summaries = builder.finish();
+/// assert_eq!(summaries.len(), 1, "untagged records belong to no tenant");
+/// assert_eq!(summaries[0].tenant, 1);
+/// assert_eq!(summaries[0].t1_hit_rate(), 1.0);
+/// ```
 #[derive(Debug, Default)]
 pub struct TenantSummaryBuilder {
     // Tenant ids are dense small integers assigned by the registry, so a
@@ -507,7 +520,7 @@ impl TenantSummaryBuilder {
 
 /// Per-SLO-class view of a front-end trace stream.
 ///
-/// Built by [`slo_summaries`] from the `front_*` events the serving
+/// Built by [`SloSummaryBuilder`] from the `front_*` events the serving
 /// front-end (`crates/frontend`) emits: one summary per [`SloClass`]
 /// that appeared in the stream, carrying the class's admission-decision
 /// counts and its end-to-end request-latency distribution.
@@ -557,16 +570,7 @@ impl SloClassSummary {
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn latency_percentile(&self, p: f64) -> Option<u64> {
-        assert!(
-            (0.0..=100.0).contains(&p),
-            "percentile {p} outside [0, 100]"
-        );
-        if self.latency_ns.is_empty() {
-            return None;
-        }
-        let n = self.latency_ns.len();
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        Some(self.latency_ns[rank.saturating_sub(1).min(n - 1)])
+        nearest_rank(&self.latency_ns, p)
     }
 
     /// Median request latency.
@@ -617,18 +621,9 @@ impl SloClassSummary {
 }
 
 /// Splits a front-end trace into one [`SloClassSummary`] per class that
-/// appeared, ordered most latency-sensitive first. Non-front-end events
-/// are skipped.
-pub fn slo_summaries(records: &[TraceRecord]) -> Vec<SloClassSummary> {
-    let mut builder = SloSummaryBuilder::new();
-    for r in records {
-        builder.observe(r);
-    }
-    builder.finish()
-}
-
-/// Incremental form of [`slo_summaries`]: feed records one at a time
-/// (e.g. straight out of a trace ring via `TraceSink::visit`).
+/// appeared, ordered most latency-sensitive first. Feed it records one
+/// at a time (e.g. straight out of a trace ring via `TraceSink::visit`);
+/// non-front-end events are skipped.
 #[derive(Debug, Default)]
 pub struct SloSummaryBuilder {
     by_class: [Option<SloClassSummary>; 3],
@@ -727,6 +722,7 @@ mod tests {
     use gmt_core::{Gmt, GmtConfig};
     use gmt_gpu::{Executor, ExecutorConfig};
     use gmt_mem::{PageId, TierGeometry, WarpAccess};
+    use gmt_sim::trace::TraceSink;
     use gmt_sim::Time;
 
     fn rec(t: u64, event: TraceEvent) -> TraceRecord {
@@ -902,6 +898,52 @@ mod tests {
         }
     }
 
+    /// `records` emitted into a trace ring, tenant stamps included, as
+    /// the runtimes emit them.
+    fn ring_of(records: &[TraceRecord]) -> TraceSink {
+        let sink = TraceSink::bounded(records.len().max(1));
+        for r in records {
+            sink.set_tenant(r.tenant);
+            sink.emit(r.at, r.event.clone());
+        }
+        sink
+    }
+
+    fn fold_tenants(records: &[TraceRecord]) -> Vec<TenantTraceSummary> {
+        let mut builder = TenantSummaryBuilder::new();
+        ring_of(records).visit(|r| builder.observe(r));
+        builder.finish()
+    }
+
+    fn fold_slo_classes(records: &[TraceRecord]) -> Vec<SloClassSummary> {
+        let mut builder = SloSummaryBuilder::new();
+        ring_of(records).visit(|r| builder.observe(r));
+        builder.finish()
+    }
+
+    #[test]
+    fn nearest_rank_pins_its_ends_and_a_single_sample() {
+        let sorted = [10u64, 20, 30, 40];
+        assert_eq!(nearest_rank(&sorted, 0.0), Some(10), "p = 0 is the minimum");
+        assert_eq!(nearest_rank(&sorted, 25.0), Some(10));
+        assert_eq!(nearest_rank(&sorted, 25.1), Some(20));
+        assert_eq!(
+            nearest_rank(&sorted, 100.0),
+            Some(40),
+            "p = 100 is the maximum"
+        );
+        for p in [0.0, 50.0, 99.9, 100.0] {
+            assert_eq!(nearest_rank(&[7u32], p), Some(7), "p = {p}");
+        }
+        assert_eq!(nearest_rank::<u64>(&[], 50.0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 100]")]
+    fn nearest_rank_rejects_a_percentile_above_100() {
+        nearest_rank(&[1u64], 100.5);
+    }
+
     #[test]
     fn tenant_summaries_split_by_stamp_and_skip_untagged() {
         let records = vec![
@@ -926,7 +968,7 @@ mod tests {
             tenant_rec(9, 0, TraceEvent::Tier1Hit { page: 1 }),
             rec(10, TraceEvent::Tier1Hit { page: 2 }),
         ];
-        let summaries = tenant_summaries(&records);
+        let summaries = fold_tenants(&records);
         assert_eq!(summaries.len(), 2, "untagged record must not be a tenant");
         assert_eq!(summaries[0].tenant, 0);
         assert_eq!(summaries[0].counters.t1_hits, 2);
@@ -954,7 +996,7 @@ mod tests {
             tenant_rec(4, 1, TraceEvent::Tier1Hit { page: 7 }),
         ];
         let total = counters_from_trace(&records);
-        let summaries = tenant_summaries(&records);
+        let summaries = fold_tenants(&records);
         let (hits, misses) = summaries.iter().fold((0, 0), |(h, m), s| {
             (h + s.counters.t1_hits, m + s.counters.t1_misses)
         });
@@ -1058,7 +1100,7 @@ mod tests {
             ),
             rec(8, TraceEvent::Tier1Hit { page: 0 }),
         ];
-        let summaries = slo_summaries(&records);
+        let summaries = fold_slo_classes(&records);
         assert_eq!(summaries.len(), 2, "only classes that appeared");
         let interactive = &summaries[0];
         assert_eq!(interactive.class, SloClass::Interactive);
@@ -1105,7 +1147,7 @@ mod tests {
                 queued: 0,
             },
         )];
-        let summaries = slo_summaries(&records);
+        let summaries = fold_slo_classes(&records);
         let err = summaries[0].check_conservation().unwrap_err();
         assert!(err.contains("standard"), "{err}");
     }

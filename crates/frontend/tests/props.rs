@@ -40,7 +40,9 @@ proptest! {
                 TraceEvent::FrontComplete { conn: 0, class, latency_ns: l },
             );
         }
-        let summaries = gmt_analysis::tracesum::slo_summaries(&sink.snapshot());
+        let mut builder = gmt_analysis::tracesum::SloSummaryBuilder::new();
+        sink.visit(|r| builder.observe(r));
+        let summaries = builder.finish();
         prop_assert_eq!(summaries.len(), 1);
         let s = &summaries[0];
         let (p50, p99, p999) = (

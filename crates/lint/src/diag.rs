@@ -3,46 +3,11 @@
 use std::fmt;
 use std::path::PathBuf;
 
-/// How severely a rule's findings are treated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
-    /// Findings are not reported at all.
-    Allow,
-    /// Findings are reported but do not fail the run.
-    Warn,
-    /// Findings fail the run (non-zero exit).
-    Deny,
-}
-
-impl Level {
-    /// Parses a CLI level name.
-    pub fn parse(s: &str) -> Option<Level> {
-        match s {
-            "allow" => Some(Level::Allow),
-            "warn" => Some(Level::Warn),
-            "deny" => Some(Level::Deny),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Level {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Level::Allow => "allow",
-            Level::Warn => "warn",
-            Level::Deny => "deny",
-        })
-    }
-}
-
 /// One rule violation at one source location.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// The violated rule's id (`U1`, `C1`, `A1`).
     pub rule: &'static str,
-    /// The effective level the rule ran at.
-    pub level: Level,
     /// Path of the offending file, relative to the workspace root.
     pub file: PathBuf,
     /// 1-based line of the violation.
@@ -62,7 +27,7 @@ pub struct Finding {
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{}[{}]: {}", self.level, self.rule, self.message)?;
+        writeln!(f, "deny[{}]: {}", self.rule, self.message)?;
         write!(
             f,
             "  --> {}:{}:{}",
@@ -85,9 +50,10 @@ pub struct Report {
 }
 
 impl Report {
-    /// Whether any deny-level finding survived (the run should fail).
-    pub fn has_deny(&self) -> bool {
-        self.findings.iter().any(|f| f.level == Level::Deny)
+    /// Whether no finding survived. Every rule is deny-level, so any
+    /// finding fails the run.
+    pub fn is_clean(&self) -> bool {
+        self.findings.is_empty()
     }
 
     /// Renders the whole report as rustc-style text.
@@ -97,17 +63,10 @@ impl Report {
         for f in &self.findings {
             let _ = writeln!(out, "{f}\n");
         }
-        let denies = self
-            .findings
-            .iter()
-            .filter(|f| f.level == Level::Deny)
-            .count();
         let _ = write!(
             out,
-            "gmt-lint: {} finding(s) ({} deny, {} warn), {} suppressed, {} files scanned",
+            "gmt-lint: {} finding(s), {} suppressed, {} files scanned",
             self.findings.len(),
-            denies,
-            self.findings.len() - denies,
             self.suppressed,
             self.files_scanned,
         );
@@ -126,10 +85,9 @@ impl Report {
             }
             let _ = write!(
                 out,
-                "{{\"rule\":{},\"level\":{},\"file\":{},\"line\":{},\"col\":{},\
+                "{{\"rule\":{},\"level\":\"deny\",\"file\":{},\"line\":{},\"col\":{},\
                  \"end_line\":{},\"end_col\":{},\"snippet\":{},\"message\":{}}}",
                 json_str(f.rule),
-                json_str(&f.level.to_string()),
                 json_str(&f.file.display().to_string()),
                 f.line,
                 f.col,
@@ -144,7 +102,7 @@ impl Report {
             "],\"suppressed\":{},\"files_scanned\":{},\"ok\":{}}}",
             self.suppressed,
             self.files_scanned,
-            !self.has_deny(),
+            self.is_clean(),
         );
         out
     }
@@ -176,10 +134,9 @@ pub(crate) fn json_str(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn finding(level: Level) -> Finding {
+    fn finding() -> Finding {
         Finding {
             rule: "U1",
-            level,
             file: PathBuf::from("crates/sim/src/trace.rs"),
             line: 3,
             col: 7,
@@ -192,7 +149,7 @@ mod tests {
 
     #[test]
     fn text_render_is_rustc_shaped() {
-        let text = finding(Level::Deny).to_string();
+        let text = finding().to_string();
         assert!(text.starts_with("deny[U1]:"), "{text}");
         assert!(text.contains("--> crates/sim/src/trace.rs:3:7"), "{text}");
     }
@@ -203,7 +160,8 @@ mod tests {
             files_scanned: 2,
             ..Report::default()
         };
-        let mut f = finding(Level::Warn);
+        assert!(report.render_json().contains("\"ok\":true"));
+        let mut f = finding();
         f.message = "quote \" and backslash \\".to_string();
         report.findings.push(f);
         let json = report.render_json();
@@ -213,17 +171,7 @@ mod tests {
             json.contains("\"end_line\":3") && json.contains("\"end_col\":14"),
             "diagnostics carry a full region, not just a start point: {json}"
         );
-        assert!(json.contains("\"ok\":true"), "warn-only run is ok: {json}");
-        report.findings.push(finding(Level::Deny));
-        assert!(report.render_json().contains("\"ok\":false"));
-        assert!(report.has_deny());
-    }
-
-    #[test]
-    fn level_parsing_round_trips() {
-        for l in [Level::Allow, Level::Warn, Level::Deny] {
-            assert_eq!(Level::parse(&l.to_string()), Some(l));
-        }
-        assert_eq!(Level::parse("fatal"), None);
+        assert!(json.contains("\"ok\":false"), "any finding fails: {json}");
+        assert!(!report.is_clean());
     }
 }

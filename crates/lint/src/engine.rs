@@ -10,46 +10,21 @@
 //!    table),
 //! 4. workspace-wide C1 config-coverage, and A1 alloc-in-hot-loop over
 //!    the call graph ([`crate::hotloop`]).
-//!
-//! Every rule pass is individually timed; `--timings` surfaces the
-//! accumulated per-rule wall time so budget regressions (the CI
-//! `--max-millis` gate) can be attributed to a rule instead of bisected.
 
 use std::fs;
 use std::io;
 use std::path::Path;
-use std::time::{Duration, Instant};
 
 use crate::diag::{Finding, Report};
 use crate::hotloop::check_alloc_in_hot_loops;
-use crate::rules::{check_config_coverage, check_unit_dimensions, Config, Findings, TargetKind};
+use crate::rules::{check_config_coverage, check_unit_dimensions, Findings, TargetKind};
 use crate::symbols::{build_symbols, AnalyzedFile, Symbols};
 use crate::workspace::{slash_path, workspace_files, Overlay};
 
-/// Accumulated wall time per rule pass, in first-seen order.
-pub type Timings = Vec<(&'static str, Duration)>;
-
-fn bump(timings: &mut Timings, name: &'static str, d: Duration) {
-    if let Some(entry) = timings.iter_mut().find(|(n, _)| *n == name) {
-        entry.1 += d;
-    } else {
-        timings.push((name, d));
-    }
-}
-
-/// Runs the per-file rule (U1) over one analyzed file, attributing its
-/// wall time.
-fn check_file(
-    file: &AnalyzedFile,
-    syms: &Symbols,
-    config: &Config,
-    report: &mut Report,
-    timings: &mut Timings,
-) {
+/// Runs the per-file rule (U1) over one analyzed file.
+fn check_file(file: &AnalyzedFile, syms: &Symbols, report: &mut Report) {
     let mut out = Findings::new(&file.lexed.suppressions);
-    let t = Instant::now();
-    check_unit_dimensions(file.context(), file, syms, config, &mut out, None);
-    bump(timings, "U1", t.elapsed());
+    check_unit_dimensions(file.context(), file, syms, &mut out);
     report.findings.extend(out.findings);
     report.suppressed += out.suppressed;
     report.files_scanned += 1;
@@ -66,7 +41,6 @@ pub fn check_source(
     crate_name: &str,
     target: TargetKind,
     source: &str,
-    config: &Config,
 ) -> (Vec<Finding>, usize) {
     let files = [AnalyzedFile::analyze(
         rel_path.to_path_buf(),
@@ -74,7 +48,7 @@ pub fn check_source(
         target,
         source,
     )];
-    let report = lint_files(&files, config).report;
+    let report = lint_files(&files);
     (report.findings, report.suppressed)
 }
 
@@ -83,9 +57,9 @@ pub fn check_source(
 /// # Errors
 ///
 /// Returns the first I/O error from the manifest walk or a source read.
-pub fn load_workspace(root: &Path, include_vendor: bool) -> io::Result<Vec<AnalyzedFile>> {
+pub fn load_workspace(root: &Path) -> io::Result<Vec<AnalyzedFile>> {
     let mut files = Vec::new();
-    for file in workspace_files(root, include_vendor)? {
+    for file in workspace_files(root)? {
         let source = fs::read_to_string(&file.abs)?;
         files.push(AnalyzedFile::analyze(
             file.rel,
@@ -114,36 +88,20 @@ pub fn apply_overlay(base: &[AnalyzedFile], overlay: &Overlay) -> Vec<AnalyzedFi
         .collect()
 }
 
-/// Everything one workspace run produces: the report and the per-rule
-/// timings.
-pub struct LintRun {
-    /// The sorted findings and counters.
-    pub report: Report,
-    /// Per-rule wall-time attribution (`--timings`).
-    pub timings: Timings,
-}
-
 /// Lints a pre-loaded set of files as one workspace.
-pub fn lint_files(files: &[AnalyzedFile], config: &Config) -> LintRun {
-    let mut timings = Timings::new();
-    let t = Instant::now();
+pub fn lint_files(files: &[AnalyzedFile]) -> Report {
     let syms = build_symbols(files);
-    bump(&mut timings, "symbols", t.elapsed());
     let mut report = Report::default();
     for file in files {
-        check_file(file, &syms, config, &mut report, &mut timings);
+        check_file(file, &syms, &mut report);
     }
-    let t = Instant::now();
-    let (c1, c1_suppressed) = check_config_coverage(files, &syms, config);
-    bump(&mut timings, "C1", t.elapsed());
-    let t = Instant::now();
-    let (a1, a1_suppressed) = check_alloc_in_hot_loops(files, config);
-    bump(&mut timings, "A1", t.elapsed());
+    let (c1, c1_suppressed) = check_config_coverage(files, &syms);
+    let (a1, a1_suppressed) = check_alloc_in_hot_loops(files);
     report.findings.extend(c1);
     report.findings.extend(a1);
     report.suppressed += c1_suppressed + a1_suppressed;
     sort_findings(&mut report.findings);
-    LintRun { report, timings }
+    report
 }
 
 /// Lints the whole workspace rooted at `root`.
@@ -152,9 +110,8 @@ pub fn lint_files(files: &[AnalyzedFile], config: &Config) -> LintRun {
 ///
 /// Returns the first I/O error from reading the manifest or a source
 /// file; individual findings never error.
-pub fn lint_workspace(root: &Path, config: &Config, include_vendor: bool) -> io::Result<Report> {
-    let files = load_workspace(root, include_vendor)?;
-    Ok(lint_files(&files, config).report)
+pub fn lint_workspace(root: &Path) -> io::Result<Report> {
+    Ok(lint_files(&load_workspace(root)?))
 }
 
 /// Sorts findings into report order and collapses duplicates anchored
@@ -191,7 +148,6 @@ mod tests {
     fn identical_span_findings_dedup_to_the_lowest_rule_id() {
         let mk = |rule: &'static str, line: u32, message: &str| crate::diag::Finding {
             rule,
-            level: crate::diag::Level::Deny,
             file: PathBuf::from("crates/x/src/lib.rs"),
             line,
             col: 7,
@@ -216,21 +172,5 @@ mod tests {
             vec![("C1", 3), ("U1", 9)],
             "same-span findings collapse to the first in (rule, message) order"
         );
-    }
-
-    #[test]
-    fn timed_run_attributes_every_rule_pass() {
-        let files = [AnalyzedFile::analyze(
-            PathBuf::from("crates/core/src/x.rs"),
-            "core".into(),
-            crate::rules::TargetKind::Lib,
-            "pub fn access() { let v: Vec<u32> = Vec::new(); drop(v); }",
-        )];
-        let config = Config::default();
-        let timings = lint_files(&files, &config).timings;
-        let names: Vec<&str> = timings.iter().map(|(n, _)| *n).collect();
-        for expected in ["U1", "C1", "A1"] {
-            assert!(names.contains(&expected), "missing {expected}: {names:?}");
-        }
     }
 }

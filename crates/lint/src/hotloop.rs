@@ -13,9 +13,9 @@
 
 use crate::ast::{Block, Expr, ExprKind, StmtKind};
 use crate::callgraph::{CallGraph, FnId};
-use crate::diag::{Finding, Level};
+use crate::diag::Finding;
 use crate::lexer::{TokKind, Token};
-use crate::rules::{Config, Findings};
+use crate::rules::Findings;
 use crate::symbols::AnalyzedFile;
 
 /// Per-event DES roots: their whole body runs once per simulated event.
@@ -182,12 +182,9 @@ fn a1_walk_block(b: &Block, toks: &[Token], depth: u32, out: &mut Vec<AllocHit>)
 
 /// Runs A1 over the analyzed workspace. Returns the surviving findings
 /// and the number silenced by suppressions.
-pub fn check_alloc_in_hot_loops(files: &[AnalyzedFile], config: &Config) -> (Vec<Finding>, usize) {
+pub fn check_alloc_in_hot_loops(files: &[AnalyzedFile]) -> (Vec<Finding>, usize) {
     let mut findings = Vec::new();
     let mut suppressed = 0;
-    if config.level("A1") == Level::Allow {
-        return (findings, suppressed);
-    }
     let cg = CallGraph::build(files);
     // Hot set: roots by name, in the model crates, runtime code only.
     let mut roots: Vec<FnId> = Vec::new();
@@ -240,7 +237,6 @@ pub fn check_alloc_in_hot_loops(files: &[AnalyzedFile], config: &Config) -> (Vec
             };
             acc.push(
                 files[fi].context(),
-                config,
                 "A1",
                 tok,
                 format!(

@@ -25,10 +25,10 @@
 //!
 //! The analysis tokenizes with a hand-rolled lexer ([`lexer`]) rather
 //! than a parser dependency, keeping the workspace offline-buildable.
-//! Violations carry rustc-style `file:line:col` spans, can be silenced
-//! per line with `// gmt-lint: allow(<rule>): reason`, and are emitted
-//! as text or `--format json` for CI annotation. `--fix` applies the
-//! mechanically safe U1 rewrites ([`fix`]).
+//! Every rule runs at deny level: any finding fails the run. Violations
+//! carry rustc-style `file:line:col` spans, can be silenced per line
+//! with `// gmt-lint: allow(<rule>): reason`, and are emitted as text or
+//! `--format json` for CI annotation.
 //!
 //! The rule set's recall is itself under test: the mutation-injection
 //! harness ([`mutate`], shipped as the `gmt-mutate` binary) synthesizes
@@ -47,7 +47,6 @@ pub mod ast;
 pub mod callgraph;
 pub mod diag;
 pub mod engine;
-pub mod fix;
 pub mod hotloop;
 pub mod lexer;
 pub mod mutate;
@@ -56,6 +55,6 @@ pub mod rules;
 pub mod symbols;
 pub mod workspace;
 
-pub use diag::{Finding, Level, Report};
+pub use diag::{Finding, Report};
 pub use engine::{check_source, lint_workspace};
-pub use rules::{Config, FileContext, TargetKind, RULES};
+pub use rules::{FileContext, TargetKind, RULES};

@@ -7,8 +7,8 @@
 //! mixed-unit accumulations, dead config knobs, allocation in per-event
 //! roots — lints each variant through an in-memory [`Overlay`] (nothing
 //! is ever written into `src/`), and records per-rule recall into a
-//! `gmt-lint-recall/3` report with a `--check` gate pinned at 100% for
-//! every deny rule, and at [`MIN_MUTANTS`] mutants per deny rule.
+//! `gmt-lint-recall/4` report with a `--check` gate pinned at 100% for
+//! every rule, and at [`MIN_MUTANTS`] mutants per rule.
 //!
 //! Every rule in [`RULES`] must declare at least one
 //! [`MutationTemplate`] (enforced by the inventory self-test), so a new
@@ -27,20 +27,20 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::callgraph::CallGraph;
-use crate::diag::{json_str, Level};
+use crate::diag::json_str;
 use crate::engine::{apply_overlay, lint_files};
 use crate::hotloop::{PER_EVENT_ROOTS, ROOT_CRATES};
-use crate::rules::{rule, Config, MutationTemplate, TargetKind, C1_STRUCTS, MUTATIONS, RULES};
+use crate::rules::{rule, MutationTemplate, TargetKind, C1_STRUCTS, MUTATIONS, RULES};
 use crate::symbols::{build_symbols, AnalyzedFile};
 use crate::workspace::{slash_path, workspace_files, Overlay};
 
 /// Schema identifier stamped into the recall report.
-pub const RECALL_SCHEMA: &str = "gmt-lint-recall/3";
+pub const RECALL_SCHEMA: &str = "gmt-lint-recall/4";
 
 /// Mutants synthesized per rule.
 const MUTANT_CAP: usize = 6;
-/// The fewest mutants a deny rule may have before `--check` fails: a
-/// rule whose sites ran out is measured on too little evidence.
+/// The fewest mutants a rule may have before `--check` fails: a rule
+/// whose sites ran out is measured on too little evidence.
 pub const MIN_MUTANTS: usize = 5;
 
 /// A pre-loaded workspace: analyzed files plus their raw sources
@@ -61,7 +61,7 @@ pub struct Corpus {
 pub fn load_corpus(root: &Path) -> io::Result<Corpus> {
     let mut files = Vec::new();
     let mut sources = BTreeMap::new();
-    for f in workspace_files(root, false)? {
+    for f in workspace_files(root)? {
         let source = fs::read_to_string(&f.abs)?;
         files.push(AnalyzedFile::analyze(
             f.rel.clone(),
@@ -101,22 +101,12 @@ pub struct MutantOutcome {
     pub also: Vec<&'static str>,
 }
 
-/// The full harness result, renderable as `gmt-lint-recall/3`.
+/// The full harness result, renderable as `gmt-lint-recall/4`.
 pub struct RecallReport {
-    /// Whether the pristine workspace linted clean at deny level.
+    /// Whether the pristine workspace linted clean.
     pub workspace_clean: bool,
     /// Per-mutant outcomes, in synthesis order.
     pub mutants: Vec<MutantOutcome>,
-}
-
-/// Recall floor for a rule, in percent: deny rules must catch every
-/// mutant; anything softer gets a 80% floor.
-fn floor_pct(level: Level) -> u32 {
-    if level == Level::Deny {
-        100
-    } else {
-        80
-    }
 }
 
 impl RecallReport {
@@ -136,32 +126,17 @@ impl RecallReport {
             .collect()
     }
 
-    /// Whether every gate holds: the workspace was clean, every rule
-    /// has mutants (at least [`MIN_MUTANTS`] per deny rule), and
-    /// every rule's recall meets its floor.
+    /// Whether every gate holds: the workspace was clean, and every
+    /// rule has at least [`MIN_MUTANTS`] mutants and caught them all.
     pub fn ok(&self) -> bool {
-        if !self.workspace_clean {
-            return false;
-        }
-        for (id, total, caught) in self.rollup() {
-            let r = rule(id).expect("rollup ids come from RULES");
-            let min = if r.default_level == Level::Deny {
-                MIN_MUTANTS
-            } else {
-                1
-            };
-            if total < min {
-                return false;
-            }
-            let pct = (caught * 100 / total) as u32;
-            if pct < floor_pct(r.default_level) {
-                return false;
-            }
-        }
-        true
+        self.workspace_clean
+            && self
+                .rollup()
+                .iter()
+                .all(|&(_, total, caught)| total >= MIN_MUTANTS && caught == total)
     }
 
-    /// Renders the report as canonical `gmt-lint-recall/3` JSON.
+    /// Renders the report as canonical `gmt-lint-recall/4` JSON.
     ///
     /// The output is fully deterministic — no timestamps, no host
     /// details — so two runs over the same tree render the same bytes.
@@ -181,12 +156,10 @@ impl RecallReport {
             };
             let _ = write!(
                 out,
-                "    {{\"rule\": {}, \"name\": {}, \"level\": {}, \"floor_pct\": {}, \
-                 \"mutants\": {}, \"caught\": {}, \"recall_pct\": {}}}",
+                "    {{\"rule\": {}, \"name\": {}, \"mutants\": {}, \"caught\": {}, \
+                 \"recall_pct\": {}}}",
                 json_str(id),
                 json_str(r.name),
-                json_str(&r.default_level.to_string()),
-                floor_pct(r.default_level),
                 total,
                 caught,
                 pct
@@ -415,14 +388,13 @@ fn synth_a1(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
 ///
 /// # Errors
 ///
-/// Returns a message when the pristine workspace is not deny-clean
+/// Returns a message when the pristine workspace is not clean
 /// (recall over a dirty baseline would be meaningless).
 pub fn measure_recall(corpus: &Corpus) -> Result<RecallReport, String> {
-    let config = Config::default();
-    let baseline = lint_files(&corpus.files, &config);
-    if !baseline.report.findings.is_empty() {
-        let mut msg = String::from("pristine workspace is not deny-clean; fix before measuring:");
-        for f in baseline.report.findings.iter().take(5) {
+    let baseline = lint_files(&corpus.files);
+    if !baseline.is_clean() {
+        let mut msg = String::from("pristine workspace is not clean; fix before measuring:");
+        for f in baseline.findings.iter().take(5) {
             let _ = write!(msg, "\n  {} {}:{}", f.rule, f.file.display(), f.line);
         }
         return Err(msg);
@@ -431,8 +403,8 @@ pub fn measure_recall(corpus: &Corpus) -> Result<RecallReport, String> {
     let mut outcomes = Vec::with_capacity(mutants.len());
     for m in &mutants {
         let files = apply_overlay(&corpus.files, &m.overlay);
-        let run = lint_files(&files, &config);
-        let fired: BTreeSet<&'static str> = run.report.findings.iter().map(|f| f.rule).collect();
+        let fired: BTreeSet<&'static str> =
+            lint_files(&files).findings.iter().map(|f| f.rule).collect();
         outcomes.push(MutantOutcome {
             rule: m.template.rule,
             template: m.template.name,
@@ -471,15 +443,15 @@ USAGE:
 
 OPTIONS:
     --root <PATH>       Workspace root (default: nearest [workspace] above cwd)
-    --check             Exit non-zero unless every recall floor holds and every
-                        deny rule has at least 5 mutants
-    --out <PATH>        Write the gmt-lint-recall/3 report to PATH
+    --check             Exit non-zero unless every rule catches every mutant and
+                        has at least 5 mutants
+    --out <PATH>        Write the gmt-lint-recall/4 report to PATH
     -h, --help          Print this help
 
 Synthesizes known-bad variants of real workspace files (mixed-unit
 accumulations, dead config knobs, allocation in per-event roots), lints
 each one through an in-memory overlay — mutant source is never written
-into src/ — and reports per-rule recall. Deny rules are pinned at a 100%
+into src/ — and reports per-rule recall. Every rule is pinned at a 100%
 floor.
 
 EXIT CODES:

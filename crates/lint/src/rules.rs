@@ -29,18 +29,16 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::diag::{Finding, Level};
+use crate::diag::Finding;
 use crate::lexer::{TokKind, Token};
 
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct Rule {
-    /// Short stable id used in CLI flags and suppression comments.
+    /// Short stable id used in findings and suppression comments.
     pub id: &'static str,
     /// Kebab-case human name.
     pub name: &'static str,
-    /// Level the rule runs at unless overridden.
-    pub default_level: Level,
     /// One-line statement of the invariant.
     pub summary: &'static str,
 }
@@ -50,7 +48,6 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "U1",
         name: "unit-dimension",
-        default_level: Level::Deny,
         summary: "values with suffix-inferred units (_ns/_us/_ms/_bytes/_pages/_gbps) \
                   must not mix dimensions in arithmetic, comparisons, assignments or \
                   calls without an explicit conversion",
@@ -58,14 +55,12 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "C1",
         name: "config-coverage",
-        default_level: Level::Deny,
         summary: "every pub config field must be read outside its definition (no dead \
                   knobs) and numeric fields must be range-checked in validate()",
     },
     Rule {
         id: "A1",
         name: "alloc-in-hot-loop",
-        default_level: Level::Deny,
         summary: "no Vec::new/Box::new/clone()/format!/collect() inside loops of \
                   functions call-graph-reachable from the DES access, warp-replay \
                   and ring-poll roots; hot-path churn is what the arena refactor removes",
@@ -116,23 +111,6 @@ pub const MUTATIONS: &[MutationTemplate] = &[
                   (access/poll/step)",
     },
 ];
-
-/// Effective per-run rule configuration.
-#[derive(Debug, Clone, Default)]
-pub struct Config {
-    /// Level overrides by rule id (`--allow`/`--warn`/`--deny`).
-    pub overrides: BTreeMap<String, Level>,
-}
-
-impl Config {
-    /// The level `rule_id` runs at under this configuration.
-    pub fn level(&self, rule_id: &str) -> Level {
-        self.overrides
-            .get(rule_id)
-            .copied()
-            .unwrap_or_else(|| rule(rule_id).map_or(Level::Allow, |r| r.default_level))
-    }
-}
 
 /// Which compilation target a file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,70 +230,19 @@ pub const C1_STRUCTS: &[&str] = &[
     "FrontendConfig",
 ];
 
-/// An auto-applicable unit conversion discovered by the U1 walker.
-#[derive(Debug, Clone, Copy)]
-pub struct U1Fix {
-    /// First token of the expression to rewrite.
-    pub lo_tok: usize,
-    /// One past the last token of the expression.
-    pub hi_tok: usize,
-    /// The rewrite to apply.
-    pub kind: U1FixKind,
-}
-
-/// The two safe U1 rewrites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum U1FixKind {
-    /// Append `* <multiplier>` (coarse unit flowing into a finer slot).
-    Mul(&'static str),
-    /// Wrap the expression in `Dur::<ctor>(...)`.
-    WrapDur(&'static str),
-}
-
-/// The multiplier converting a `from` value into `to`, when lossless.
-fn finer_multiplier(to: Unit, from: Unit) -> Option<&'static str> {
-    match (to, from) {
-        (Unit::Ns, Unit::Us) => Some("1_000"),
-        (Unit::Ns, Unit::Ms) => Some("1_000_000"),
-        (Unit::Us, Unit::Ms) => Some("1_000"),
-        _ => None,
-    }
-}
-
-/// The `Dur` constructor accepting a raw value of `unit`.
-fn dur_ctor(unit: Unit) -> Option<&'static str> {
-    match unit {
-        Unit::Ns => Some("from_nanos"),
-        Unit::Us => Some("from_micros"),
-        Unit::Ms => Some("from_millis"),
-        _ => None,
-    }
-}
-
 /// Runs the U1 unit-dimension analysis over one file's AST.
-///
-/// When `fixes` is provided, every finding whose rewrite is mechanically
-/// safe (the source dimension is unambiguous and the expression is a
-/// tighter-binding atom) also records a [`U1Fix`].
 pub fn check_unit_dimensions(
     ctx: FileContext<'_>,
     file: &AnalyzedFile,
     syms: &Symbols,
-    config: &Config,
     out: &mut Findings<'_>,
-    fixes: Option<&mut Vec<U1Fix>>,
 ) {
-    if config.level("U1") == Level::Allow && fixes.is_none() {
-        return;
-    }
     let mut w = UnitWalker {
         ctx,
         toks: &file.lexed.tokens,
         syms,
-        config,
         out,
         locals: Vec::new(),
-        fixes,
     };
     for item in &file.ast.items {
         w.item(item);
@@ -326,11 +253,9 @@ struct UnitWalker<'a, 'b, 'c> {
     ctx: FileContext<'a>,
     toks: &'a [Token],
     syms: &'a Symbols,
-    config: &'a Config,
     out: &'c mut Findings<'b>,
     /// Scope stack of local-binding dimensions; lookups scan outward.
     locals: Vec<BTreeMap<String, Dim>>,
-    fixes: Option<&'c mut Vec<U1Fix>>,
 }
 
 /// Method names whose receiver and argument must share a dimension.
@@ -358,35 +283,9 @@ impl UnitWalker<'_, '_, '_> {
         }
     }
 
-    fn report(&mut self, at_tok: usize, message: String) -> bool {
-        let Some(at) = self.toks.get(at_tok) else {
-            return false;
-        };
-        self.out.push(self.ctx, self.config, "U1", at, message)
-    }
-
-    /// Records a fix for `expr` when it binds tighter than `*` (so an
-    /// appended multiplier or a wrapping call cannot change parse).
-    fn record_fix(&mut self, expr: &Expr, kind: U1FixKind) {
-        let atom = matches!(
-            expr.kind,
-            ExprKind::Path(_)
-                | ExprKind::Field { .. }
-                | ExprKind::MethodCall { .. }
-                | ExprKind::Call { .. }
-                | ExprKind::Index { .. }
-                | ExprKind::Paren(_)
-                | ExprKind::Lit
-        );
-        if !atom {
-            return;
-        }
-        if let Some(fixes) = self.fixes.as_deref_mut() {
-            fixes.push(U1Fix {
-                lo_tok: expr.span.lo,
-                hi_tok: expr.span.hi,
-                kind,
-            });
+    fn report(&mut self, at_tok: usize, message: String) {
+        if let Some(at) = self.toks.get(at_tok) {
+            self.out.push(self.ctx, "U1", at, message);
         }
     }
 
@@ -450,7 +349,7 @@ impl UnitWalker<'_, '_, '_> {
                 let init_dim = init.as_ref().map(|e| self.expr(e));
                 if let (Dim::Known(want), Some(Dim::Known(got))) = (declared, init_dim) {
                     if want != got {
-                        let reported = self.report(
+                        self.report(
                             name_tok.unwrap_or(s.span.lo),
                             format!(
                                 "`{}` carries unit `{}` but is initialized with a `{}` value; \
@@ -460,11 +359,6 @@ impl UnitWalker<'_, '_, '_> {
                                 got.label()
                             ),
                         );
-                        if reported {
-                            if let (Some(mult), Some(e)) = (finer_multiplier(want, got), init) {
-                                self.record_fix(e, U1FixKind::Mul(mult));
-                            }
-                        }
                     }
                 }
                 if let Some(name) = name {
@@ -524,7 +418,7 @@ impl UnitWalker<'_, '_, '_> {
                 if *dimensional {
                     if let (Dim::Known(a), Dim::Known(b)) = (ld, rd) {
                         if a != b {
-                            let reported = self.report(
+                            self.report(
                                 *op_tok,
                                 format!(
                                     "assignment mixes units: destination is `{}` but the value \
@@ -533,11 +427,6 @@ impl UnitWalker<'_, '_, '_> {
                                     b.label()
                                 ),
                             );
-                            if reported {
-                                if let Some(mult) = finer_multiplier(a, b) {
-                                    self.record_fix(rhs, U1FixKind::Mul(mult));
-                                }
-                            }
                         }
                     }
                 }
@@ -751,7 +640,7 @@ impl UnitWalker<'_, '_, '_> {
             let vd = self.expr(value);
             if let (Some(want), Dim::Known(got)) = (unit_of_name(fname), vd) {
                 if want != got {
-                    let reported = self.report(
+                    self.report(
                         *name_tok,
                         format!(
                             "field `{fname}` carries unit `{}` but is initialized with a \
@@ -760,20 +649,14 @@ impl UnitWalker<'_, '_, '_> {
                             got.label()
                         ),
                     );
-                    if reported {
-                        if let Some(mult) = finer_multiplier(want, got) {
-                            self.record_fix(value, U1FixKind::Mul(mult));
-                        }
-                    }
                 }
                 continue;
             }
-            // Raw suffixed value flowing into a `Dur`-typed field: the
-            // mechanically safe wrap is `Dur::from_<unit>(value)`.
+            // Raw suffixed value flowing into a `Dur`-typed field.
             if let (Some(info), Dim::Known(got)) = (sinfo, vd) {
                 let fdef = info.fields.iter().find(|f| &f.name == fname);
                 if fdef.is_some_and(|f| f.ty_dim == Dim::Dur) {
-                    let reported = self.report(
+                    self.report(
                         *name_tok,
                         format!(
                             "`Dur`-typed field `{fname}` is initialized with a raw `{}` \
@@ -781,11 +664,6 @@ impl UnitWalker<'_, '_, '_> {
                             got.label()
                         ),
                     );
-                    if reported {
-                        if let Some(ctor) = dur_ctor(got) {
-                            self.record_fix(value, U1FixKind::WrapDur(ctor));
-                        }
-                    }
                 }
             }
         }
@@ -797,16 +675,9 @@ impl UnitWalker<'_, '_, '_> {
 
 /// C1: every pub field of the config structs must be read outside its
 /// own definition, and numeric fields must be range-checked.
-pub fn check_config_coverage(
-    files: &[AnalyzedFile],
-    syms: &Symbols,
-    config: &Config,
-) -> (Vec<Finding>, usize) {
+pub fn check_config_coverage(files: &[AnalyzedFile], syms: &Symbols) -> (Vec<Finding>, usize) {
     let mut findings = Vec::new();
     let mut suppressed = 0usize;
-    if config.level("C1") == Level::Allow {
-        return (findings, suppressed);
-    }
     for sname in C1_STRUCTS {
         let Some(info) = syms.structs.get(*sname) else {
             continue;
@@ -853,7 +724,6 @@ pub fn check_config_coverage(
             if !read {
                 out.push(
                     ctx,
-                    config,
                     "C1",
                     at,
                     format!(
@@ -866,7 +736,6 @@ pub fn check_config_coverage(
             if field.numeric && !syms.validate_idents.contains(&field.name) {
                 out.push(
                     ctx,
-                    config,
                     "C1",
                     at,
                     format!(
@@ -883,7 +752,7 @@ pub fn check_config_coverage(
     (findings, suppressed)
 }
 
-/// Accumulates findings for one file, applying level overrides and
+/// Accumulates findings for one file, applying
 /// `// gmt-lint: allow(...)` suppressions as they are pushed.
 pub struct Findings<'a> {
     suppressions: &'a [crate::lexer::Suppression],
@@ -903,19 +772,14 @@ impl<'a> Findings<'a> {
         }
     }
 
-    /// Returns whether the finding survived (not allowed, not suppressed).
+    /// Records a finding at `at`, unless a suppression covers it.
     pub(crate) fn push(
         &mut self,
         ctx: FileContext<'_>,
-        config: &Config,
         rule_id: &'static str,
         at: &Token,
         message: String,
-    ) -> bool {
-        let level = config.level(rule_id);
-        if level == Level::Allow {
-            return false;
-        }
+    ) {
         // A suppression covers its own line (trailing comment) and the
         // line below it (standalone comment above the violation).
         let silenced = self.suppressions.iter().any(|s| {
@@ -923,12 +787,11 @@ impl<'a> Findings<'a> {
         });
         if silenced {
             self.suppressed += 1;
-            return false;
+            return;
         }
         let (end_line, end_col) = at.end_pos();
         self.findings.push(Finding {
             rule: rule_id,
-            level,
             file: ctx.rel_path.to_path_buf(),
             line: at.line,
             col: at.col,
@@ -937,7 +800,6 @@ impl<'a> Findings<'a> {
             snippet: at.text.clone(),
             message,
         });
-        true
     }
 }
 
@@ -948,7 +810,7 @@ mod tests {
     use std::path::PathBuf;
 
     /// Runs U1 over `src` as `crates/core/src/x.rs`.
-    fn run_u1(src: &str, config: &Config) -> (Vec<Finding>, usize) {
+    fn run_u1(src: &str) -> (Vec<Finding>, usize) {
         let files = [AnalyzedFile::analyze(
             PathBuf::from("crates/core/src/x.rs"),
             "core".to_string(),
@@ -957,7 +819,7 @@ mod tests {
         )];
         let syms = build_symbols(&files);
         let mut out = Findings::new(&files[0].lexed.suppressions);
-        check_unit_dimensions(files[0].context(), &files[0], &syms, config, &mut out, None);
+        check_unit_dimensions(files[0].context(), &files[0], &syms, &mut out);
         (out.findings, out.suppressed)
     }
 
@@ -967,25 +829,15 @@ mod tests {
     #[test]
     fn suppressions_cover_their_line_and_the_next() {
         let trailing = format!("{MIXED} // gmt-lint: allow(U1): demo");
-        let (f, s) = run_u1(&trailing, &Config::default());
+        let (f, s) = run_u1(&trailing);
         assert!(f.is_empty());
         assert_eq!(s, 1);
         let above = format!("// gmt-lint: allow(U1): demo\n{MIXED}");
-        let (f, s) = run_u1(&above, &Config::default());
+        let (f, s) = run_u1(&above);
         assert!(f.is_empty());
         assert_eq!(s, 1);
         let wrong_rule = format!("// gmt-lint: allow(C1)\n{MIXED}");
-        let (f, _) = run_u1(&wrong_rule, &Config::default());
+        let (f, _) = run_u1(&wrong_rule);
         assert_eq!(f.len(), 1, "allow(C1) must not silence U1");
-    }
-
-    #[test]
-    fn config_overrides_change_levels() {
-        assert_eq!(run_u1(MIXED, &Config::default()).0.len(), 1);
-        let mut config = Config::default();
-        config.overrides.insert("U1".to_string(), Level::Allow);
-        let (f, s) = run_u1(MIXED, &config);
-        assert!(f.is_empty(), "allow override drops findings");
-        assert_eq!(s, 0, "an allowed rule suppresses nothing");
     }
 }

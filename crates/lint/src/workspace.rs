@@ -3,8 +3,8 @@
 //! Membership comes from the root `Cargo.toml`'s `[workspace] members`
 //! list (globs like `crates/*` are expanded against the filesystem), so
 //! the linter follows the workspace as crates are added — no hardcoded
-//! crate list to drift. `vendor/*` members are skipped by default: they
-//! are offline API stubs of third-party crates, not code this repo's
+//! crate list to drift. The lint skips `vendor/*` members: they are
+//! offline API stubs of third-party crates, not code this repo's
 //! invariants govern.
 
 use std::fs;
@@ -125,11 +125,12 @@ fn parse_members(manifest: &str) -> Vec<String> {
 /// Collects every lintable `.rs` file of the workspace, in a
 /// deterministic (sorted) order.
 ///
-/// Per member (plus the root package itself) the walk covers `src/`,
+/// Per member but the `vendor/` stubs (plus the root package itself)
+/// the walk covers `src/`,
 /// `tests/`, `examples/` and `benches/`, skipping any directory named
 /// `fixtures` (lint-test corpora are data, not code) or `target`.
-pub fn workspace_files(root: &Path, include_vendor: bool) -> io::Result<Vec<SourceFile>> {
-    let mut members = member_dirs(root, include_vendor)?;
+pub fn workspace_files(root: &Path) -> io::Result<Vec<SourceFile>> {
+    let mut members = member_dirs(root, false)?;
     // The root manifest doubles as the `gmt` facade package.
     members.insert(0, root.to_path_buf());
     let mut out = Vec::new();
@@ -224,7 +225,7 @@ mod tests {
 
     #[test]
     fn real_workspace_walk_finds_known_crates_and_skips_vendor() {
-        let files = workspace_files(&repo_root(), false).unwrap();
+        let files = workspace_files(&repo_root()).unwrap();
         assert!(files.iter().any(|f| f.crate_name == "sim"));
         assert!(files.iter().any(|f| f.crate_name == "gmt"));
         assert!(!files.iter().any(|f| f.rel.starts_with("vendor")));
@@ -238,7 +239,7 @@ mod tests {
 
     #[test]
     fn bin_targets_are_classified() {
-        let files = workspace_files(&repo_root(), false).unwrap();
+        let files = workspace_files(&repo_root()).unwrap();
         let bench_bin = files
             .iter()
             .find(|f| f.rel.ends_with("crates/serve/src/bin/serve_bench.rs"))

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 
 use gmt_lint::engine::{apply_overlay, lint_files};
 use gmt_lint::mutate::{load_corpus, synthesize};
-use gmt_lint::{Config, RULES};
+use gmt_lint::RULES;
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -28,10 +28,10 @@ fn full_matrix_covers_every_rule_at_the_mutant_floor() {
         let n = mutants.iter().filter(|m| m.template.rule == r.id).count();
         assert!(n >= 1, "rule {} has no mutants in the full matrix", r.id);
     }
-    // The acceptance floor: every deny rule gets at least five mutants.
+    // The acceptance floor: every rule gets at least five mutants.
     for id in ["U1", "C1", "A1"] {
         let n = mutants.iter().filter(|m| m.template.rule == id).count();
-        assert!(n >= 5, "deny rule {id} needs >= 5 mutants, got {n}");
+        assert!(n >= 5, "rule {id} needs >= 5 mutants, got {n}");
     }
     // Overlays only replace files that exist in the workspace, and
     // always with changed text — mutants never invent paths or no-op.
@@ -50,12 +50,11 @@ fn full_matrix_covers_every_rule_at_the_mutant_floor() {
 #[test]
 fn representative_mutants_are_caught_through_the_overlay() {
     let corpus = load_corpus(&repo_root()).expect("workspace loads");
-    let config = Config::default();
-    let baseline = lint_files(&corpus.files, &config);
+    let baseline = lint_files(&corpus.files);
     assert!(
-        baseline.report.findings.is_empty(),
+        baseline.is_clean(),
         "recall over a dirty baseline is meaningless: {:#?}",
-        baseline.report.findings
+        baseline.findings
     );
     let mutants = synthesize(&corpus);
     // One mutant per rule: function-entry injection checked by the AST
@@ -67,14 +66,14 @@ fn representative_mutants_are_caught_through_the_overlay() {
             .find(|m| m.template.rule == id)
             .unwrap_or_else(|| panic!("no {id} mutant in the matrix"));
         let files = apply_overlay(&corpus.files, &m.overlay);
-        let run = lint_files(&files, &config);
+        let report = lint_files(&files);
         assert!(
-            run.report.findings.iter().any(|f| f.rule == id),
+            report.findings.iter().any(|f| f.rule == id),
             "{} escaped: {} mutant at {} produced {:#?}",
             id,
             m.template.name,
             m.site,
-            run.report.findings
+            report.findings
         );
     }
 }

@@ -15,7 +15,7 @@ use gmt_lint::workspace::{find_root, workspace_files};
 #[test]
 fn every_workspace_file_round_trips_token_for_token() {
     let root = find_root(&std::env::current_dir().expect("cwd")).expect("workspace root");
-    let files = workspace_files(&root, false).expect("workspace walk");
+    let files = workspace_files(&root).expect("workspace walk");
     assert!(
         files.len() >= 130,
         "suspiciously few files: {}",

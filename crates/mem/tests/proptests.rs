@@ -18,15 +18,6 @@ fn arb_access() -> impl Strategy<Value = WarpAccess> {
 
 proptest! {
     #[test]
-    fn trace_roundtrips_arbitrary_accesses(
-        accesses in proptest::collection::vec(arb_access(), 0..200),
-    ) {
-        let bytes = trace::encode(&accesses);
-        let decoded = trace::decode(&bytes).expect("well-formed encoding decodes");
-        prop_assert_eq!(decoded, accesses);
-    }
-
-    #[test]
     fn recording_roundtrips_arbitrary_accesses(
         accesses in proptest::collection::vec(arb_access(), 0..200),
         shift in 0u32..64,
@@ -69,29 +60,6 @@ proptest! {
         let width = bits.div_ceil(8).max(1);
         let ids: usize = trace.iter().map(|a| a.pages.len()).sum();
         prop_assert_eq!(recording.byte_len(), trace.len() + ids * width);
-    }
-
-    #[test]
-    fn truncated_traces_never_panic(
-        accesses in proptest::collection::vec(arb_access(), 1..50),
-        cut_fraction in 0.0f64..1.0,
-    ) {
-        let bytes = trace::encode(&accesses);
-        let cut = ((bytes.len() as f64) * cut_fraction) as usize;
-        // Any prefix must decode cleanly or return an error — no panic.
-        let _ = trace::decode(&bytes[..cut]);
-    }
-
-    #[test]
-    fn corrupted_headers_never_panic(
-        accesses in proptest::collection::vec(arb_access(), 1..20),
-        index in any::<prop::sample::Index>(),
-        byte in any::<u8>(),
-    ) {
-        let mut bytes = trace::encode(&accesses);
-        let i = index.index(bytes.len());
-        bytes[i] = byte;
-        let _ = trace::decode(&bytes);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 
 use std::fmt;
 
-use gmt_analysis::tracesum::{jain_fairness, tenant_summaries, TenantTraceSummary};
+use gmt_analysis::tracesum::{jain_fairness, TenantTraceSummary};
 use gmt_core::TieringMetrics;
-use gmt_sim::trace::TraceRecord;
 
 use crate::PartitionPolicy;
 
@@ -36,7 +35,7 @@ pub struct TenantReport {
 /// ```
 /// use gmt_serve::{PartitionPolicy, ServeReport};
 ///
-/// let report = ServeReport::from_trace(
+/// let report = ServeReport::from_summaries(
 ///     PartitionPolicy::FullyShared,
 ///     &["only".to_string()],
 ///     &[],
@@ -57,21 +56,11 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Distills per-tenant results from a tenant-stamped trace and the
-    /// per-tenant counters. Tenants that emitted no trace records still
-    /// get a (zeroed) row, so the report always covers `names`.
-    pub fn from_trace(
-        policy: PartitionPolicy,
-        names: &[String],
-        records: &[TraceRecord],
-        per_tenant: &[TieringMetrics],
-    ) -> ServeReport {
-        ServeReport::from_summaries(policy, names, &tenant_summaries(records), per_tenant)
-    }
-
-    /// Like [`ServeReport::from_trace`], but from already-distilled
-    /// summaries — lets callers fold records straight out of a trace
-    /// ring (`TenantSummaryBuilder`) without materializing the trace.
+    /// Distills per-tenant results from the tenant summaries of a
+    /// stamped trace (folded straight out of the ring by
+    /// `TenantSummaryBuilder`) and the per-tenant counters. Tenants that
+    /// emitted no trace records still get a (zeroed) row, so the report
+    /// always covers `names`.
     pub fn from_summaries(
         policy: PartitionPolicy,
         names: &[String],
@@ -166,7 +155,7 @@ mod tests {
     #[test]
     fn silent_tenants_still_get_rows() {
         let names = vec!["loud".to_string(), "silent".to_string()];
-        let report = ServeReport::from_trace(
+        let report = ServeReport::from_summaries(
             PartitionPolicy::StrictQuota,
             &names,
             &[],
@@ -181,7 +170,7 @@ mod tests {
     #[test]
     fn lookup_by_name() {
         let names = vec!["a".to_string(), "b".to_string()];
-        let report = ServeReport::from_trace(
+        let report = ServeReport::from_summaries(
             PartitionPolicy::FullyShared,
             &names,
             &[],
@@ -194,7 +183,7 @@ mod tests {
     #[test]
     fn even_rates_are_perfectly_fair() {
         let names = vec!["a".to_string(), "b".to_string()];
-        let report = ServeReport::from_trace(
+        let report = ServeReport::from_summaries(
             PartitionPolicy::SharedQos,
             &names,
             &[],
@@ -206,7 +195,7 @@ mod tests {
     #[test]
     fn display_renders_a_table() {
         let names = vec!["zipf".to_string()];
-        let report = ServeReport::from_trace(
+        let report = ServeReport::from_summaries(
             PartitionPolicy::WeightedShares,
             &names,
             &[],

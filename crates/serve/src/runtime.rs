@@ -215,7 +215,7 @@ impl TieredService {
     /// records, wiring in the shared SSD array and both PCIe
     /// directions. Records emitted while serving a tenant's access are
     /// stamped with that tenant's id (see
-    /// [`gmt_analysis::tracesum::tenant_summaries`]).
+    /// [`gmt_analysis::tracesum::TenantSummaryBuilder`]).
     ///
     /// # Panics
     ///

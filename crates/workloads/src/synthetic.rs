@@ -2,8 +2,8 @@
 //!
 //! The nine paper applications cover specific reuse profiles; these
 //! generators let users dial in *arbitrary* profiles — skewed point
-//! accesses, pure streams, strided sweeps — to probe how a policy reacts
-//! to a pattern before committing to a port.
+//! accesses and pure streams — to probe how a policy reacts to a pattern
+//! before committing to a port.
 
 use gmt_mem::{PageId, WarpAccess};
 use gmt_sim::Zipf;
@@ -109,54 +109,6 @@ impl Workload for SequentialScan {
     }
 }
 
-/// Strided sweeps: touches every `stride`-th page, then rotates the
-/// offset — a cache-adversarial pattern with tunable spatial locality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StridedSweep {
-    pages: usize,
-    stride: usize,
-    rounds: usize,
-}
-
-impl StridedSweep {
-    /// Strided sweeps over the scale's pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero.
-    pub fn new(scale: &WorkloadScale, stride: usize, rounds: usize) -> StridedSweep {
-        assert!(stride > 0, "stride must be positive");
-        StridedSweep {
-            pages: scale.total_pages,
-            stride,
-            rounds,
-        }
-    }
-}
-
-impl Workload for StridedSweep {
-    fn name(&self) -> &'static str {
-        "StridedSweep"
-    }
-
-    fn total_pages(&self) -> usize {
-        self.pages
-    }
-
-    fn trace(&self, _seed: u64) -> Vec<WarpAccess> {
-        let mut out = Vec::with_capacity(self.rounds * self.pages.div_ceil(self.stride));
-        for round in 0..self.rounds {
-            let offset = round % self.stride;
-            let mut p = offset;
-            while p < self.pages {
-                out.push(WarpAccess::read(PageId(p as u64)));
-                p += self.stride;
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,18 +128,6 @@ mod tests {
         let trace = w.trace(0);
         assert_eq!(trace.len(), 3 * w.total_pages());
         assert_eq!(trace[0].pages.first(), PageId(0));
-    }
-
-    #[test]
-    fn strided_sweep_rotates_offsets() {
-        let w = StridedSweep::new(&WorkloadScale::tiny(), 4, 4);
-        let trace = w.trace(0);
-        // Across stride rounds, all pages are eventually touched.
-        let mut touched = vec![false; w.total_pages()];
-        for a in &trace {
-            touched[a.pages.first().index()] = true;
-        }
-        assert!(touched.iter().all(|&t| t));
     }
 
     #[test]

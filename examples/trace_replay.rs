@@ -1,5 +1,5 @@
-//! Record once, replay everywhere: serialize an expensive trace (a BFS
-//! over a generated graph) to the compact binary format and replay the
+//! Record once, replay everywhere: record an expensive trace (a BFS over
+//! a generated graph) in a compact in-memory `Recording` and replay the
 //! *identical* accesses through two systems — then capture one replay's
 //! decision trace and export it as JSONL for offline analysis.
 //!
@@ -12,7 +12,7 @@ use gmt::analysis::tracesum::counters_from_trace;
 use gmt::baselines::{Bam, BamConfig};
 use gmt::core::{Gmt, GmtConfig};
 use gmt::gpu::{Executor, ExecutorConfig};
-use gmt::mem::trace;
+use gmt::mem::trace::Recording;
 use gmt::sim::trace::to_jsonl;
 use gmt::workloads::{bfs::Bfs, Workload, WorkloadScale};
 
@@ -26,16 +26,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.total_pages()
     );
 
-    // Record it: ~9 bytes per access.
-    let bytes = trace::encode(&accesses);
+    // Record it: a header byte per access and each page id in the few
+    // bytes the largest id needs.
+    let recording = Recording::new(&accesses);
     println!(
-        "serialized: {} bytes ({:.1} B/access)",
-        bytes.len(),
-        bytes.len() as f64 / accesses.len() as f64
+        "recorded: {} bytes ({:.1} B/access)",
+        recording.byte_len(),
+        recording.byte_len() as f64 / accesses.len() as f64
     );
 
-    // Replay from the serialized form — no graph generation needed.
-    let replayed = trace::decode(&bytes)?;
+    // Replay from the recording — no graph generation needed.
+    let replayed = recording.to_trace();
     assert_eq!(replayed, accesses);
 
     let geometry = geometry_for(&workload, 4.0, 2.0);
