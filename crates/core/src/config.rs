@@ -102,7 +102,6 @@ pub struct ReuseConfig {
     /// Maximum short-reuse candidates skipped per eviction before the
     /// clock's pick is evicted regardless (guards against livelock when
     /// every resident page predicts short-reuse).
-    // gmt-lint: allow(C1): zero legitimately disables skipping, so every usize is valid.
     pub max_skips: usize,
 }
 
@@ -154,22 +153,31 @@ impl FrontendConfig {
     ///
     /// Returns a description naming the offending field.
     pub fn validate(&self) -> Result<(), &'static str> {
-        if self.connections == 0 {
+        // No `..`: a new knob does not compile until it is named here.
+        let FrontendConfig {
+            connections,
+            mean_interarrival_ns,
+            max_request_pages,
+            max_delay_ns,
+            defer_threshold,
+            shed_threshold,
+        } = *self;
+        if connections == 0 {
             return Err("connections must model at least one client stream");
         }
-        if self.mean_interarrival_ns == 0 {
+        if mean_interarrival_ns == 0 {
             return Err("mean_interarrival_ns must be positive");
         }
-        if self.max_request_pages == 0 {
+        if max_request_pages == 0 {
             return Err("max_request_pages must allow at least one page");
         }
-        if self.max_delay_ns == 0 {
+        if max_delay_ns == 0 {
             return Err("max_delay_ns must bound batching delay above zero");
         }
-        if self.defer_threshold == 0 {
+        if defer_threshold == 0 {
             return Err("defer_threshold must admit at least one request");
         }
-        if self.shed_threshold < self.defer_threshold {
+        if shed_threshold < defer_threshold {
             return Err("shed_threshold must be at least defer_threshold");
         }
         Ok(())
@@ -365,7 +373,6 @@ pub struct GmtConfig {
     /// for runtimes that replay pre-built schedules.
     pub frontend: FrontendConfig,
     /// Seed for GMT-Random's coin and any other stochastic choice.
-    // gmt-lint: allow(C1): any u64 is a valid PRNG seed; there is no range to check.
     pub seed: u64,
 }
 
@@ -425,7 +432,35 @@ impl GmtConfig {
     /// ));
     /// ```
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let g = &self.geometry;
+        // No `..` here or on `reuse`: a new knob does not compile until
+        // it is named here.
+        let GmtConfig {
+            geometry: g,
+            // Every policy, transfer method and insertion mode is valid.
+            policy: _,
+            transfer: _,
+            tier2_insert: _,
+            host_link,
+            ssd,
+            ssd_devices,
+            reuse,
+            prefetch_degree,
+            // Both settings are valid.
+            async_eviction: _,
+            frontend,
+            // Any u64 is a valid PRNG seed; there is no range to check.
+            seed: _,
+        } = *self;
+        let ReuseConfig {
+            sampler,
+            // Every scope and predictor is valid.
+            markov_scope: _,
+            predictor: _,
+            bypass_threshold: threshold,
+            bypass_window,
+            // Zero legitimately disables skipping, so every usize is valid.
+            max_skips: _,
+        } = reuse;
         if g.tier1_pages == 0 {
             return Err(ConfigError::ZeroTier1);
         }
@@ -438,32 +473,30 @@ impl GmtConfig {
         if g.page_bytes == 0 {
             return Err(ConfigError::ZeroPageBytes);
         }
-        if self.prefetch_degree >= g.tier1_pages {
+        if prefetch_degree >= g.tier1_pages {
             return Err(ConfigError::PrefetchOverflowsTier1 {
-                degree: self.prefetch_degree,
+                degree: prefetch_degree,
                 tier1_pages: g.tier1_pages,
             });
         }
-        let threshold = self.reuse.bypass_threshold;
         if !(0.0..=1.0).contains(&threshold) {
             return Err(ConfigError::BypassThresholdOutOfRange { threshold });
         }
-        if self.reuse.bypass_window == 0 {
+        if bypass_window == 0 {
             return Err(ConfigError::ZeroBypassWindow);
         }
-        if self.reuse.sampler.batch_size == 0 {
+        if sampler.batch_size == 0 {
             return Err(ConfigError::ZeroSamplerBatch);
         }
-        if self.ssd_devices == 0 {
+        if ssd_devices == 0 {
             return Err(ConfigError::ZeroSsdDevices);
         }
-        self.ssd
-            .validate()
+        ssd.validate()
             .map_err(|reason| ConfigError::InvalidSsd { reason })?;
-        self.host_link
+        host_link
             .validate()
             .map_err(|reason| ConfigError::InvalidHostLink { reason })?;
-        self.frontend
+        frontend
             .validate()
             .map_err(|reason| ConfigError::InvalidFrontend { reason })?;
         Ok(())
@@ -606,6 +639,14 @@ mod tests {
         let mut zero_t2 = GmtConfig::default();
         zero_t2.geometry.tier2_pages = 0;
         assert_eq!(zero_t2.validate(), Err(ConfigError::ZeroTier2));
+
+        let mut zero_space = GmtConfig::default();
+        zero_space.geometry.total_pages = 0;
+        assert_eq!(zero_space.validate(), Err(ConfigError::ZeroAddressSpace));
+
+        let mut zero_page = GmtConfig::default();
+        zero_page.geometry.page_bytes = 0;
+        assert_eq!(zero_page.validate(), Err(ConfigError::ZeroPageBytes));
 
         let mut prefetch = GmtConfig::new(TierGeometry::from_tier1(8, 2.0, 2.0));
         prefetch.prefetch_degree = 8;

@@ -109,10 +109,6 @@ pub struct StructItem {
 pub struct FieldDef {
     /// The field's name.
     pub name: String,
-    /// Token index of the name (for finding spans).
-    pub name_tok: usize,
-    /// Whether the field is `pub` (any visibility restriction counts).
-    pub is_pub: bool,
     /// Token texts of the field's type.
     pub ty: Vec<String>,
 }

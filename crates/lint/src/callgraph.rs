@@ -59,7 +59,7 @@ impl<'a> CallGraph<'a> {
             if !matches!(file.target, TargetKind::Lib | TargetKind::Bin) {
                 continue;
             }
-            let mask = test_mask(&file.lexed.tokens);
+            let mask = test_mask(&file.tokens);
             for item in &file.ast.items {
                 collect_fns(&mut cg, fi, item, &mask);
             }

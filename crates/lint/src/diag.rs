@@ -3,10 +3,13 @@
 use std::fmt;
 use std::path::PathBuf;
 
+use crate::lexer::Token;
+use crate::rules::FileContext;
+
 /// One rule violation at one source location.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// The violated rule's id (`U1`, `C1`, `A1`).
+    /// The violated rule's id (`U1`, `A1`).
     pub rule: &'static str,
     /// Path of the offending file, relative to the workspace root.
     pub file: PathBuf,
@@ -25,6 +28,29 @@ pub struct Finding {
     pub message: String,
 }
 
+impl Finding {
+    /// A finding of `rule` in the file `ctx` names, spanning the token
+    /// `at`.
+    pub(crate) fn at(
+        ctx: FileContext<'_>,
+        rule: &'static str,
+        at: &Token,
+        message: String,
+    ) -> Finding {
+        let (end_line, end_col) = at.end_pos();
+        Finding {
+            rule,
+            file: ctx.rel_path.to_path_buf(),
+            line: at.line,
+            col: at.col,
+            end_line,
+            end_col,
+            snippet: at.text.clone(),
+            message,
+        }
+    }
+}
+
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "deny[{}]: {}", self.rule, self.message)?;
@@ -41,16 +67,14 @@ impl fmt::Display for Finding {
 /// The outcome of one full lint run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Findings that survived suppression, in walk order.
+    /// Every finding, in report order.
     pub findings: Vec<Finding>,
-    /// Findings silenced by `// gmt-lint: allow(...)` comments.
-    pub suppressed: usize,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// Whether no finding survived. Every rule is deny-level, so any
+    /// Whether the run found nothing. Every rule is deny-level, so any
     /// finding fails the run.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
@@ -65,9 +89,8 @@ impl Report {
         }
         let _ = write!(
             out,
-            "gmt-lint: {} finding(s), {} suppressed, {} files scanned",
+            "gmt-lint: {} finding(s), {} files scanned",
             self.findings.len(),
-            self.suppressed,
             self.files_scanned,
         );
         out
@@ -99,8 +122,7 @@ impl Report {
         }
         let _ = write!(
             out,
-            "],\"suppressed\":{},\"files_scanned\":{},\"ok\":{}}}",
-            self.suppressed,
+            "],\"files_scanned\":{},\"ok\":{}}}",
             self.files_scanned,
             self.is_clean(),
         );

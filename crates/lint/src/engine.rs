@@ -5,11 +5,11 @@
 //! The workspace run is a four-pass pipeline:
 //!
 //! 1. read + lex + parse every member file into [`AnalyzedFile`]s,
-//! 2. build the workspace [`Symbols`] table,
+//! 2. build the workspace [`Symbols`](crate::symbols::Symbols) table,
 //! 3. per file: the U1 unit-dimension walker (which needs the global fn
 //!    table),
-//! 4. workspace-wide C1 config-coverage, and A1 alloc-in-hot-loop over
-//!    the call graph ([`crate::hotloop`]).
+//! 4. workspace-wide A1 alloc-in-hot-loop over the call graph
+//!    ([`crate::hotloop`]).
 
 use std::fs;
 use std::io;
@@ -17,39 +17,28 @@ use std::path::Path;
 
 use crate::diag::{Finding, Report};
 use crate::hotloop::check_alloc_in_hot_loops;
-use crate::rules::{check_config_coverage, check_unit_dimensions, Findings, TargetKind};
-use crate::symbols::{build_symbols, AnalyzedFile, Symbols};
+use crate::rules::{check_unit_dimensions, TargetKind};
+use crate::symbols::{build_symbols, AnalyzedFile};
 use crate::workspace::{slash_path, workspace_files, Overlay};
-
-/// Runs the per-file rule (U1) over one analyzed file.
-fn check_file(file: &AnalyzedFile, syms: &Symbols, report: &mut Report) {
-    let mut out = Findings::new(&file.lexed.suppressions);
-    check_unit_dimensions(file.context(), file, syms, &mut out);
-    report.findings.extend(out.findings);
-    report.suppressed += out.suppressed;
-    report.files_scanned += 1;
-}
 
 /// Lints a single source string as if it lived at `rel_path`.
 ///
 /// This is the unit the self-test fixtures drive: the same rule set the
 /// workspace run uses minus the filesystem, with the file acting as its
-/// own one-file workspace. Returns the surviving
-/// findings plus the number of suppressed ones.
+/// own one-file workspace.
 pub fn check_source(
     rel_path: &Path,
     crate_name: &str,
     target: TargetKind,
     source: &str,
-) -> (Vec<Finding>, usize) {
+) -> Vec<Finding> {
     let files = [AnalyzedFile::analyze(
         rel_path.to_path_buf(),
         crate_name.to_string(),
         target,
         source,
     )];
-    let report = lint_files(&files);
-    (report.findings, report.suppressed)
+    lint_files(&files).findings
 }
 
 /// Reads, lexes and parses every workspace member file.
@@ -91,17 +80,16 @@ pub fn apply_overlay(base: &[AnalyzedFile], overlay: &Overlay) -> Vec<AnalyzedFi
 /// Lints a pre-loaded set of files as one workspace.
 pub fn lint_files(files: &[AnalyzedFile]) -> Report {
     let syms = build_symbols(files);
-    let mut report = Report::default();
+    let mut findings = Vec::new();
     for file in files {
-        check_file(file, &syms, &mut report);
+        check_unit_dimensions(file.context(), file, &syms, &mut findings);
     }
-    let (c1, c1_suppressed) = check_config_coverage(files, &syms);
-    let (a1, a1_suppressed) = check_alloc_in_hot_loops(files);
-    report.findings.extend(c1);
-    report.findings.extend(a1);
-    report.suppressed += c1_suppressed + a1_suppressed;
-    sort_findings(&mut report.findings);
-    report
+    findings.extend(check_alloc_in_hot_loops(files));
+    sort_findings(&mut findings);
+    Report {
+        findings,
+        files_scanned: files.len(),
+    }
 }
 
 /// Lints the whole workspace rooted at `root`.
@@ -117,8 +105,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
 /// Sorts findings into report order and collapses duplicates anchored
 /// at the identical span.
 ///
-/// When several findings diagnose the same tokens (a dead numeric config
-/// knob trips both C1 clauses), only the first finding
+/// When several findings diagnose the same tokens (a `.clamp()` whose
+/// bounds both mix units trips U1 twice), only the first finding
 /// in (rule id, message) order survives, so the text and JSON output and
 /// the summary counters report one diagnostic per defect site.
 fn sort_findings(findings: &mut Vec<Finding>) {
@@ -160,7 +148,7 @@ mod tests {
         // must survive untouched.
         let mut findings = vec![
             mk("U1", 3, "unit mismatch"),
-            mk("C1", 3, "dead knob"),
+            mk("A1", 3, "allocation"),
             mk("U1", 9, "unit mismatch elsewhere"),
         ];
         sort_findings(&mut findings);
@@ -169,7 +157,7 @@ mod tests {
                 .iter()
                 .map(|f| (f.rule, f.line))
                 .collect::<Vec<_>>(),
-            vec![("C1", 3), ("U1", 9)],
+            vec![("A1", 3), ("U1", 9)],
             "same-span findings collapse to the first in (rule, message) order"
         );
     }

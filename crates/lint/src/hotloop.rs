@@ -15,7 +15,6 @@ use crate::ast::{Block, Expr, ExprKind, StmtKind};
 use crate::callgraph::{CallGraph, FnId};
 use crate::diag::Finding;
 use crate::lexer::{TokKind, Token};
-use crate::rules::Findings;
 use crate::symbols::AnalyzedFile;
 
 /// Per-event DES roots: their whole body runs once per simulated event.
@@ -180,11 +179,9 @@ fn a1_walk_block(b: &Block, toks: &[Token], depth: u32, out: &mut Vec<AllocHit>)
     }
 }
 
-/// Runs A1 over the analyzed workspace. Returns the surviving findings
-/// and the number silenced by suppressions.
-pub fn check_alloc_in_hot_loops(files: &[AnalyzedFile]) -> (Vec<Finding>, usize) {
+/// Runs A1 over the analyzed workspace.
+pub fn check_alloc_in_hot_loops(files: &[AnalyzedFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let mut suppressed = 0;
     let cg = CallGraph::build(files);
     // Hot set: roots by name, in the model crates, runtime code only.
     let mut roots: Vec<FnId> = Vec::new();
@@ -215,17 +212,13 @@ pub fn check_alloc_in_hot_loops(files: &[AnalyzedFile]) -> (Vec<Finding>, usize)
         if !ROOT_CRATES.contains(&files[fi].crate_name.as_str()) {
             continue;
         }
-        let toks = &files[fi].lexed.tokens;
+        let toks = &files[fi].tokens;
         // Per-event roots: the whole body runs once per simulated
         // event, so it starts at loop depth 1.
         let base_depth =
             u32::from(PER_EVENT_ROOTS.contains(&info.item.name.as_str()) && roots.contains(&id));
         let mut hits = Vec::new();
         a1_walk_block(body, toks, base_depth, &mut hits);
-        if hits.is_empty() {
-            continue;
-        }
-        let mut acc = Findings::new(&files[fi].lexed.suppressions);
         let where_ = if base_depth > 0 {
             "per-event body"
         } else {
@@ -235,7 +228,7 @@ pub fn check_alloc_in_hot_loops(files: &[AnalyzedFile]) -> (Vec<Finding>, usize)
             let Some(tok) = toks.get(hit.tok) else {
                 continue;
             };
-            acc.push(
+            findings.push(Finding::at(
                 files[fi].context(),
                 "A1",
                 tok,
@@ -244,10 +237,8 @@ pub fn check_alloc_in_hot_loops(files: &[AnalyzedFile]) -> (Vec<Finding>, usize)
                      from the DES roots); hoist into a reused scratch buffer or arena",
                     hit.what, info.item.name
                 ),
-            );
+            ));
         }
-        findings.append(&mut acc.findings);
-        suppressed += acc.suppressed;
     }
-    (findings, suppressed)
+    findings
 }

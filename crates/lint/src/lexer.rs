@@ -8,9 +8,6 @@
 //! hide a false positive: line and doc comments, nested block comments,
 //! string/char/byte literals, raw strings with arbitrary `#` fences, raw
 //! identifiers, and the lifetime-vs-char-literal ambiguity after `'`.
-//!
-//! Suppression comments (`// gmt-lint: allow(<rule>, ...)`) are collected
-//! during the same pass; see [`Suppression`].
 
 /// What a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,33 +67,12 @@ impl Token {
     }
 }
 
-/// A `// gmt-lint: allow(<rules>)` comment found while lexing.
-///
-/// A suppression silences matching findings on its own line (trailing
-/// form) and on the following line (standalone-comment-above form).
-#[derive(Debug, Clone)]
-pub struct Suppression {
-    /// 1-based line the comment sits on.
-    pub line: u32,
-    /// The rule ids listed inside `allow(...)`.
-    pub rules: Vec<String>,
-}
-
-/// The result of lexing one file.
-#[derive(Debug, Default, Clone)]
-pub struct LexOutput {
-    /// All non-trivia tokens, in source order.
-    pub tokens: Vec<Token>,
-    /// Every suppression comment, in source order.
-    pub suppressions: Vec<Suppression>,
-}
-
-/// Lexes `source`, returning tokens plus suppression comments.
+/// Lexes `source` into its non-trivia tokens, in source order.
 ///
 /// The lexer never fails: unterminated literals or comments simply run to
 /// end of file, which is the forgiving behaviour a linter wants (rustc
 /// will reject the file anyway; the lint should not crash first).
-pub fn lex(source: &str) -> LexOutput {
+pub fn lex(source: &str) -> Vec<Token> {
     Lexer::new(source).run()
 }
 
@@ -107,7 +83,7 @@ struct Lexer<'a> {
     line: u32,
     col: u32,
     offset: usize,
-    out: LexOutput,
+    tokens: Vec<Token>,
 }
 
 impl<'a> Lexer<'a> {
@@ -119,7 +95,7 @@ impl<'a> Lexer<'a> {
             line: 1,
             col: 1,
             offset: 0,
-            out: LexOutput::default(),
+            tokens: Vec::new(),
         }
     }
 
@@ -140,14 +116,14 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
-    fn run(mut self) -> LexOutput {
+    fn run(mut self) -> Vec<Token> {
         while let Some(c) = self.peek(0) {
             let (line, col, offset) = (self.line, self.col, self.offset);
             match c {
                 c if c.is_whitespace() => {
                     self.bump();
                 }
-                '/' if self.peek(1) == Some('/') => self.line_comment(line),
+                '/' if self.peek(1) == Some('/') => self.line_comment(),
                 '/' if self.peek(1) == Some('*') => self.block_comment(),
                 'r' | 'b' if self.starts_raw_or_byte_literal() => {
                     self.prefixed_literal(line, col, offset);
@@ -162,12 +138,12 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        self.out
+        self.tokens
     }
 
     fn push(&mut self, kind: TokKind, line: u32, col: u32, offset: usize) {
         let text = self.src[offset..self.offset].to_string();
-        self.out.tokens.push(Token {
+        self.tokens.push(Token {
             kind,
             text,
             line,
@@ -333,16 +309,12 @@ impl<'a> Lexer<'a> {
         self.push(TokKind::Ident, line, col, offset);
     }
 
-    fn line_comment(&mut self, line: u32) {
-        let start = self.offset;
+    fn line_comment(&mut self) {
         while let Some(c) = self.peek(0) {
             if c == '\n' {
                 break;
             }
             self.bump();
-        }
-        if let Some(rules) = parse_suppression(&self.src[start..self.offset]) {
-            self.out.suppressions.push(Suppression { line, rules });
         }
     }
 
@@ -371,28 +343,12 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Parses `gmt-lint: allow(U1, C1): optional reason` out of a line
-/// comment, returning the listed rule ids.
-fn parse_suppression(comment: &str) -> Option<Vec<String>> {
-    let rest = comment.split_once("gmt-lint:")?.1;
-    let rest = rest.trim_start();
-    let args = rest.strip_prefix("allow")?.trim_start().strip_prefix('(')?;
-    let list = args.split_once(')')?.0;
-    let rules: Vec<String> = list
-        .split(',')
-        .map(|r| r.trim().to_string())
-        .filter(|r| !r.is_empty())
-        .collect();
-    (!rules.is_empty()).then_some(rules)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .into_iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text)
@@ -416,7 +372,7 @@ mod tests {
 
     #[test]
     fn lifetimes_are_not_char_literals() {
-        let toks = lex("fn f<'a>(x: &'a str) -> char { 'x' }").tokens;
+        let toks = lex("fn f<'a>(x: &'a str) -> char { 'x' }");
         let lifetimes: Vec<_> = toks
             .iter()
             .filter(|t| t.kind == TokKind::Lifetime)
@@ -431,7 +387,7 @@ mod tests {
 
     #[test]
     fn spans_are_one_based_lines_and_cols() {
-        let toks = lex("a\n  bc").tokens;
+        let toks = lex("a\n  bc");
         assert_eq!((toks[0].line, toks[0].col), (1, 1));
         assert_eq!((toks[1].line, toks[1].col), (2, 3));
         assert_eq!(
@@ -442,32 +398,20 @@ mod tests {
 
     #[test]
     fn range_dots_survive_number_lexing() {
-        let toks = lex("0..10 1.5e-3 0xFF").tokens;
+        let toks = lex("0..10 1.5e-3 0xFF");
         let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(texts, vec!["0", ".", ".", "10", "1.5e-3", "0xFF"]);
     }
 
     #[test]
     fn raw_identifiers_lex_as_idents() {
-        let toks = lex("let r#type = 1;").tokens;
+        let toks = lex("let r#type = 1;");
         assert!(toks.iter().any(|t| t.is_ident("r#type")));
     }
 
     #[test]
-    fn suppressions_are_collected_with_lines() {
-        let src =
-            "let a = 1; // gmt-lint: allow(U1, C1): reason\nlet b = 2;\n// gmt-lint: allow(A1)\n";
-        let out = lex(src);
-        assert_eq!(out.suppressions.len(), 2);
-        assert_eq!(out.suppressions[0].line, 1);
-        assert_eq!(out.suppressions[0].rules, vec!["U1", "C1"]);
-        assert_eq!(out.suppressions[1].line, 3);
-        assert_eq!(out.suppressions[1].rules, vec!["A1"]);
-    }
-
-    #[test]
     fn byte_and_raw_strings_are_single_tokens() {
-        let toks = lex(r###"let x = (b"bytes", br#"raw bytes"#, b'\n');"###).tokens;
+        let toks = lex(r###"let x = (b"bytes", br#"raw bytes"#, b'\n');"###);
         assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Str).count(), 2);
         assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Char).count(), 1);
     }

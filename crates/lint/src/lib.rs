@@ -11,24 +11,22 @@
 //! (`clippy.toml`); S1 no-unsafe is rustc's `unsafe_code` lint
 //! (`[workspace.lints]`); P1 no-panic-in-lib is clippy's
 //! `unwrap_used`/`expect_used`/`panic` lints (the crate roots of `core`,
-//! `sim` and `serve`); M1 and T1 are exhaustive destructuring and
-//! matching that rustc checks.
+//! `sim` and `serve`); M1, C1 and T1 are exhaustive destructuring and
+//! matching that rustc checks (C1's dead-knob half is the root
+//! `tests/config_knobs.rs`).
 //!
-//! `gmt-lint` is the CI gate for the three the toolchain has no lint for:
+//! `gmt-lint` is the CI gate for the two the toolchain has no lint for:
 //!
 //! * **U1 unit-dimension** — values with unit suffixes (`_ns`, `_us`,
 //!   `_bytes`, …) do not mix dimensions without a conversion,
-//! * **C1 config-coverage** — every pub config field is read and
-//!   range-checked in `validate()`,
 //! * **A1 alloc-in-hot-loop** — no allocation churn in loops reachable
 //!   from the DES event roots ([`hotloop`]).
 //!
 //! The analysis tokenizes with a hand-rolled lexer ([`lexer`]) rather
 //! than a parser dependency, keeping the workspace offline-buildable.
-//! Every rule runs at deny level: any finding fails the run. Violations
-//! carry rustc-style `file:line:col` spans, can be silenced per line
-//! with `// gmt-lint: allow(<rule>): reason`, and are emitted as text or
-//! `--format json` for CI annotation.
+//! Every rule runs at deny level: any finding fails the run, and no
+//! comment silences one. Violations carry rustc-style `file:line:col`
+//! spans and are emitted as text or `--format json` for CI annotation.
 //!
 //! The rule set's recall is itself under test: the mutation-injection
 //! harness ([`mutate`], shipped as the `gmt-mutate` binary) synthesizes

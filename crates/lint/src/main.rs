@@ -21,14 +21,12 @@ OPTIONS:
     --list-rules            Print the rule table and exit
     -h, --help              Print this help
 
-Every rule runs at deny level: any finding fails the run.
+Every rule runs at deny level: any finding fails the run, and no comment
+silences one.
 
 EXIT CODES:
     0  no findings        1  findings
-    2  usage or I/O error, or the --max-millis budget was exceeded
-
-Suppress a single line with `// gmt-lint: allow(<RULE>): reason`, either
-trailing the offending line or on the line directly above it.";
+    2  usage or I/O error, or the --max-millis budget was exceeded";
 
 fn main() -> ExitCode {
     match run() {

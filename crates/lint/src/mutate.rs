@@ -4,8 +4,8 @@
 //! The invariants documented in DESIGN §10 are only trustworthy if the
 //! analyzer's *recall* is demonstrated rather than assumed. This module
 //! synthesizes known-bad variants ("mutants") of real workspace files —
-//! mixed-unit accumulations, dead config knobs, allocation in per-event
-//! roots — lints each variant through an in-memory [`Overlay`] (nothing
+//! mixed-unit accumulations and allocation in per-event roots — lints
+//! each variant through an in-memory [`Overlay`] (nothing
 //! is ever written into `src/`), and records per-rule recall into a
 //! `gmt-lint-recall/4` report with a `--check` gate pinned at 100% for
 //! every rule, and at [`MIN_MUTANTS`] mutants per rule.
@@ -30,8 +30,8 @@ use crate::callgraph::CallGraph;
 use crate::diag::json_str;
 use crate::engine::{apply_overlay, lint_files};
 use crate::hotloop::{PER_EVENT_ROOTS, ROOT_CRATES};
-use crate::rules::{rule, MutationTemplate, TargetKind, C1_STRUCTS, MUTATIONS, RULES};
-use crate::symbols::{build_symbols, AnalyzedFile};
+use crate::rules::{rule, MutationTemplate, TargetKind, MUTATIONS, RULES};
+use crate::symbols::AnalyzedFile;
 use crate::workspace::{slash_path, workspace_files, Overlay};
 
 /// Schema identifier stamped into the recall report.
@@ -241,19 +241,9 @@ fn fn_sites(corpus: &Corpus, crates: &[&str], names: Option<&[&str]>, cap: usize
         let Some(body) = info.item.body.as_ref() else {
             continue;
         };
-        let Some(open) = file.lexed.tokens.get(body.span.lo) else {
+        let Some(open) = file.tokens.get(body.span.lo) else {
             continue;
         };
-        // A suppression on the `{` line would cover the first injected
-        // line; skip such sites so recall is measured, not suppressed.
-        if file
-            .lexed
-            .suppressions
-            .iter()
-            .any(|s| s.line == open.line || s.line + 1 == open.line)
-        {
-            continue;
-        }
         out.push(FnSite {
             rel: slash_path(&file.rel),
             fn_name: info.item.name.clone(),
@@ -276,16 +266,6 @@ fn spliced(corpus: &Corpus, rel: &str, at: usize, snippet: &str) -> String {
     out
 }
 
-/// Byte position just past the `{` of `struct sname`, in `file`.
-fn struct_body_insert_at(file: &AnalyzedFile, sname: &str) -> Option<usize> {
-    let toks = &file.lexed.tokens;
-    let at = toks
-        .windows(2)
-        .position(|w| w[0].is_ident("struct") && w[1].is_ident(sname))?;
-    let open = toks[at..].iter().position(|t| t.is_punct('{'))? + at;
-    Some(toks[open].offset + toks[open].len)
-}
-
 fn template(name: &str) -> &'static MutationTemplate {
     MUTATIONS
         .iter()
@@ -304,7 +284,6 @@ fn template(name: &str) -> &'static MutationTemplate {
 pub fn synthesize(corpus: &Corpus) -> Vec<Mutant> {
     let mut out = Vec::new();
     synth_u1(corpus, MUTANT_CAP, &mut out);
-    synth_c1(corpus, MUTANT_CAP, &mut out);
     synth_a1(corpus, MUTANT_CAP, &mut out);
     out
 }
@@ -338,34 +317,6 @@ fn synth_u1(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
          \x20       __mut_total_ns += __mut_gap_us;\n\
          \x20       let _ = __mut_total_ns;",
     );
-}
-
-fn synth_c1(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
-    let syms = build_symbols(&corpus.files);
-    let tpl = template("c1-dead-knob");
-    let mut made = 0usize;
-    for sname in C1_STRUCTS {
-        if made == cap {
-            break;
-        }
-        let Some(info) = syms.structs.get(*sname) else {
-            continue;
-        };
-        let file = &corpus.files[info.file];
-        let Some(at) = struct_body_insert_at(file, sname) else {
-            continue;
-        };
-        let rel = slash_path(&file.rel);
-        out.push(Mutant {
-            template: tpl,
-            site: format!("{rel} {sname}.__mut_dead_knob"),
-            overlay: Overlay::single(
-                &rel,
-                spliced(corpus, &rel, at, "    pub __mut_dead_knob: u64,"),
-            ),
-        });
-        made += 1;
-    }
 }
 
 fn synth_a1(corpus: &Corpus, cap: usize, out: &mut Vec<Mutant>) {
@@ -449,8 +400,7 @@ OPTIONS:
     -h, --help          Print this help
 
 Synthesizes known-bad variants of real workspace files (mixed-unit
-accumulations, dead config knobs, allocation in per-event roots), lints
-each one through an in-memory overlay — mutant source is never written
+accumulations, allocation in per-event roots), lints each one through an in-memory overlay — mutant source is never written
 into src/ — and reports per-rule recall. Every rule is pinned at a 100%
 floor.
 

@@ -396,9 +396,7 @@ impl<'a> Parser<'a> {
             while i < seg_hi && self.is_p(i, '#') && self.is_p(i + 1, '[') {
                 i = self.after_matching(i + 1, seg_hi);
             }
-            let mut is_pub = false;
             if self.is_kw(i, "pub") {
-                is_pub = true;
                 i += 1;
                 if self.is_p(i, '(') {
                     i = self.after_matching(i, seg_hi);
@@ -412,8 +410,6 @@ impl<'a> Parser<'a> {
             }
             fields.push(FieldDef {
                 name: name_t.text.clone(),
-                name_tok: i,
-                is_pub,
                 ty: self.toks[i + 2..seg_hi]
                     .iter()
                     .map(|t| t.text.clone())
@@ -1535,15 +1531,15 @@ mod tests {
     use crate::lexer::lex;
 
     fn parse(src: &str) -> (File, Vec<Token>) {
-        let lexed = lex(src);
-        let file = parse_file(&lexed.tokens);
-        (file, lexed.tokens)
+        let tokens = lex(src);
+        let file = parse_file(&tokens);
+        (file, tokens)
     }
 
     fn roundtrip(src: &str) {
         let (file, tokens) = parse(src);
         let printed = crate::ast::print_file(&file, &tokens);
-        let relexed = lex(&printed).tokens;
+        let relexed = lex(&printed);
         assert_eq!(
             relexed.len(),
             tokens.len(),
@@ -1618,7 +1614,7 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_record_visibility_and_types() {
+    fn struct_fields_record_names_and_types() {
         let (file, _) = parse(
             "pub struct C { pub seed: u64, pub(crate) lat: Dur, inner: Vec<u8>, pub m: BTreeMap<u64, u64> }",
         );
@@ -1627,8 +1623,6 @@ mod tests {
         };
         let names: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["seed", "lat", "inner", "m"]);
-        assert!(s.fields[0].is_pub && s.fields[1].is_pub && s.fields[3].is_pub);
-        assert!(!s.fields[2].is_pub);
         assert_eq!(s.fields[1].ty, vec!["Dur"]);
     }
 

@@ -10,7 +10,7 @@
 //! | P1 | library code in `core`/`sim`/`serve` returns typed errors, not panics | clippy `unwrap_used`/`expect_used`/`panic`/`todo`/`unimplemented`, denied at those crate roots |
 //! | M1 | every `TieringMetrics` field is summed in `merge()` | rustc: `merge` destructures `other` without `..` (E0027 for a new field, `unused_variables` for a dropped one) |
 //! | U1 | values with unit suffixes do not mix dimensions | gmt-lint |
-//! | C1 | every pub config field is read and range-checked | gmt-lint |
+//! | C1 | every config field is range-checked and moves a run | rustc: each `validate()` destructures its struct without `..` (E0027 for a new field); the root `tests/config_knobs.rs` destructures the same structs and asserts a one-field change moves a seeded run |
 //! | T1 | every `TraceEvent` variant is handled by `crates/analysis` | rustc E0004 plus `#[deny(clippy::wildcard_enum_match_arm)]` on `TraceCounters::add` |
 //! | N1 | no wall-clock, RNG, thread-identity or hash-order value reaches an export | its sources are banned: clippy `disallowed-methods`/`disallowed-types`, every `clippy.toml` |
 //! | A1 | no allocation in loops reachable from the DES roots | gmt-lint |
@@ -18,9 +18,9 @@
 //! | R2 | model crates grow no new interior-mutability or sync cells | clippy `disallowed-types`, every `clippy.toml` |
 //! | O1 | no float folds over nondeterministic iteration order | clippy `disallowed-types` on `HashMap`/`HashSet`, every `clippy.toml` |
 //!
-//! Only U1, C1 and A1 have an entry in [`RULES`]. An intended exception
-//! to any other rule is an `#[expect(<lint>, reason = "…")]` attribute,
-//! not a `gmt-lint: allow` comment.
+//! Only U1 and A1 have an entry in [`RULES`]. An intended exception to
+//! any other rule is an `#[expect(<lint>, reason = "…")]` attribute; U1
+//! and A1 have no exceptions.
 //!
 //! Rules operate on the token stream from [`crate::lexer`] and the AST
 //! from [`crate::parser`], so comments, strings and doc examples can
@@ -30,12 +30,12 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::diag::Finding;
-use crate::lexer::{TokKind, Token};
+use crate::lexer::Token;
 
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct Rule {
-    /// Short stable id used in findings and suppression comments.
+    /// Short stable id used in findings.
     pub id: &'static str,
     /// Kebab-case human name.
     pub name: &'static str,
@@ -51,12 +51,6 @@ pub const RULES: &[Rule] = &[
         summary: "values with suffix-inferred units (_ns/_us/_ms/_bytes/_pages/_gbps) \
                   must not mix dimensions in arithmetic, comparisons, assignments or \
                   calls without an explicit conversion",
-    },
-    Rule {
-        id: "C1",
-        name: "config-coverage",
-        summary: "every pub config field must be read outside its definition (no dead \
-                  knobs) and numeric fields must be range-checked in validate()",
     },
     Rule {
         id: "A1",
@@ -97,12 +91,6 @@ pub const MUTATIONS: &[MutationTemplate] = &[
         name: "u1-mixed-units",
         summary: "insert a `total_ns += gap_us` accumulation with no unit \
                   conversion",
-    },
-    MutationTemplate {
-        rule: "C1",
-        name: "c1-dead-knob",
-        summary: "add a pub config field that nothing reads and no validate() \
-                  range-checks",
     },
     MutationTemplate {
         rule: "A1",
@@ -215,31 +203,22 @@ pub fn test_mask(tokens: &[Token]) -> Vec<bool> {
 }
 
 // --------------------------------------------------------------------------
-// Semantic rules (U1/C1), built on the AST + symbol table.
+// U1, built on the AST + symbol table.
 // --------------------------------------------------------------------------
 
 use crate::ast::{BinOp, Block, Expr, ExprKind, FnItem, Item, ItemKind, Stmt, StmtKind};
-use crate::symbols::{dim_of_ty, impl_context_map, unit_of_name, AnalyzedFile, Dim, Symbols, Unit};
-
-/// Config structs C1 audits for dead knobs and validate() coverage.
-pub const C1_STRUCTS: &[&str] = &[
-    "GmtConfig",
-    "ReuseConfig",
-    "SsdConfig",
-    "HostLinkConfig",
-    "FrontendConfig",
-];
+use crate::symbols::{dim_of_ty, unit_of_name, AnalyzedFile, Dim, Symbols, Unit};
 
 /// Runs the U1 unit-dimension analysis over one file's AST.
 pub fn check_unit_dimensions(
     ctx: FileContext<'_>,
     file: &AnalyzedFile,
     syms: &Symbols,
-    out: &mut Findings<'_>,
+    out: &mut Vec<Finding>,
 ) {
     let mut w = UnitWalker {
         ctx,
-        toks: &file.lexed.tokens,
+        toks: &file.tokens,
         syms,
         out,
         locals: Vec::new(),
@@ -249,11 +228,11 @@ pub fn check_unit_dimensions(
     }
 }
 
-struct UnitWalker<'a, 'b, 'c> {
+struct UnitWalker<'a, 'b> {
     ctx: FileContext<'a>,
     toks: &'a [Token],
     syms: &'a Symbols,
-    out: &'c mut Findings<'b>,
+    out: &'b mut Vec<Finding>,
     /// Scope stack of local-binding dimensions; lookups scan outward.
     locals: Vec<BTreeMap<String, Dim>>,
 }
@@ -272,7 +251,7 @@ const U1_COMBINATORS: &[&str] = &[
     "wrapping_sub",
 ];
 
-impl UnitWalker<'_, '_, '_> {
+impl UnitWalker<'_, '_> {
     fn lookup(&self, name: &str) -> Option<Dim> {
         self.locals.iter().rev().find_map(|s| s.get(name)).copied()
     }
@@ -285,7 +264,7 @@ impl UnitWalker<'_, '_, '_> {
 
     fn report(&mut self, at_tok: usize, message: String) {
         if let Some(at) = self.toks.get(at_tok) {
-            self.out.push(self.ctx, "U1", at, message);
+            self.out.push(Finding::at(self.ctx, "U1", at, message));
         }
     }
 
@@ -670,174 +649,5 @@ impl UnitWalker<'_, '_, '_> {
         if let Some(rest) = rest {
             self.expr(rest);
         }
-    }
-}
-
-/// C1: every pub field of the config structs must be read outside its
-/// own definition, and numeric fields must be range-checked.
-pub fn check_config_coverage(files: &[AnalyzedFile], syms: &Symbols) -> (Vec<Finding>, usize) {
-    let mut findings = Vec::new();
-    let mut suppressed = 0usize;
-    for sname in C1_STRUCTS {
-        let Some(info) = syms.structs.get(*sname) else {
-            continue;
-        };
-        let def_file = &files[info.file];
-        let impl_map = impl_context_map(def_file);
-        for field in info.fields.iter().filter(|f| f.is_pub) {
-            let mut read = false;
-            'files: for (fi, f) in files.iter().enumerate() {
-                if !matches!(f.target, TargetKind::Lib | TargetKind::Bin) {
-                    continue;
-                }
-                let toks = &f.lexed.tokens;
-                let mask = test_mask(toks);
-                for i in 0..toks.len().saturating_sub(1) {
-                    if !toks[i].is_punct('.') || mask[i] {
-                        continue;
-                    }
-                    // `..field` is range/struct-update syntax, not a read,
-                    // and `.field(` is a method call.
-                    if i > 0 && toks[i - 1].is_punct('.') {
-                        continue;
-                    }
-                    if toks[i + 1].kind != TokKind::Ident || toks[i + 1].text != field.name {
-                        continue;
-                    }
-                    if toks.get(i + 2).is_some_and(|t| t.is_punct('(')) {
-                        continue;
-                    }
-                    // Inside the struct's own impl blocks (validate,
-                    // accessors) does not count as wiring the knob up.
-                    if fi == info.file
-                        && impl_map.get(i + 1).and_then(Option::as_deref) == Some(sname)
-                    {
-                        continue;
-                    }
-                    read = true;
-                    break 'files;
-                }
-            }
-            let at = &def_file.lexed.tokens[field.name_tok];
-            let ctx = def_file.context();
-            let mut out = Findings::new(&def_file.lexed.suppressions);
-            if !read {
-                out.push(
-                    ctx,
-                    "C1",
-                    at,
-                    format!(
-                        "config field `{sname}.{}` is never read outside its own definition — \
-                         a dead knob silently diverges the model from its configuration",
-                        field.name
-                    ),
-                );
-            }
-            if field.numeric && !syms.validate_idents.contains(&field.name) {
-                out.push(
-                    ctx,
-                    "C1",
-                    at,
-                    format!(
-                        "numeric config field `{sname}.{}` is not range-checked by any \
-                         `validate()`; a nonsensical value would corrupt results silently",
-                        field.name
-                    ),
-                );
-            }
-            findings.extend(out.findings);
-            suppressed += out.suppressed;
-        }
-    }
-    (findings, suppressed)
-}
-
-/// Accumulates findings for one file, applying
-/// `// gmt-lint: allow(...)` suppressions as they are pushed.
-pub struct Findings<'a> {
-    suppressions: &'a [crate::lexer::Suppression],
-    /// Findings that survived, appended in token order.
-    pub findings: Vec<Finding>,
-    /// How many findings a suppression silenced.
-    pub suppressed: usize,
-}
-
-impl<'a> Findings<'a> {
-    /// Creates an accumulator using the file's suppression comments.
-    pub fn new(suppressions: &'a [crate::lexer::Suppression]) -> Findings<'a> {
-        Findings {
-            suppressions,
-            findings: Vec::new(),
-            suppressed: 0,
-        }
-    }
-
-    /// Records a finding at `at`, unless a suppression covers it.
-    pub(crate) fn push(
-        &mut self,
-        ctx: FileContext<'_>,
-        rule_id: &'static str,
-        at: &Token,
-        message: String,
-    ) {
-        // A suppression covers its own line (trailing comment) and the
-        // line below it (standalone comment above the violation).
-        let silenced = self.suppressions.iter().any(|s| {
-            (s.line == at.line || s.line + 1 == at.line) && s.rules.iter().any(|r| r == rule_id)
-        });
-        if silenced {
-            self.suppressed += 1;
-            return;
-        }
-        let (end_line, end_col) = at.end_pos();
-        self.findings.push(Finding {
-            rule: rule_id,
-            file: ctx.rel_path.to_path_buf(),
-            line: at.line,
-            col: at.col,
-            end_line,
-            end_col,
-            snippet: at.text.clone(),
-            message,
-        });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::symbols::build_symbols;
-    use std::path::PathBuf;
-
-    /// Runs U1 over `src` as `crates/core/src/x.rs`.
-    fn run_u1(src: &str) -> (Vec<Finding>, usize) {
-        let files = [AnalyzedFile::analyze(
-            PathBuf::from("crates/core/src/x.rs"),
-            "core".to_string(),
-            TargetKind::Lib,
-            src,
-        )];
-        let syms = build_symbols(&files);
-        let mut out = Findings::new(&files[0].lexed.suppressions);
-        check_unit_dimensions(files[0].context(), &files[0], &syms, &mut out);
-        (out.findings, out.suppressed)
-    }
-
-    const MIXED: &str =
-        "fn f(gap_us: u64) -> u64 { let mut total_ns: u64 = 0; total_ns += gap_us; total_ns }";
-
-    #[test]
-    fn suppressions_cover_their_line_and_the_next() {
-        let trailing = format!("{MIXED} // gmt-lint: allow(U1): demo");
-        let (f, s) = run_u1(&trailing);
-        assert!(f.is_empty());
-        assert_eq!(s, 1);
-        let above = format!("// gmt-lint: allow(U1): demo\n{MIXED}");
-        let (f, s) = run_u1(&above);
-        assert!(f.is_empty());
-        assert_eq!(s, 1);
-        let wrong_rule = format!("// gmt-lint: allow(C1)\n{MIXED}");
-        let (f, _) = run_u1(&wrong_rule);
-        assert_eq!(f.len(), 1, "allow(C1) must not silence U1");
     }
 }

@@ -1,10 +1,9 @@
-//! Workspace-wide symbol table for the semantic rules (U1/C1).
+//! Workspace-wide symbol table for the U1 unit-dimension rule.
 //!
 //! Built from every parsed file's AST in one pass, the table answers the
 //! cross-file questions one file's tokens cannot: which unit a function
-//! parameter expects (from its name suffix), which fields a config
-//! struct declares and whether they are numeric, and which identifiers
-//! any `validate()` body mentions.
+//! parameter expects (from its name suffix), what it returns, and which
+//! struct fields are `Dur`-typed.
 //!
 //! Unit inference is deliberately suffix-based and exact: only the final
 //! `_`-separated segment of an identifier names a unit, so
@@ -14,11 +13,11 @@
 //! rustc's operator impls, so the linter only flags *raw* integers whose
 //! inferred units disagree.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use crate::ast::{File, Item, ItemKind};
-use crate::lexer::{lex, LexOutput, TokKind};
+use crate::lexer::{lex, Token};
 use crate::rules::{FileContext, TargetKind};
 
 /// A concrete measurement unit inferred from an identifier suffix.
@@ -102,27 +101,6 @@ pub fn dim_of_ty(ty: &[String]) -> Dim {
     }
 }
 
-/// Whether a field type is a numeric primitive (C1's validate() scope).
-fn is_numeric_ty(ty: &[String]) -> bool {
-    ty.len() == 1
-        && matches!(
-            ty[0].as_str(),
-            "u8" | "u16"
-                | "u32"
-                | "u64"
-                | "u128"
-                | "usize"
-                | "i8"
-                | "i16"
-                | "i32"
-                | "i64"
-                | "i128"
-                | "isize"
-                | "f32"
-                | "f64"
-        )
-}
-
 /// One function signature, keyed by bare name in [`Symbols::fns`].
 #[derive(Debug, Clone)]
 pub struct FnSig {
@@ -139,21 +117,13 @@ pub struct FnSig {
 pub struct FieldInfo {
     /// Field name.
     pub name: String,
-    /// Declared `pub` (any visibility qualifier counts).
-    pub is_pub: bool,
-    /// Whether the type is a bare numeric primitive.
-    pub numeric: bool,
     /// Dimension of the field's type (`Dur`/`Time`) — not its name.
     pub ty_dim: Dim,
-    /// Token index of the field name in the defining file.
-    pub name_tok: usize,
 }
 
 /// One struct definition.
 #[derive(Debug, Clone)]
 pub struct StructInfo {
-    /// Index of the defining file in the analyzed-file slice.
-    pub file: usize,
     /// Declared fields in source order.
     pub fields: Vec<FieldInfo>,
 }
@@ -167,8 +137,8 @@ pub struct AnalyzedFile {
     pub crate_name: String,
     /// Which target the file compiles into.
     pub target: TargetKind,
-    /// Token stream and suppression comments.
-    pub lexed: LexOutput,
+    /// The file's tokens.
+    pub tokens: Vec<Token>,
     /// The parsed (lossless) syntax tree.
     pub ast: File,
 }
@@ -181,13 +151,13 @@ impl AnalyzedFile {
         target: TargetKind,
         source: &str,
     ) -> AnalyzedFile {
-        let lexed = lex(source);
-        let ast = crate::parser::parse_file(&lexed.tokens);
+        let tokens = lex(source);
+        let ast = crate::parser::parse_file(&tokens);
         AnalyzedFile {
             rel,
             crate_name,
             target,
-            lexed,
+            tokens,
             ast,
         }
     }
@@ -209,22 +179,20 @@ pub struct Symbols {
     pub fns: BTreeMap<String, Vec<FnSig>>,
     /// Struct definitions by name (first definition wins).
     pub structs: BTreeMap<String, StructInfo>,
-    /// Every identifier mentioned inside any `fn validate` body.
-    pub validate_idents: BTreeSet<String>,
 }
 
 /// Builds the symbol table from every analyzed file.
 pub fn build_symbols(files: &[AnalyzedFile]) -> Symbols {
     let mut syms = Symbols::default();
-    for (idx, file) in files.iter().enumerate() {
+    for file in files {
         for item in &file.ast.items {
-            collect_item(&mut syms, idx, file, item);
+            collect_item(&mut syms, item);
         }
     }
     syms
 }
 
-fn collect_item(syms: &mut Symbols, file_idx: usize, file: &AnalyzedFile, item: &Item) {
+fn collect_item(syms: &mut Symbols, item: &Item) {
     match &item.kind {
         ItemKind::Fn(f) => {
             let ret_dim = match dim_of_ty(&f.ret_ty) {
@@ -241,30 +209,15 @@ fn collect_item(syms: &mut Symbols, file_idx: usize, file: &AnalyzedFile, item: 
                 ret_dim,
             };
             syms.fns.entry(f.name.clone()).or_default().push(sig);
-            if f.name == "validate" {
-                if let Some(body) = &f.body {
-                    let toks = &file.lexed.tokens;
-                    let hi = body.span.hi.min(toks.len());
-                    for tok in &toks[body.span.lo..hi] {
-                        if tok.kind == TokKind::Ident {
-                            syms.validate_idents.insert(tok.text.clone());
-                        }
-                    }
-                }
-            }
         }
         ItemKind::Struct(s) => {
             let info = StructInfo {
-                file: file_idx,
                 fields: s
                     .fields
                     .iter()
                     .map(|fd| FieldInfo {
                         name: fd.name.clone(),
-                        is_pub: fd.is_pub,
-                        numeric: is_numeric_ty(&fd.ty),
                         ty_dim: dim_of_ty(&fd.ty),
-                        name_tok: fd.name_tok,
                     })
                     .collect(),
             };
@@ -272,46 +225,15 @@ fn collect_item(syms: &mut Symbols, file_idx: usize, file: &AnalyzedFile, item: 
         }
         ItemKind::Impl(imp) => {
             for inner in &imp.items {
-                collect_item(syms, file_idx, file, inner);
+                collect_item(syms, inner);
             }
         }
         ItemKind::Mod(m) => {
             for inner in &m.items {
-                collect_item(syms, file_idx, file, inner);
+                collect_item(syms, inner);
             }
         }
         ItemKind::Enum(_) | ItemKind::Verbatim => {}
-    }
-}
-
-/// Maps each token index to the `self_ty` of the innermost enclosing
-/// `impl` block, for C1's "read outside the struct's own impls" test.
-pub fn impl_context_map(file: &AnalyzedFile) -> Vec<Option<String>> {
-    let mut map = vec![None; file.lexed.tokens.len()];
-    for item in &file.ast.items {
-        mark_impls(item, &mut map);
-    }
-    map
-}
-
-fn mark_impls(item: &Item, map: &mut [Option<String>]) {
-    match &item.kind {
-        ItemKind::Impl(imp) => {
-            let hi = item.span.hi.min(map.len());
-            for slot in map.iter_mut().take(hi).skip(item.span.lo) {
-                *slot = Some(imp.self_ty.clone());
-            }
-            // Nested impls (rare) override their parent's range.
-            for inner in &imp.items {
-                mark_impls(inner, map);
-            }
-        }
-        ItemKind::Mod(m) => {
-            for inner in &m.items {
-                mark_impls(inner, map);
-            }
-        }
-        _ => {}
     }
 }
 
@@ -356,36 +278,14 @@ mod tests {
     }
 
     #[test]
-    fn struct_table_flags_numeric_and_typed_fields() {
+    fn struct_table_records_typed_fields() {
         let f = analyzed(
             "pub struct SsdConfig { pub block_bytes: u32, pub read_latency: Dur, pub name: String }",
         );
         let syms = build_symbols(std::slice::from_ref(&f));
         let s = &syms.structs["SsdConfig"];
-        assert!(s.fields[0].numeric && s.fields[0].is_pub);
+        assert_eq!(s.fields[0].ty_dim, Dim::Unknown);
         assert_eq!(s.fields[1].ty_dim, Dim::Dur);
-        assert!(!s.fields[1].numeric);
-        assert!(!s.fields[2].numeric);
-    }
-
-    #[test]
-    fn validate_bodies_feed_the_ident_set() {
-        let f = analyzed(
-            "impl C { pub fn validate(&self) -> Result<(), E> { if self.channels == 0 { return Err(E::Zero); } Ok(()) } }",
-        );
-        let syms = build_symbols(std::slice::from_ref(&f));
-        assert!(syms.validate_idents.contains("channels"));
-        assert!(!syms.validate_idents.contains("block_bytes"));
-    }
-
-    #[test]
-    fn impl_context_covers_only_impl_ranges() {
-        let f = analyzed("fn free() {}\nimpl S { fn m(&self) { self.x; } }");
-        let map = impl_context_map(&f);
-        let toks = &f.lexed.tokens;
-        let x_pos = toks.iter().position(|t| t.is_ident("x")).expect("x");
-        let free_pos = toks.iter().position(|t| t.is_ident("free")).expect("free");
-        assert_eq!(map[x_pos].as_deref(), Some("S"));
-        assert_eq!(map[free_pos], None);
+        assert_eq!(s.fields[2].name, "name");
     }
 }

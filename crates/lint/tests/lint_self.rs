@@ -1,8 +1,7 @@
 //! The lint's own acceptance suite: every fixture trips exactly the rule
-//! it was planted for, the real workspace is clean, the suppression
-//! syntax works, every workspace manifest opts into the workspace lints
-//! that carry S1, and every per-crate `clippy.toml` keeps the root
-//! file's bans.
+//! it was planted for, the real workspace is clean, every workspace
+//! manifest opts into the workspace lints that carry S1, and every
+//! per-crate `clippy.toml` keeps the root file's bans.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -36,13 +35,6 @@ const PLANTED: &[(&str, &str, &str, TargetKind, &str)] = &[
         "U1",
     ),
     (
-        "c1_dead_config.rs",
-        "crates/ssd/src/knobs.rs",
-        "ssd",
-        TargetKind::Lib,
-        "C1",
-    ),
-    (
         "a1_alloc_hot_loop.rs",
         "crates/core/src/hotcache.rs",
         "core",
@@ -62,14 +54,13 @@ const PLANTED: &[(&str, &str, &str, TargetKind, &str)] = &[
 fn each_fixture_trips_exactly_its_rule_at_deny() {
     for (file, path, crate_name, target, expected) in PLANTED {
         let source = fixture(file);
-        let (findings, suppressed) = check_source(Path::new(path), crate_name, *target, &source);
+        let findings = check_source(Path::new(path), crate_name, *target, &source);
         assert_eq!(
             findings.len(),
             1,
             "{file} must plant exactly one violation, got {findings:#?}"
         );
         assert_eq!(findings[0].rule, *expected, "{file}");
-        assert_eq!(suppressed, 0, "{file}");
     }
 }
 
@@ -79,10 +70,8 @@ fn each_fixture_trips_exactly_its_rule_at_deny() {
 fn a_planted_regression_fails_the_run() {
     for (file, path, crate_name, target, expected) in PLANTED {
         let source = fixture(file);
-        let (findings, _) = check_source(Path::new(path), crate_name, *target, &source);
         let report = Report {
-            findings,
-            suppressed: 0,
+            findings: check_source(Path::new(path), crate_name, *target, &source),
             files_scanned: 1,
         };
         assert!(
@@ -93,29 +82,12 @@ fn a_planted_regression_fails_the_run() {
     }
 }
 
+/// Inventory completeness: every registered rule must ship at least one
+/// firing fixture and at least one mutation template, so the gmt-mutate
+/// harness measures its recall — and every template must name a
+/// registered rule. A rule cannot land without both.
 #[test]
-fn allow_comment_suppresses_a_planted_violation() {
-    let cases: &[(&str, &str, &str)] = &[
-        ("suppressed_u1.rs", "crates/core/src/latency.rs", "core"),
-        ("suppressed_c1.rs", "crates/ssd/src/knobs.rs", "ssd"),
-        ("suppressed_a1.rs", "crates/core/src/hotcache.rs", "core"),
-    ];
-    for (file, path, crate_name) in cases {
-        let source = fixture(file);
-        let (findings, suppressed) =
-            check_source(Path::new(path), crate_name, TargetKind::Lib, &source);
-        assert!(findings.is_empty(), "{file}: {findings:#?}");
-        assert_eq!(suppressed, 1, "{file}: suppression must be counted");
-    }
-}
-
-/// Inventory completeness: every registered rule must ship (a) at least
-/// one firing fixture, (b) a suppression twin proving the rule honors
-/// the allow syntax, and (c) at least one mutation template so the
-/// gmt-mutate harness measures its recall — and every template must
-/// name a registered rule. A rule cannot land without all three.
-#[test]
-fn every_rule_has_fixture_twin_and_mutation_template() {
+fn every_rule_has_fixture_and_mutation_template() {
     use gmt_lint::rules::{MUTATIONS, RULES};
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let names: Vec<String> = fs::read_dir(&dir)
@@ -127,12 +99,6 @@ fn every_rule_has_fixture_twin_and_mutation_template() {
         assert!(
             names.iter().any(|n| n.starts_with(&prefix)),
             "rule {} has no firing fixture ({prefix}*.rs)",
-            r.id
-        );
-        let twin = format!("suppressed_{}.rs", r.id.to_lowercase());
-        assert!(
-            names.contains(&twin),
-            "rule {} has no suppression twin ({twin})",
             r.id
         );
         assert!(
@@ -151,70 +117,6 @@ fn every_rule_has_fixture_twin_and_mutation_template() {
     }
 }
 
-/// Inventory of the workspace's surviving suppressions: every
-/// `gmt-lint: allow(...)` must carry a reason, and the only ones left are
-/// the two documented C1 exceptions in `crates/core/src/config.rs` (a
-/// knob whose every value is valid). Exceptions to the rules the
-/// toolchain checks are `#[expect(…, reason = …)]` attributes instead.
-#[test]
-fn workspace_suppressions_are_inventoried_and_justified() {
-    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-        for entry in fs::read_dir(dir).expect("readable dir") {
-            let path = entry.expect("dir entry").path();
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            if path.is_dir() {
-                if name != "target" && name != "fixtures" && name != "vendor" {
-                    rust_files(&path, out);
-                }
-            } else if name.ends_with(".rs") {
-                out.push(path);
-            }
-        }
-    }
-    let mut files = Vec::new();
-    for dir in ["crates", "src", "tests", "examples"] {
-        rust_files(&repo_root().join(dir), &mut files);
-    }
-    assert!(files.len() > 50, "the walk must cover the crates");
-
-    let mut sites = Vec::new();
-    for path in &files {
-        let source = fs::read_to_string(path).expect("readable source");
-        let display = path
-            .strip_prefix(repo_root())
-            .unwrap()
-            .display()
-            .to_string();
-        // The lint crate's own sources mention the syntax in docs and
-        // string literals; only enforce the simulator crates.
-        if display.starts_with("crates/lint/") {
-            continue;
-        }
-        for (i, line) in source.lines().enumerate() {
-            let Some(pos) = line.find("gmt-lint: allow(") else {
-                continue;
-            };
-            let after = &line[pos + "gmt-lint: allow(".len()..];
-            assert!(
-                after.contains("):"),
-                "{display}:{}: suppression must carry a `: reason`",
-                i + 1
-            );
-            let rules = &after[..after.find(')').unwrap_or(after.len())];
-            sites.push((display.clone(), rules.to_string()));
-        }
-    }
-    let config = "crates/core/src/config.rs".to_string();
-    assert_eq!(
-        sites,
-        vec![
-            (config.clone(), "C1".to_string()),
-            (config, "C1".to_string())
-        ],
-        "the only sanctioned suppressions are the two C1 knobs in core's config.rs"
-    );
-}
-
 /// The workspace itself must hold every invariant the lint enforces —
 /// this is the test that keeps it that way.
 #[test]
@@ -226,15 +128,11 @@ fn real_workspace_is_clean_at_deny_level() {
         report.render_text()
     );
     assert!(report.files_scanned > 100, "the walk must cover the tree");
-    assert!(
-        report.suppressed > 0,
-        "the documented exceptions carry suppressions"
-    );
 }
 
-/// The full pass — the order-sensitivity scan included — is budgeted
-/// at 6 s; the debug-profile walk currently takes well under one
-/// second.
+/// The full pass — U1 over every file and A1 over the call graph — is
+/// budgeted at 6 s; the debug-profile walk currently takes well under
+/// one second.
 #[test]
 fn full_workspace_pass_is_fast() {
     let started = std::time::Instant::now();
@@ -422,7 +320,7 @@ fn span_text(contents: &str, line: usize, col: usize, end_line: usize, end_col: 
 fn finding_snippets_round_trip_against_the_fixture_sources() {
     for (file, path, crate_name, target, _) in PLANTED {
         let source = fixture(file);
-        let (findings, _) = check_source(Path::new(path), crate_name, *target, &source);
+        let findings = check_source(Path::new(path), crate_name, *target, &source);
         assert!(!findings.is_empty(), "{file}: no planted finding");
         for f in &findings {
             assert!(

@@ -25,10 +25,10 @@ fn every_workspace_file_round_trips_token_for_token() {
     let mut checked = 0usize;
     for sf in &files {
         let source = std::fs::read_to_string(&sf.abs).expect("read source");
-        let tokens = lex(&source).tokens;
+        let tokens = lex(&source);
         let file = parse_file(&tokens);
         let printed = print_file(&file, &tokens);
-        let relexed = lex(&printed).tokens;
+        let relexed = lex(&printed);
 
         assert_eq!(
             tokens.len(),

@@ -120,10 +120,21 @@ impl HostLinkConfig {
     ///
     /// Returns a static description of the first nonsensical knob.
     pub fn validate(&self) -> Result<(), &'static str> {
-        if !(self.link_bytes_per_sec.is_finite() && self.link_bytes_per_sec > 0.0) {
+        // No `..`: a new knob does not compile until it is named here.
+        let HostLinkConfig {
+            link_bytes_per_sec,
+            // A `Dur` cannot be negative, and zero is a valid cost.
+            link_latency: _,
+            dma_call_gap: _,
+            pin_overhead: _,
+            pin_per_page: _,
+            per_thread_bytes_per_sec,
+            lookup_cost: _,
+        } = *self;
+        if !(link_bytes_per_sec.is_finite() && link_bytes_per_sec > 0.0) {
             return Err("link_bytes_per_sec must be finite and positive");
         }
-        if !(self.per_thread_bytes_per_sec.is_finite() && self.per_thread_bytes_per_sec > 0.0) {
+        if !(per_thread_bytes_per_sec.is_finite() && per_thread_bytes_per_sec > 0.0) {
             return Err("per_thread_bytes_per_sec must be finite and positive");
         }
         Ok(())
@@ -297,6 +308,41 @@ mod tests {
 
     fn elapsed_us(done: Time) -> f64 {
         done.since(Time::ZERO).as_nanos() as f64 / 1e3
+    }
+
+    #[test]
+    fn validate_names_every_degenerate_knob() {
+        assert_eq!(HostLinkConfig::default().validate(), Ok(()));
+        type Case = (fn(&mut HostLinkConfig), &'static str);
+        let cases: [Case; 6] = [
+            (|c| c.link_bytes_per_sec = 0.0, "link_bytes_per_sec"),
+            (
+                |c| c.link_bytes_per_sec = f64::INFINITY,
+                "link_bytes_per_sec",
+            ),
+            (
+                |c| c.per_thread_bytes_per_sec = 0.0,
+                "per_thread_bytes_per_sec",
+            ),
+            (
+                |c| c.per_thread_bytes_per_sec = -1.0,
+                "per_thread_bytes_per_sec",
+            ),
+            (
+                |c| c.per_thread_bytes_per_sec = f64::INFINITY,
+                "per_thread_bytes_per_sec",
+            ),
+            (
+                |c| c.per_thread_bytes_per_sec = f64::NAN,
+                "per_thread_bytes_per_sec",
+            ),
+        ];
+        for (mutate, field) in cases {
+            let mut config = HostLinkConfig::default();
+            mutate(&mut config);
+            let err = config.validate().expect_err(field);
+            assert!(err.starts_with(field), "{field}: {err}");
+        }
     }
 
     #[test]

@@ -38,16 +38,28 @@ impl SsdConfig {
     ///
     /// Returns a static description of the first nonsensical knob.
     pub fn validate(&self) -> Result<(), &'static str> {
-        if self.block_bytes == 0 {
+        // No `..`: a new knob does not compile until it is named here.
+        let SsdConfig {
+            block_bytes,
+            // A `Dur` cannot be negative, and zero is a valid latency.
+            read_latency: _,
+            write_latency: _,
+            channels,
+            channel_bytes_per_sec,
+            link_bytes_per_sec,
+            link_latency: _,
+            submit_overhead: _,
+        } = *self;
+        if block_bytes == 0 {
             return Err("block_bytes must be at least one byte");
         }
-        if self.channels == 0 {
+        if channels == 0 {
             return Err("channels must be at least one flash channel");
         }
-        if !(self.channel_bytes_per_sec.is_finite() && self.channel_bytes_per_sec > 0.0) {
+        if !(channel_bytes_per_sec.is_finite() && channel_bytes_per_sec > 0.0) {
             return Err("channel_bytes_per_sec must be finite and positive");
         }
-        if !(self.link_bytes_per_sec.is_finite() && self.link_bytes_per_sec > 0.0) {
+        if !(link_bytes_per_sec.is_finite() && link_bytes_per_sec > 0.0) {
             return Err("link_bytes_per_sec must be finite and positive");
         }
         Ok(())
@@ -258,6 +270,33 @@ mod tests {
     use super::*;
 
     const PAGE: u64 = 64 * 1024;
+
+    #[test]
+    fn validate_names_every_degenerate_knob() {
+        assert_eq!(SsdConfig::default().validate(), Ok(()));
+        type Case = (fn(&mut SsdConfig), &'static str);
+        let cases: [Case; 7] = [
+            (|c| c.block_bytes = 0, "block_bytes"),
+            (|c| c.channels = 0, "channels"),
+            (|c| c.channel_bytes_per_sec = 0.0, "channel_bytes_per_sec"),
+            (
+                |c| c.channel_bytes_per_sec = f64::NAN,
+                "channel_bytes_per_sec",
+            ),
+            (|c| c.link_bytes_per_sec = -1.0, "link_bytes_per_sec"),
+            (
+                |c| c.link_bytes_per_sec = f64::INFINITY,
+                "link_bytes_per_sec",
+            ),
+            (|c| c.link_bytes_per_sec = f64::NAN, "link_bytes_per_sec"),
+        ];
+        for (mutate, field) in cases {
+            let mut config = SsdConfig::default();
+            mutate(&mut config);
+            let err = config.validate().expect_err(field);
+            assert!(err.starts_with(field), "{field}: {err}");
+        }
+    }
 
     #[test]
     fn single_page_read_near_130us() {
