@@ -1,5 +1,6 @@
 //! Regenerates every table and figure of the paper's evaluation in one
-//! process: the 17 captures under `results/figures/` and `REPORT.md`.
+//! process, plus the serving extensions: the 20 captures under
+//! `results/figures/` and `REPORT.md`.
 //!
 //! ```sh
 //! cargo run -p gmt-bench --release --bin paper [OUTPUT_ROOT]
@@ -8,7 +9,13 @@
 //! The files are written below `OUTPUT_ROOT` (default: the current
 //! directory). `GMT_T1_PAGES` (default 1024) sets the Tier-1 size and
 //! `GMT_SEED` (default 1) the seed of every figure but `ablate`, which
-//! always runs seed 1 on 800-page workloads.
+//! always runs seed 1 on 800-page workloads, and the serving captures
+//! (`serve_isolation`, `serve_scaling`, `frontend_slo`), which run
+//! [`gmt_bench::serving`]'s scenarios at fixed sizes and seeds.
+//!
+//! Each serving capture ends in one verdict line per acceptance
+//! threshold. All files are written either way; if a threshold fails,
+//! the driver then exits 1 naming it.
 //!
 //! The figures share their inputs: each suite is built once, each
 //! (app, system, geometry) run happens once, each app is characterized
@@ -31,20 +38,23 @@ use gmt_analysis::{
     characterize, correlation, eviction_rrd_series, vtd_rd_pairs, Characterization,
 };
 use gmt_baselines::{Hmm, HmmConfig};
+use gmt_bench::serving::{self, Isolation, Verdict};
 use gmt_bench::{
     batch_transfer_bandwidth, data_set_pages, prepared_suite, zipf_delivered_bandwidth, Prepared,
 };
 use gmt_core::{GmtConfig, MarkovScope, PolicyKind, PredictorKind, Tier2Insert};
+use gmt_frontend::Frontend;
 use gmt_gpu::{Executor, ExecutorConfig};
 use gmt_mem::{TierGeometry, WARP_PAGES};
 use gmt_pcie::TransferMethod;
 use gmt_reuse::mrc::MissRatioCurve;
 use gmt_reuse::{Ols, SamplerConfig};
+use gmt_serve::PartitionPolicy;
 use gmt_sim::Dur;
 use gmt_workloads::kron::scale_bits_for_pages;
+use gmt_workloads::synthetic::{SequentialScan, ZipfLoop};
 use gmt_workloads::{
-    hotspot::Hotspot, non_graph_suite, srad::Srad, suite, synthetic::ZipfLoop, Workload,
-    WorkloadScale,
+    hotspot::Hotspot, non_graph_suite, srad::Srad, suite, Workload, WorkloadScale,
 };
 
 /// Pages of the default data sets per Tier-1 page: Tier-1 + Tier-2 (4×)
@@ -67,7 +77,7 @@ const FIG8_HEADERS: [&str; 4] = ["Application", "GMT-TierOrder", "GMT-Random", "
 type Figure = fn(&mut Inputs) -> String;
 
 /// Every capture, by id: `results/figures/<id>.txt`.
-const FIGURES: [(&str, Figure); 17] = [
+const FIGURES: [(&str, Figure); 20] = [
     ("tab2", tab2),
     ("fig4a", fig4a),
     ("fig4bc", fig4bc),
@@ -85,6 +95,9 @@ const FIGURES: [(&str, Figure); 17] = [
     ("overheads", overheads),
     ("timeline", timeline),
     ("ablate", ablate),
+    ("serve_isolation", serve_isolation),
+    ("serve_scaling", serve_scaling),
+    ("frontend_slo", frontend_slo),
 ];
 
 fn main() -> ExitCode {
@@ -117,7 +130,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             .map_err(|e| format!("{}: {e}", path.display()))?;
         eprintln!("wrote {}", path.display());
     }
-    Ok(())
+    if inputs.failed.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("serving thresholds failed:\n{}", inputs.failed.join("\n")).into())
+    }
 }
 
 /// Tier-1 pages and seed from `GMT_T1_PAGES` (default 1024) and
@@ -167,6 +184,8 @@ struct Inputs {
     /// A tenth of the traced run: the width of every trace window.
     window: Dur,
     runs: Vec<((usize, SystemKind, TierGeometry), RunResult)>,
+    /// Every failed serving verdict, as `<capture>: <verdict>`.
+    failed: Vec<String>,
 }
 
 impl Inputs {
@@ -207,6 +226,7 @@ impl Inputs {
             traced,
             window,
             runs: Vec::new(),
+            failed: Vec::new(),
         })
     }
 
@@ -1105,6 +1125,105 @@ fn ablate(_: &mut Inputs) -> String {
         );
     }
     out
+}
+
+/// A serving capture's closing verdict lines; the failed ones are also
+/// kept in `inputs`, named with capture `id`.
+fn verdict_lines(inputs: &mut Inputs, id: &str, verdicts: &[Verdict]) -> String {
+    if let Err(failed) = serving::check(verdicts) {
+        inputs
+            .failed
+            .extend(failed.lines().map(|line| format!("{id}: {line}")));
+    }
+    verdicts.iter().map(|v| format!("{v}\n")).collect()
+}
+
+/// Tenant isolation: the Zipf protagonist solo, then beside the scan
+/// antagonist under each Tier-1 partitioning policy, at the sizes whose
+/// thresholds CI has always gated.
+fn serve_isolation(inputs: &mut Inputs) -> String {
+    let sweep = serving::isolation(4_000, 88, 1);
+    let mut out = format!(
+        "Serving isolation: a 192-page Zipf tenant (4000 accesses) beside a 1024-page \
+         sequential scan (88 passes), Tier-1 = {} pages
+
+solo zipf (whole Tier-1 to itself): hit rate {:.2}%
+",
+        serving::TIER1_PAGES,
+        100.0 * Isolation::zipf_hit_rate(&sweep.solo)
+    );
+    for (policy, run) in &sweep.paired {
+        out += &format!(
+            "\n[{policy}] elapsed {:.2} ms, jain {:.4}, zipf hit-rate drop vs solo {:+.2} pp\n{}\n",
+            run.elapsed.as_nanos() as f64 / 1e6,
+            run.report.jain_hit_rate,
+            100.0 * sweep.zipf_drop(*policy),
+            run.report
+        );
+    }
+    out + "\n" + &verdict_lines(inputs, "serve_isolation", &sweep.verdicts())
+}
+
+/// Tenant scaling: 1, 2, 4 and 8 Zipf tenants, splitting Tier-1's quota
+/// and floors evenly, under every partitioning policy. No threshold.
+fn serve_scaling(_: &mut Inputs) -> String {
+    const ACCESSES: usize = 1_500;
+    let tier1 = serving::TIER1_PAGES;
+    let mut out = format!(
+        "Serving scaling: 1-8 Zipf tenants ({ACCESSES} accesses each) x every \
+         partitioning policy, Tier-1 = {tier1} pages\n"
+    );
+    for n in [1usize, 2, 4, 8] {
+        for policy in PartitionPolicy::ALL {
+            let specs = (0..n)
+                .map(|i| {
+                    let mut spec =
+                        serving::zipf_tenant(&format!("zipf{i}"), ACCESSES, 100 + i as u64);
+                    spec.quota_pages = tier1 / n;
+                    spec.floor_pages = tier1 / (2 * n);
+                    spec.weight = 1;
+                    spec
+                })
+                .collect();
+            let run = serving::serve(policy, specs);
+            out += &format!(
+                "\n[{n} tenants, {policy}] elapsed {:.2} ms, accesses {}\n{}\n",
+                run.elapsed.as_nanos() as f64 / 1e6,
+                run.accesses,
+                run.report
+            );
+        }
+    }
+    out
+}
+
+/// The online front-end's SLO classes under backpressure: the
+/// interactive, standard and batch-scan tenants of
+/// [`serving::frontend_service`], two connections each.
+fn frontend_slo(inputs: &mut Inputs) -> String {
+    const REQUESTS_PER_CONN: u32 = 2_000;
+    let batch = SequentialScan::new(&WorkloadScale::pages(512), 1);
+    let service = serving::frontend_service(Box::new(batch));
+    let run = Frontend::new(service, 2024, REQUESTS_PER_CONN, serving::TRACE_CAPACITY).run();
+    let verdicts = verdict_lines(
+        inputs,
+        "frontend_slo",
+        &serving::frontend_verdicts(&run.report),
+    );
+    format!(
+        "Front-end SLOs: 3 classes, 6 connections, {REQUESTS_PER_CONN} requests each, \
+         Tier-1 = {} pages (shared-qos)
+
+elapsed {:.3} ms, generated {}, shed {}, aggregate t1 hit rate {:.2}%
+{}
+{verdicts}",
+        serving::TIER1_PAGES,
+        run.elapsed.as_nanos() as f64 / 1e6,
+        run.generated,
+        run.shed,
+        100.0 * run.aggregate.t1_hit_rate(),
+        run.report.render_table()
+    )
 }
 
 /// `REPORT.md`: the headline tables and verdicts in markdown, the live

@@ -8,7 +8,7 @@
 //!
 //! | Scenario | Hot path exercised |
 //! |---|---|
-//! | `serve_sweep` | the `serve_bench` isolation sweep: multi-tenant replay, clocks, sampler, trace ring, report |
+//! | `serve_sweep` | the `serve_isolation` sweep: multi-tenant replay, clocks, sampler, trace ring, report |
 //! | `replay_gmt` / `replay_bam` / `replay_hmm` | single-tenant executor replay per system |
 //! | `trace_export` | trace ring fill + JSONL/CSV export |
 //! | `event_calendar` | `EventQueue` schedule/cancel/pop storm |
@@ -22,23 +22,20 @@
 
 use std::time::Instant;
 
-use gmt_core::GmtConfig;
-use gmt_gpu::ExecutorConfig;
-use gmt_mem::{ClockList, FifoCache, PageId, TierGeometry};
+use gmt_mem::{ClockList, FifoCache, PageId};
 use gmt_sim::events::EventQueue;
 use gmt_sim::trace::{self, TierTag, TraceEvent, TraceSink};
 use gmt_sim::Time;
 use gmt_workloads::srad::Srad;
-use gmt_workloads::synthetic::{SequentialScan, ZipfLoop};
+use gmt_workloads::synthetic::ZipfLoop;
 use gmt_workloads::WorkloadScale;
 use rand::Rng;
 
 use gmt_analysis::runner::{geometry_for, run_system, SystemKind};
 use gmt_core::PolicyKind;
-use gmt_serve::{
-    ArrivalSchedule, PartitionPolicy, ServeConfig, ServeOutcome, SloClass, TenantRegistry,
-    TenantSpec, TieredService,
-};
+use gmt_serve::ServeOutcome;
+
+use crate::serving;
 
 /// Schema tag written into (and expected from) `BENCH_hotpath.json`.
 pub const SCHEMA: &str = "gmt-bench-hotpath/1";
@@ -118,63 +115,6 @@ fn timed(
     }
 }
 
-/// Tier-1 capacity of the serving sweep (mirrors `serve_bench`).
-const SERVE_TIER1_PAGES: usize = 256;
-/// Trace ring sized to the biggest sweep run.
-const SERVE_TRACE_CAPACITY: usize = 1 << 22;
-
-fn serve_geometry() -> TierGeometry {
-    TierGeometry::from_tier1(SERVE_TIER1_PAGES, 2.0, 2.0)
-}
-
-fn zipf_tenant(name: &str, accesses: usize, seed: u64) -> TenantSpec {
-    TenantSpec {
-        name: name.into(),
-        workload: Box::new(ZipfLoop::new(
-            &WorkloadScale::pages(192),
-            1.0,
-            0.05,
-            accesses,
-        )),
-        arrival: ArrivalSchedule::Poisson { mean_gap_ns: 4_000 },
-        quota_pages: 192,
-        weight: 3,
-        floor_pages: 184,
-        slo: SloClass::Interactive,
-        seed,
-    }
-}
-
-fn scan_tenant(passes: usize, seed: u64) -> TenantSpec {
-    TenantSpec {
-        name: "scan".into(),
-        workload: Box::new(SequentialScan::new(&WorkloadScale::pages(1_024), passes)),
-        arrival: ArrivalSchedule::Bursty {
-            burst: 64,
-            gap_ns: 100,
-            idle_ns: 5_000,
-        },
-        quota_pages: 64,
-        weight: 1,
-        floor_pages: 16,
-        slo: SloClass::Batch,
-        seed,
-    }
-}
-
-fn serve_run(policy: PartitionPolicy, specs: Vec<TenantSpec>) -> ServeOutcome {
-    let mut registry = TenantRegistry::new(SERVE_TIER1_PAGES, policy);
-    for spec in specs {
-        registry.admit(spec).expect("bench tenants always fit");
-    }
-    let config = ServeConfig {
-        gmt: GmtConfig::new(serve_geometry()),
-        partition: policy,
-    };
-    let service = TieredService::new(&config, registry).expect("bench config is valid");
-    service.serve(ExecutorConfig::default(), SERVE_TRACE_CAPACITY)
-}
-
 /// Page-touch decisions made by one serve run: every warp access plus
 /// every per-page tiering decision distilled from the counters.
 fn serve_events(out: &ServeOutcome) -> u64 {
@@ -182,31 +122,18 @@ fn serve_events(out: &ServeOutcome) -> u64 {
     out.accesses + m.t1_hits + m.t1_misses + m.t2_hits + m.t1_evictions
 }
 
-/// The `serve_bench` isolation sweep: the Zipf protagonist solo, then
-/// against the scan antagonist under all four partitioning policies.
+/// The isolation sweep of [`serving::isolation`]: the Zipf protagonist
+/// solo, then against the scan antagonist under all four partitioning
+/// policies.
 fn serve_sweep(mode: Mode, seed: u64, reps: u32) -> ScenarioResult {
     let (zipf_accesses, scan_passes) = match mode {
         Mode::Full => (6_000, 132),
         Mode::Quick => (1_200, 26),
     };
     timed("serve_sweep", seed, reps, || {
-        let mut events = 0u64;
-        let solo = serve_run(
-            PartitionPolicy::FullyShared,
-            vec![zipf_tenant("zipf", zipf_accesses, seed + 10)],
-        );
-        events += serve_events(&solo);
-        for policy in PartitionPolicy::ALL {
-            let out = serve_run(
-                policy,
-                vec![
-                    zipf_tenant("zipf", zipf_accesses, seed + 10),
-                    scan_tenant(scan_passes, seed + 22),
-                ],
-            );
-            events += serve_events(&out);
-        }
-        events
+        let sweep = serving::isolation(zipf_accesses, scan_passes, seed);
+        let paired = sweep.paired.iter().map(|(_, out)| serve_events(out));
+        serve_events(&sweep.solo) + paired.sum::<u64>()
     })
 }
 
@@ -362,56 +289,22 @@ fn page_structures(mode: Mode, seed: u64, reps: u32) -> ScenarioResult {
 
 /// The online serving front-end end to end: seeded arrivals through
 /// admission control, Fig. 6 batching and SLO-graded completion over
-/// the tiered hierarchy (mirrors the `frontend_bench` scenario).
+/// the tiered hierarchy. The service is [`serving::frontend_service`]
+/// with e2ebench `serve_frontend`'s tenants: its batch tenant is a Zipf
+/// loop, where the `frontend_slo` capture's scans.
 fn frontend_slo(mode: Mode, seed: u64, reps: u32) -> ScenarioResult {
     let requests_per_conn: u32 = match mode {
         Mode::Full => 8_000,
         Mode::Quick => 1_600,
     };
     timed("frontend_slo", seed, reps, || {
-        let mut registry = TenantRegistry::new(SERVE_TIER1_PAGES, PartitionPolicy::SharedQos);
-        for (name, pages, class, floor, weight, tseed) in [
-            (
-                "interactive",
-                192usize,
-                SloClass::Interactive,
-                128usize,
-                3u32,
-                11u64,
-            ),
-            ("standard", 256, SloClass::Standard, 32, 2, 12),
-            ("batch", 512, SloClass::Batch, 0, 1, 13),
-        ] {
-            registry
-                .admit(TenantSpec {
-                    name: name.into(),
-                    workload: Box::new(ZipfLoop::new(&WorkloadScale::pages(pages), 1.0, 0.05, 1)),
-                    arrival: ArrivalSchedule::Uniform { gap_ns: 1 },
-                    quota_pages: 0,
-                    weight,
-                    floor_pages: floor,
-                    slo: class,
-                    seed: tseed,
-                })
-                .expect("bench tenants always fit");
-        }
-        let mut gmt = GmtConfig::new(serve_geometry());
-        gmt.frontend.connections = 6;
-        gmt.frontend.mean_interarrival_ns = 800_000;
-        gmt.frontend.max_request_pages = 12;
-        gmt.frontend.max_delay_ns = 30_000;
-        gmt.frontend.defer_threshold = 24;
-        gmt.frontend.shed_threshold = 96;
-        let config = ServeConfig {
-            gmt,
-            partition: PartitionPolicy::SharedQos,
-        };
-        let service = TieredService::new(&config, registry).expect("bench config is valid");
+        let batch = ZipfLoop::new(&WorkloadScale::pages(512), 1.0, 0.05, 1);
+        let service = serving::frontend_service(Box::new(batch));
         let out = gmt_frontend::Frontend::new(
             service,
             seed ^ 0xF10,
             requests_per_conn,
-            SERVE_TRACE_CAPACITY,
+            serving::TRACE_CAPACITY,
         )
         .run();
         let m = &out.aggregate;

@@ -22,16 +22,22 @@
 //! | `timeline` | §2.1.3 pipelined-regression warm-up study (extension) |
 //! | `overheads` | §3.4 Tier-2 cost accounting |
 //! | `ablate` | ablations of the design choices DESIGN.md calls out |
+//! | `serve_isolation` | multi-tenant Tier-1 isolation under each partitioning policy (extension) |
+//! | `serve_scaling` | 1–8 tenants × every partitioning policy (extension) |
+//! | `frontend_slo` | the online front-end's per-class SLOs under backpressure (extension) |
 //! | `REPORT.md` | one-page markdown report of the headline numbers |
 //!
 //! Absolute numbers come from the simulated substrate; the *shapes* are
 //! the reproduction target (see `EXPERIMENTS.md`). Scale is controlled by
 //! the `GMT_T1_PAGES` environment variable (default 1024 Tier-1 pages;
-//! the paper's unscaled 16 GB is 262144).
+//! the paper's unscaled 16 GB is 262144); `ablate` and the three serving
+//! captures run fixed sizes and seeds. The serving captures end in one
+//! verdict line per acceptance threshold ([`serving`]).
 
 #![warn(missing_docs)]
 
 pub mod hotpath;
+pub mod serving;
 
 use gmt_analysis::runner::{geometry_for, Recorded};
 use gmt_mem::TierGeometry;

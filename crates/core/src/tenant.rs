@@ -95,15 +95,6 @@ impl PartitionPolicy {
             PartitionPolicy::FullyShared => "fully-shared",
         }
     }
-
-    /// Whether the policy pins each tenant to a private Tier-1 clock
-    /// (as opposed to scanning one shared clock).
-    pub fn is_partitioned(&self) -> bool {
-        matches!(
-            self,
-            PartitionPolicy::StrictQuota | PartitionPolicy::WeightedShares
-        )
-    }
 }
 
 impl fmt::Display for PartitionPolicy {
@@ -129,14 +120,6 @@ mod tests {
             ]
         );
         assert_eq!(PartitionPolicy::StrictQuota.to_string(), "strict-quota");
-    }
-
-    #[test]
-    fn partitioned_split() {
-        assert!(PartitionPolicy::StrictQuota.is_partitioned());
-        assert!(PartitionPolicy::WeightedShares.is_partitioned());
-        assert!(!PartitionPolicy::SharedQos.is_partitioned());
-        assert!(!PartitionPolicy::FullyShared.is_partitioned());
     }
 
     #[test]

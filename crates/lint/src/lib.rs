@@ -1,12 +1,12 @@
 //! # gmt-lint — repo-specific static analysis for the GMT workspace
 //!
 //! The reproduction's credibility rests on bit-reproducible simulation:
-//! golden-trace fixtures, differential tests and the multi-tenant
-//! `serve_bench` all assume a seeded run is byte-identical across
-//! machines. Most of the invariants behind that assumption run in the
-//! toolchain (see the table in [`rules`]): D1 no-wall-clock, D2
-//! no-unseeded-rng, D3 and O1 no hash iteration order, N1's sources, and
-//! G1/R2 no shared cells are clippy's
+//! golden-trace fixtures, differential tests and `paper`'s committed
+//! captures, the serving ones included, all assume a seeded run is
+//! byte-identical across machines. Most of the invariants behind that
+//! assumption run in the toolchain (see the table in [`rules`]): D1
+//! no-wall-clock, D2 no-unseeded-rng, D3 and O1 no hash iteration order,
+//! N1's sources, and G1/R2 no shared cells are clippy's
 //! `disallowed-methods`/`disallowed-types`/`disallowed-macros`
 //! (`clippy.toml`); S1 no-unsafe is rustc's `unsafe_code` lint
 //! (`[workspace.lints]`); P1 no-panic-in-lib is clippy's

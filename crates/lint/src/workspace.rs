@@ -242,8 +242,8 @@ mod tests {
         let files = workspace_files(&repo_root()).unwrap();
         let bench_bin = files
             .iter()
-            .find(|f| f.rel.ends_with("crates/serve/src/bin/serve_bench.rs"))
-            .expect("serve_bench exists");
+            .find(|f| f.rel.ends_with("crates/bench/src/bin/paper.rs"))
+            .expect("paper exists");
         assert_eq!(bench_bin.target, TargetKind::Bin);
         let lib = files
             .iter()

@@ -258,11 +258,6 @@ impl SsdDevice {
     pub fn stats(&self) -> SsdStats {
         self.stats
     }
-
-    /// Total time the host-interface link has been occupied.
-    pub fn link_busy(&self) -> Dur {
-        self.link.busy_time()
-    }
 }
 
 #[cfg(test)]
